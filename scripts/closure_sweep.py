@@ -9,8 +9,8 @@
 import argparse
 import sys
 
-from zetasum import (NumericContext, SumRuleParams, consistent_orientation,
-                     load_or_compute, verify_residue_theorem)
+from zetasum import (InternalConsistencyError, NumericContext, SumRuleParams,
+                     consistent_orientation, load_or_compute, verify_residue_theorem)
 
 
 def main(argv=None) -> int:
@@ -39,7 +39,11 @@ def main(argv=None) -> int:
         print(f"a={a:>6} x={x:>5}  orientation={rep.orientation:+d}  "
               f"residual={float(rep.residual):.3e}  tail={float(rep.tail_bound):.3e}  "
               f"sites={rep.sites}  {flag}")
-    sign = consistent_orientation(reports)
+    try:
+        sign = consistent_orientation(reports)
+    except InternalConsistencyError as exc:
+        print(f"FAIL: {exc}")
+        return 1
     print(f"shared orientation: {sign:+d} "
           f"(integral equals {sign:+d} times the residue sum)")
     return 1 if failures else 0

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .arith import MangoldtTable, guillera_h
 from .numctx import NumericContext, cpow
-from .zetafn import InternalConsistencyError, PrecisionError, ZetaEngine
+from .zetafn import InternalConsistencyError, PrecisionError, ZetaEngine, trapezoid_mean
 from .zeros import MultipleZeroError, ZeroStore
 
 __all__ = [
@@ -236,13 +236,8 @@ def _nearest_site_label(s, a, ctx, store=None) -> str:
     return cands[0][1]
 
 
-def integrand(s, params: SumRuleParams, ctx: NumericContext,
-              engine: ZetaEngine | None = None, store: ZeroStore | None = None):
-    """x^(s(1-s)) / (cos(pi s) zeta(4a s(1-s))) at context precision."""
-    a, x = params.bind(ctx)
+def _integrand(s, a, x, ctx, engine, store=None):
     mp = ctx.mp
-    engine = engine or ZetaEngine(ctx)
-    s = mp.convert(s)
     u = s * (1 - s)
     c = mp.cos(mp.pi * s)
     z = engine.zeta(4 * a * u)
@@ -251,6 +246,13 @@ def integrand(s, params: SumRuleParams, ctx: NumericContext,
         raise SingularityError(
             f"integrand evaluated at a pole near {_nearest_site_label(s, a, ctx, store)}")
     return cpow(x, u, ctx) / (c * z)
+
+
+def integrand(s, params: SumRuleParams, ctx: NumericContext,
+              engine: ZetaEngine | None = None, store: ZeroStore | None = None):
+    """x^(s(1-s)) / (cos(pi s) zeta(4a s(1-s))) at context precision."""
+    a, x = params.bind(ctx)
+    return _integrand(ctx.mp.convert(s), a, x, ctx, engine or ZetaEngine(ctx), store)
 
 
 def _pick_path_halfwidth(a, x, ctx):
@@ -266,40 +268,24 @@ def _pick_path_halfwidth(a, x, ctx):
 
 def contour_integral(params: SumRuleParams, ctx: NumericContext,
                      engine: ZetaEngine | None = None):
-    """(1/(2 pi i)) integral of the integrand along s = it, t in [-T, T],
-    by trapezoid halving until two successive estimates agree to target_tol.
-    The imaginary part must vanish (conjugate symmetry of the integrand)."""
+    """(1/(2 pi i)) integral of the integrand along s = it, t in [-T, T]:
+    T/pi times the interval trapezoid mean, from 32 panels up, stopped by
+    trapezoid_mean's extrapolated error estimate at target_tol.  The
+    imaginary part must vanish (conjugate symmetry of the integrand)."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     engine = engine or ZetaEngine(ctx)
     T = _pick_path_halfwidth(a, x, ctx)
 
-    def f(t):
-        s = mp.mpc(0, 1) * t
-        u = s * (1 - s)
-        return cpow(x, u, ctx) / (mp.cos(mp.pi * s) * engine.zeta(4 * a * u))
+    def g(u):
+        return _integrand(mp.mpc(0, T * (2 * u - 1)), a, x, ctx, engine)
 
-    n = 32  # panels at the first level
-    h = 2 * T / n
-    total = (f(-T) + f(T)) / 2
-    for j in range(1, n):
-        total += f(-T + j * h)
-    estimate = total * h
-    for _ in range(20):
-        mid_sum = mp.mpc(0)
-        for j in range(n):
-            mid_sum += f(-T + (j + mp.mpf("0.5")) * h)
-        new_estimate = estimate / 2 + mid_sum * (h / 2)
-        n *= 2
-        h /= 2
-        if abs(new_estimate - estimate) < ctx.target_tol:
-            result = new_estimate / (2 * mp.pi)
-            if abs(mp.im(result)) >= 1000 * ctx.target_tol:
-                raise InternalConsistencyError(
-                    f"contour integral came out non-real: Im = {float(mp.im(result)):.3g}")
-            return result
-        estimate = new_estimate
-    raise PrecisionError("contour integral did not converge after 20 halvings")
+    result = trapezoid_mean(g, ctx, 32, ctx.target_tol, T / mp.pi,
+                            "contour integral did not converge after 20 halvings")
+    if abs(mp.im(result)) >= 1000 * ctx.target_tol:
+        raise InternalConsistencyError(
+            f"contour integral came out non-real: Im = {float(mp.im(result)):.3g}")
+    return result
 
 
 # -- pole catalog and residues -------------------------------------------------
@@ -371,8 +357,9 @@ def _phantom_neighbors(params: SumRuleParams, a, ctx, store: ZeroStore | None):
 def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
                     catalog: list | None = None, engine: ZetaEngine | None = None,
                     store: ZeroStore | None = None):
-    """Residue at site.location by trapezoid quadrature on a circle, point
-    count doubled from 32 until the estimate moves less than target_tol.
+    """Residue at site.location as r times the mean of f(c + r w) w over the
+    circle w = e^(2 pi i u), by the periodic trapezoid rule from 8 points up,
+    stopped by trapezoid_mean's extrapolated error estimate at target_tol.
     The radius is 1/4 of the nearest-neighbor distance, capped at 1e-2."""
     a, x = params.bind(ctx)
     mp = ctx.mp
@@ -388,33 +375,15 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
             raise OverlappingPoleError(
                 f"catalog poles overlap at {site.family} index {site.index}")
         r = min(r, nn / 4)
-
-    def f(z):
-        u = z * (1 - z)
-        return cpow(x, u, ctx) / (mp.cos(mp.pi * z) * engine.zeta(4 * a * u))
-
     c = site.location
-    m = 32
-    vals = [f(c + r * mp.expjpi(mp.mpf(2 * j) / m)) * mp.expjpi(mp.mpf(2 * j) / m)
-            for j in range(m)]
-    prev = r * sum(vals) / m  # fixed ascending-j reduction
-    for _ in range(10):
-        new_vals = []
-        for j in range(m):
-            w = mp.expjpi(mp.mpf(2 * j + 1) / m)
-            new_vals.append(f(c + r * w) * w)
-        merged = []
-        for v_even, v_odd in zip(vals, new_vals):
-            merged.append(v_even)
-            merged.append(v_odd)
-        vals = merged
-        m *= 2
-        est = r * sum(vals) / m
-        if abs(est - prev) < ctx.target_tol:
-            return est
-        prev = est
-    raise PrecisionError(f"residue quadrature did not settle at {site.family} "
-                         f"index {site.index}")
+
+    def g(u):
+        w = mp.expjpi(2 * u)
+        return _integrand(c + r * w, a, x, ctx, engine, store) * w
+
+    return trapezoid_mean(g, ctx, 8, ctx.target_tol, r,
+                          f"residue quadrature did not settle at {site.family} index {site.index}",
+                          periodic=True, max_doublings=12)
 
 
 # -- series -------------------------------------------------------------------

@@ -11,7 +11,8 @@ round(theta(T)/pi + 1) within +-1 at every prefix.
 
 File format (import/export and cache): UTF-8 text, one decimal tau per
 line in ascending order, '#' comment lines allowed, export header
-"# precision_bits=<n> checksum=<hex>".  Cache files additionally carry
+"# precision_bits=<n> checksum=<hex>"; import and cache loads reject a
+payload that no longer matches that checksum.  Cache files additionally carry
 per-record "# zp <re> <im>" comment lines so warm loads skip all zeta
 evaluations.
 """
@@ -233,6 +234,12 @@ def _checksum(payload_lines) -> str:
     return h.hexdigest()[:16]
 
 
+def _payload_checksum(text: str) -> str:
+    """_checksum of the lines export_zeros hashed: every non-empty line but the header."""
+    lines = (raw.strip() for raw in text.splitlines())
+    return _checksum([line for line in lines if line and not line.startswith("# precision_bits=")])
+
+
 def export_zeros(store: ZeroStore, path, ctx: NumericContext | None = None,
                  include_zeta_prime: bool = False) -> None:
     """Write the store as zeros-format text (header + ascending tau lines)."""
@@ -292,27 +299,34 @@ def _parse_zeros_text(text: str):
 def import_zeros(path, ctx: NumericContext,
                  zeta_config: ZetaEngineConfig = ZetaEngineConfig()) -> ZeroStore:
     """Read a zeros table, revalidate each tau, refine it to context precision,
-    and recompute zeta'(rho).  Rejects non-monotone input and any tau whose
-    Newton correction |Z/Z'| exceeds 0.05 (residual inconsistent with a zero)."""
+    and recompute zeta'(rho).  Rejects non-monotone input, a payload that no
+    longer matches the header's checksum (when the header carries one), and
+    any tau whose Newton correction |Z/Z'| exceeds 0.05 (residual inconsistent
+    with a zero).  The first two checks run before any zeta evaluation."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    _, tau_lines, _ = _parse_zeros_text(text)
+    header, tau_lines, _ = _parse_zeros_text(text)
     if not tau_lines:
         raise ZeroImportError(0, "no zeros in file")
-    engine = ZetaEngine(ctx, zeta_config)
     mp = ctx.mp
-    records = []
-    prev = None
-    for idx, (line_no, tau_str) in enumerate(tau_lines, start=1):
+    taus = []
+    for line_no, tau_str in tau_lines:
         try:
             t0 = mp.mpf(tau_str)
         except ValueError:
             raise ZeroImportError(line_no, f"unparseable value {tau_str!r}") from None
         if not t0 > 0:
             raise ZeroImportError(line_no, "tau must be positive")
-        if prev is not None and not t0 > prev:
+        if taus and not t0 > taus[-1]:
             raise ZeroImportError(line_no, f"non-monotone tau {tau_str}")
-        prev = t0
+        taus.append(t0)
+    payload = _payload_checksum(text)
+    if "checksum" in header and header["checksum"] != payload:
+        raise ZeroImportError(0, f"checksum mismatch: header says {header['checksum']}, "
+                                 f"payload hashes to {payload}")
+    engine = ZetaEngine(ctx, zeta_config)
+    records = []
+    for idx, ((line_no, _), t0) in enumerate(zip(tau_lines, taus), start=1):
         z, zd = engine.hardy_z_with_deriv(t0)
         if zd == 0 or abs(z / zd) > 0.05:
             raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = "
@@ -343,13 +357,7 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     header, tau_lines, zp_lines = _parse_zeros_text(text)
-    payload = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("# precision_bits="):
-            continue
-        payload.append(line)
-    if header.get("checksum") != _checksum(payload):
+    if header.get("checksum") != _payload_checksum(text):
         warnings.warn(f"zeros cache {path}: checksum mismatch, recomputing")
         return None
     if header.get("precision_bits") != str(ctx.precision_bits) or len(tau_lines) != count:

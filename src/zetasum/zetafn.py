@@ -13,7 +13,8 @@ Evaluation strategy
 zeta'(s) uses the term-wise differentiated Euler-Maclaurin sum on the right
 of the threshold, the differentiated reflection formula on the left, and a
 Cauchy circle integral in a small disk around s = 0 where the reflection
-split degenerates into a 0*inf product.
+split degenerates into a 0*inf product.  That circle, like the sum rule's
+contour and residue circles, is integrated by trapezoid_mean.
 
 Bernoulli numbers come from the tangent-number triangle as exact rationals,
 cached process-wide.  All functions are pure; engines hold only immutable
@@ -35,6 +36,7 @@ __all__ = [
     "PrecisionError",
     "InternalConsistencyError",
     "bernoulli",
+    "trapezoid_mean",
 ]
 
 
@@ -43,7 +45,39 @@ class ZetaPoleError(ArithmeticError):
 
 
 class PrecisionError(RuntimeError):
-    """The Euler-Maclaurin remainder target could not be met."""
+    """A convergence target (Euler-Maclaurin remainder, quadrature) could not be met."""
+
+
+def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
+                   periodic: bool = False, max_doublings: int = 20):
+    """scale * (mean of g over [0, 1]) by the trapezoid rule: the interval form
+    (nodes j/n, j = 0..n, endpoints weighted 1/2) or the periodic form (nodes
+    j/n, j < n).  Each level doubles n by adding the midpoints.  With I_k the
+    scaled value at level k, stop when |I_k - I_(k-1)| < tol or, from three
+    levels on, when the extrapolated error 10^max(D1^2/D2, 2 D1) < tol with
+    D1 = log10|I_k - I_(k-1)|, D2 = log10|I_k - I_(k-2)| (Borwein, Bailey &
+    Girgensohn: the error of an analytic integrand squares at each level).
+    Raises PrecisionError(failure) after max_doublings doublings."""
+    mp = ctx.mp
+    if periodic:
+        total = sum(g(mp.mpf(j) / n) for j in range(n))
+    else:
+        total = (g(mp.zero) + g(mp.one)) / 2 + sum(g(mp.mpf(j) / n) for j in range(1, n))
+    levels = [scale * total / n]
+    for _ in range(max_doublings):
+        total += sum(g(mp.mpf(2 * j + 1) / (2 * n)) for j in range(n))
+        n *= 2
+        levels.append(scale * total / n)
+        d1 = abs(levels[-1] - levels[-2])
+        if d1 < tol:
+            return levels[-1]
+        if len(levels) >= 3:
+            d2 = abs(levels[-1] - levels[-3])
+            if 0 < d2 < 1:  # else log10 fails or the estimate is at least 1
+                e1, e2 = mp.log10(d1), mp.log10(d2)
+                if mp.power(10, max(e1 * e1 / e2, 2 * e1)) < tol:
+                    return levels[-1]
+    raise PrecisionError(failure)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -254,28 +288,23 @@ class ZetaEngine:
         return (sign * self.zeta(mp.mpf(2 * n + 1)) * mp.factorial(2 * n)
                 / (2 * mp.power(2 * mp.pi, 2 * n)))
 
-    def cauchy_deriv(self, s, radius=None, m_start: int = 32):
-        """zeta'(s) from the circle mean  (1/(M r)) sum zeta(s + r w_j) conj(w_j),
-        w_j the M-th roots of unity; M doubles until the estimate settles."""
+    def cauchy_deriv(self, s, radius=None):
+        """zeta'(s) as (1/r) times the mean of zeta(s + r w) / w over the circle
+        w = e^(2 pi i u), by the periodic trapezoid rule from 8 points up,
+        stopped at 10 * target_tol (trapezoid_mean)."""
         mp = self.ctx.mp
         s = mp.convert(s)
         r = mp.mpf("1e-3") if radius is None else mp.mpf(radius)
         if abs(s - 1) <= 2 * r:
             raise ZetaPoleError("circle derivative would enclose the pole at s = 1")
-        tol = self.ctx.target_tol
-        prev = None
-        m = m_start
-        for _ in range(12):
-            acc = mp.mpc(0)
-            for j in range(m):
-                w = mp.expjpi(mp.mpf(2 * j) / m)
-                acc += self.zeta(s + r * w) / w
-            est = acc / (m * r)
-            if prev is not None and abs(est - prev) < 10 * tol:
-                return est
-            prev = est
-            m *= 2
-        raise PrecisionError("circle derivative did not settle")
+
+        def g(u):
+            w = mp.expjpi(2 * u)
+            return self.zeta(s + r * w) / w
+
+        return trapezoid_mean(g, self.ctx, 8, 10 * self.ctx.target_tol, 1 / r,
+                              "circle derivative did not settle",
+                              periodic=True, max_doublings=13)
 
     def zeta_reflect_log(self, s):
         """(log |zeta(s)|, sign) for real s < the reflection threshold, assembled

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from zetasum import zeros as zeros_mod
 from zetasum.numctx import NumericContext
 from zetasum.zetafn import ZetaEngine
 from zetasum.zeros import (ZeroImportError, export_zeros, import_zeros,
@@ -86,6 +87,22 @@ def test_import_rejects_swapped_lines(store30_96, ctx96, tmp_path):
     with pytest.raises(ZeroImportError) as err:
         import_zeros(bad, ctx96)
     assert err.value.line_no == 5
+
+
+def test_import_rejects_deleted_line_by_checksum(store30_96, ctx96, tmp_path, monkeypatch):
+    path = tmp_path / "zeros.txt"
+    export_zeros(store30_96.prefix(6), path, ctx96)
+    lines = path.read_text().splitlines()
+    del lines[3]  # header + taus: drop the 3rd zero, header unchanged
+    bad = tmp_path / "missing.txt"
+    bad.write_text("\n".join(lines) + "\n")
+
+    def no_zeta_work(*args, **kwargs):
+        raise AssertionError("the checksum is compared before any zeta evaluation")
+
+    monkeypatch.setattr(zeros_mod, "ZetaEngine", no_zeta_work)
+    with pytest.raises(ZeroImportError, match="checksum"):
+        import_zeros(bad, ctx96)
 
 
 def test_import_rejects_non_zero(ctx96, tmp_path):
