@@ -1,9 +1,9 @@
 """High-precision verification of two-parameter sum rules over the
 critical zeros of the Riemann zeta function."""
 
-from .numctx import DomainError, NumericContext, constant, elementary
+from .numctx import DomainError, NumericContext
 from .zetafn import (InternalConsistencyError, PrecisionError, ZetaEngine,
-                     ZetaEngineConfig, ZetaPoleError, bernoulli)
+                     ZetaPoleError, bernoulli, engine_for)
 from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError,
                     ZeroRecord, ZeroStore, export_zeros, import_zeros,
                     load_or_compute, locate_zeros)

@@ -3,7 +3,7 @@ Mangoldt function over a sieve of prime powers, and the elementary
 function h(x) appearing on its closed-form side.
 
 The sieve stores prime bases, not logarithms, so one table serves any
-working precision; logs are taken lazily at the caller's context.
+working precision; the cross-check sums the series in double precision.
 """
 
 from __future__ import annotations
@@ -21,37 +21,15 @@ SIEVE_MAX = 10**7
 
 @dataclass(frozen=True)
 class MangoldtTable:
-    """Lambda(n) for n <= limit, stored as the prime base p (0 off prime powers)."""
+    """The prime powers n <= limit with their prime bases p: Lambda(n) = log p."""
 
     limit: int
-    values: array  # values[n] = p if n = p^k else 0; index 0..limit
     pp_ns: array  # prime powers <= limit, ascending
     pp_ps: array  # matching prime bases
-
-    def base(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n out of table range [1, {self.limit}]")
-        return self.values[n]
-
-    def mangoldt(self, n: int, ctx: NumericContext):
-        """Lambda(n) = log p when n is a power of the prime p, else 0."""
-        p = self.base(n)
-        return ctx.mp.log(p) if p else ctx.mp.mpf(0)
-
-    def log_prime(self, p: int, ctx: NumericContext):
-        cache = _log_cache.setdefault(ctx.precision_bits, {})
-        v = cache.get(p)
-        if v is None:
-            v = ctx.mp.log(p)
-            cache[p] = v
-        return v
 
     def prime_powers(self):
         """(n, p) for every prime power n <= limit, ascending in n."""
         return zip(self.pp_ns, self.pp_ps)
-
-
-_log_cache: dict = {}
 
 
 def mangoldt_sieve(limit: int) -> MangoldtTable:
@@ -75,7 +53,7 @@ def mangoldt_sieve(limit: int) -> MangoldtTable:
         if values[n]:
             pp_ns.append(n)
             pp_ps.append(values[n])
-    return MangoldtTable(limit, values, pp_ns, pp_ps)
+    return MangoldtTable(limit, pp_ns, pp_ps)
 
 
 def guillera_h(x, ctx: NumericContext):

@@ -1,13 +1,14 @@
 """Arbitrary-precision arithmetic context shared by every other module.
 
 A NumericContext pins the working mantissa size (binary digits) and the
-evaluation tolerance derived from it.  Each context owns an independent
-mpmath MPContext instance, so contexts at different precisions coexist and
-values never silently change precision.  All values are immutable and all
-operations are pure; contexts are safe to share across threads.
+evaluation tolerance 2^(10 - bits) derived from it.  Each context owns an
+independent mpmath MPContext instance, so contexts at different precisions
+coexist and values never silently change precision.  Contexts are frozen
+and hashable (by precision), so zetafn.engine_for can keep one engine each.
 
-Principal branches throughout: sqrt and log cut along the negative real
-axis, Im(log z) in (-pi, pi].
+Other modules compute with mpmath's own functions on ctx.mp (principal
+branches: sqrt and log cut along the negative real axis, Im(log z) in
+(-pi, pi]); cpow adds x**s for real x > 0 as exp(s log x).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 from mpmath.ctx_mp import MPContext
 
-__all__ = ["DomainError", "NumericContext", "elementary", "constant"]
+__all__ = ["DomainError", "NumericContext"]
 
 # extra mantissa bits used internally so results round correctly at the
 # context's nominal precision
@@ -36,11 +37,11 @@ class NumericContext:
     """Working precision plus derived tolerance.
 
     precision_bits: mantissa size, at least 64.
-    target_tol: convergence/acceptance tolerance, default 2**(10 - precision_bits).
+    target_tol: convergence/acceptance tolerance 2**(10 - precision_bits).
     """
 
     precision_bits: int = 192
-    target_tol: float | None = None
+    target_tol: object = field(init=False, compare=False)
     _mp: MPContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -49,13 +50,7 @@ class NumericContext:
         mp = MPContext()
         mp.prec = self.precision_bits + GUARD_BITS
         object.__setattr__(self, "_mp", mp)
-        if self.target_tol is None:
-            object.__setattr__(self, "target_tol", mp.mpf(2) ** (10 - self.precision_bits))
-        else:
-            tol = mp.mpf(self.target_tol)
-            if not tol > 0 or tol < mp.mpf(2) ** (-self.precision_bits):
-                raise ValueError("target_tol must satisfy 2**(-precision_bits) <= target_tol")
-            object.__setattr__(self, "target_tol", tol)
+        object.__setattr__(self, "target_tol", mp.mpf(2) ** (10 - self.precision_bits))
 
     @property
     def mp(self) -> MPContext:
@@ -81,75 +76,9 @@ class NumericContext:
         e = self._mp.mag(mag)  # mag(x): smallest e with |x| <= 2**e
         return self._mp.mpf(2) ** (e - self.precision_bits)
 
-    def at_double_precision(self) -> "NumericContext":
-        return NumericContext(precision_bits=2 * self.precision_bits)
-
     def nstr(self, v) -> str:
         """Decimal rendering at the context's full digit count."""
         return self._mp.nstr(v, self.dps, strip_zeros=False)
-
-
-_UNARY = {"neg", "sqrt", "exp", "log", "sin", "cos", "sinh", "cosh", "abs", "arg"}
-_BINARY = {"add", "sub", "mul", "div", "pow"}
-
-
-def elementary(op: str, args, ctx: NumericContext):
-    """Apply one elementary operation at context precision.
-
-    pow(x, s) for real x > 0 and complex s means exp(s*log x).  Division by
-    zero and log/arg of zero raise DomainError carrying the operation name.
-    """
-    mp = ctx.mp
-    if op in _UNARY:
-        (z,) = args
-        z = mp.convert(z)
-        if op == "neg":
-            return -z
-        if op == "abs":
-            return abs(z)
-        if op == "arg":
-            if z == 0:
-                raise DomainError("arg", "argument of zero")
-            return mp.arg(z)
-        if op == "log":
-            if z == 0:
-                raise DomainError("log", "log of zero")
-            return mp.log(z)
-        return getattr(mp, op)(z)
-    if op in _BINARY:
-        u, v = (mp.convert(a) for a in args)
-        if op == "add":
-            return u + v
-        if op == "sub":
-            return u - v
-        if op == "mul":
-            return u * v
-        if op == "div":
-            if v == 0:
-                raise DomainError("div", "division by zero")
-            return u / v
-        # pow
-        if v == 0:
-            return mp.mpf(1)
-        if mp.im(u) != 0 or mp.re(u) <= 0:
-            raise DomainError("pow", "base must be real and positive")
-        return mp.exp(v * mp.log(u))
-    raise DomainError(op, "unknown operation")
-
-
-_CONSTANTS = {
-    "pi": lambda mp: +mp.pi,
-    "euler_gamma": lambda mp: +mp.euler,
-    "ln2": lambda mp: +mp.ln2,
-}
-
-
-def constant(name: str, ctx: NumericContext):
-    """Mathematical constant at context precision (pi, euler_gamma, ln2)."""
-    try:
-        return _CONSTANTS[name](ctx.mp)
-    except KeyError:
-        raise DomainError("constant", f"unknown constant {name!r}") from None
 
 
 def cpow(base, expo, ctx: NumericContext):

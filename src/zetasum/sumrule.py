@@ -36,13 +36,15 @@ double poles and the printed series terms are individually singular.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from .arith import MangoldtTable, guillera_h
 from .numctx import NumericContext, cpow
-from .zetafn import InternalConsistencyError, PrecisionError, ZetaEngine, trapezoid_mean
-from .zeros import MultipleZeroError, ZeroStore
+from .zetafn import (InternalConsistencyError, PrecisionError, ZetaEngine, engine_for,
+                     trapezoid_mean)
+from .zeros import SIMPLICITY_FLOOR, MultipleZeroError, ZeroStore
 
 __all__ = [
     "SumRuleParams",
@@ -69,7 +71,6 @@ __all__ = [
 
 A_MAX = 40
 RESONANCE_TOL = 1e-9
-SIMPLICITY_FLOOR = 1e-15
 
 CONVENTION_NOTES = (
     "orientation=-1 (upward imaginary-axis path closed to the right: integral = -(residue sum))",
@@ -248,11 +249,10 @@ def _integrand(s, a, x, ctx, engine, store=None):
     return cpow(x, u, ctx) / (c * z)
 
 
-def integrand(s, params: SumRuleParams, ctx: NumericContext,
-              engine: ZetaEngine | None = None, store: ZeroStore | None = None):
+def integrand(s, params: SumRuleParams, ctx: NumericContext, store: ZeroStore | None = None):
     """x^(s(1-s)) / (cos(pi s) zeta(4a s(1-s))) at context precision."""
     a, x = params.bind(ctx)
-    return _integrand(ctx.mp.convert(s), a, x, ctx, engine or ZetaEngine(ctx), store)
+    return _integrand(ctx.mp.convert(s), a, x, ctx, engine_for(ctx), store)
 
 
 def _pick_path_halfwidth(a, x, ctx):
@@ -266,15 +266,14 @@ def _pick_path_halfwidth(a, x, ctx):
     return t
 
 
-def contour_integral(params: SumRuleParams, ctx: NumericContext,
-                     engine: ZetaEngine | None = None):
+def contour_integral(params: SumRuleParams, ctx: NumericContext):
     """(1/(2 pi i)) integral of the integrand along s = it, t in [-T, T]:
     T/pi times the interval trapezoid mean, from 32 panels up, stopped by
     trapezoid_mean's extrapolated error estimate at target_tol.  The
     imaginary part must vanish (conjugate symmetry of the integrand)."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-    engine = engine or ZetaEngine(ctx)
+    engine = engine_for(ctx)
     T = _pick_path_halfwidth(a, x, ctx)
 
     def g(u):
@@ -314,13 +313,14 @@ def pole_catalog(params: SumRuleParams, store: ZeroStore, ctx: NumericContext,
                  engine: ZetaEngine | None = None) -> list:
     """All cataloged right-half-plane poles with their derived residues:
     trivial-zero family n = 1..n_trivial, half-integer family k = 0..n_halfint,
-    then each store zero and its conjugate up to n_zeros."""
+    then each store zero and its conjugate up to n_zeros.  engine defaults to
+    engine_for(ctx)."""
     a, x = params.bind(ctx)
     params.check_resonance(ctx)
     if len(store) < params.n_zeros:
         raise ValueError(f"store holds {len(store)} zeros, {params.n_zeros} needed")
     mp = ctx.mp
-    engine = engine or ZetaEngine(ctx)
+    engine = engine or engine_for(ctx)
     sites = []
     for n in range(1, params.n_trivial + 1):
         loc = (1 + mp.sqrt((2 * n + a) / a)) / 2
@@ -360,10 +360,11 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
     """Residue at site.location as r times the mean of f(c + r w) w over the
     circle w = e^(2 pi i u), by the periodic trapezoid rule from 8 points up,
     stopped by trapezoid_mean's extrapolated error estimate at target_tol.
-    The radius is 1/4 of the nearest-neighbor distance, capped at 1e-2."""
+    The radius is 1/4 of the nearest-neighbor distance, capped at 1e-2.
+    engine defaults to engine_for(ctx)."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-    engine = engine or ZetaEngine(ctx)
+    engine = engine or engine_for(ctx)
     neighbors = []
     if catalog:
         neighbors = [p.location for p in catalog if p is not site]
@@ -389,8 +390,7 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
 # -- series -------------------------------------------------------------------
 
 
-def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext,
-                 engine: ZetaEngine | None = None):
+def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     """(value, tail_bound): Re sum over upper zeros of the stable sinh form
     -x^((rho-a)/4a) / (sqrt(rho-a) sinh((pi/2) sqrt((rho-a)/a)) zeta'(rho)),
     summed in ascending zero order; tail = 3 |last term|."""
@@ -411,15 +411,14 @@ def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext,
     return total, 3 * abs(last)
 
 
-def trivial_series(params: SumRuleParams, ctx: NumericContext,
-                   engine: ZetaEngine | None = None):
+def trivial_series(params: SumRuleParams, ctx: NumericContext):
     """(value, tail_bound): sum_n (-1)^(n+1) (2 pi)^(2n) x^(-(2n+a)/4a) /
     (sqrt(2n+a) sin((pi/2) sqrt((2n+a)/a)) zeta(2n+1) (2n)!), assembled in
     log space ((2n)! against (2 pi)^(2n) x^(-n/2a)); tail = 2 |last term|."""
     a, x = params.bind(ctx)
     params.check_resonance(ctx)
     mp = ctx.mp
-    engine = engine or ZetaEngine(ctx)
+    engine = engine_for(ctx)
     ln_x = mp.log(x)
     ln_2pi = mp.log(2 * mp.pi)
     total = mp.mpf(0)
@@ -436,14 +435,13 @@ def trivial_series(params: SumRuleParams, ctx: NumericContext,
     return total, 2 * abs(last)
 
 
-def half_integer_series(params: SumRuleParams, ctx: NumericContext,
-                        engine: ZetaEngine | None = None):
+def half_integer_series(params: SumRuleParams, ctx: NumericContext):
     """(value, tail_bound): (2 sqrt(a)/pi) sum_k (-1)^k x^(-k^2) / zeta(a(1-4k^2)),
     with 1/zeta at the large negative arguments taken from the log-space
     reflection; tail = 2 |last term|."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-    engine = engine or ZetaEngine(ctx)
+    engine = engine_for(ctx)
     ln_x = mp.log(x)
     pref = 2 * mp.sqrt(a) / mp.pi
     total = mp.mpf(0)
@@ -469,13 +467,12 @@ def evaluate_sumrule(params: SumRuleParams, store: ZeroStore,
     a, x = params.bind(ctx)
     params.check_resonance(ctx)
     mp = ctx.mp
-    engine = ZetaEngine(ctx)
-    z_a = engine.zeta(a)
+    z_a = engine_for(ctx).zeta(a)
     if abs(z_a) < 1000 * ctx.target_tol:
         raise InternalConsistencyError(f"zeta(a) vanished at a = {float(a)}")
-    lhs, tail_z = zero_sum_lhs(params, store, ctx, engine)
-    n_val, tail_n = trivial_series(params, ctx, engine)
-    k_val, tail_k = half_integer_series(params, ctx, engine)
+    lhs, tail_z = zero_sum_lhs(params, store, ctx)
+    n_val, tail_n = trivial_series(params, ctx)
+    k_val, tail_k = half_integer_series(params, ctx)
     const = mp.sqrt(a) / (mp.pi * z_a)
     residual = lhs - (const + n_val + k_val)
     wall = int((time.perf_counter() - t0) * 1000)
@@ -506,7 +503,7 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     x = mp.mpf(x)
     if not (0 < x < 1):
         raise ValueError("x must lie in (0, 1) exclusive")
-    engine = ZetaEngine(ctx)
+    engine = engine_for(ctx)
     half = mp.mpf("0.5")
     if len(store) < n_zeros:
         raise ValueError(f"store holds {len(store)} zeros, {n_zeros} needed")
@@ -565,9 +562,10 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
             + ((1-x^2)/pi) sum_n sqrt(n) Lambda(n) / ((n+x)(1+nx))
 
     The zero side pair-sums to 2 sin(tau ln x)/sinh(pi tau).  The Mangoldt
-    series is truncated at the table limit and corrected by the integral
-    tail with Lambda replaced by its mean value 1; both corrected and
-    uncorrected residuals are reported."""
+    series is summed in double precision (math.fsum; its criterion is 1e-3),
+    truncated at the table limit and corrected by the integral tail with
+    Lambda replaced by its mean value 1; both corrected and uncorrected
+    residuals are reported."""
     t0 = time.perf_counter()
     mp = ctx.mp
     x = mp.mpf(x)
@@ -575,7 +573,7 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
         raise ValueError("x must lie in (0, 1) exclusive")
     if abs(x - 1) <= 1e-6:
         raise ValueError("x too close to the removable singularity of h")
-    engine = ZetaEngine(ctx)
+    engine = engine_for(ctx)
     ln_x = mp.log(x)
     lhs = mp.mpf(0)
     last = None
@@ -586,10 +584,10 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
     half = mp.mpf("0.5")
     base = (mp.sqrt(x) - engine.zeta_deriv(half) / (mp.pi * engine.zeta(half))
             + guillera_h(x, ctx))
-    lam = mp.mpf(0)
-    for n, p in mangoldt.prime_powers():
-        lam += mp.sqrt(n) * mangoldt.log_prime(p, ctx) / ((n + x) * (1 + n * x))
-    lam *= (1 - x * x) / mp.pi
+    xf = float(x)
+    lam = math.fsum(math.sqrt(n) * math.log(p) / ((n + xf) * (1 + n * xf))
+                    for n, p in mangoldt.prime_powers())
+    lam = mp.mpf(lam) * (1 - x * x) / mp.pi
     # integral tail of the series with Lambda -> 1 (closed form)
     N = mangoldt.limit
     tail_corr = ((1 - x) / mp.sqrt(x)
@@ -608,8 +606,9 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
         a=mp.mpf(1), x=x, lhs_zero_sum=lhs, rhs_const=base, rhs_n_series=lam + tail_corr,
         rhs_k_series=mp.mpf(0), residual=residual, tail_bound=mp.mpf("1e-4"),
         zeros_used=len(store), wall_time_ms=wall,
-        notes=("mangoldt tail corrected by its mean-value integral; "
-               "uncorrected residual in aux",), aux=aux)
+        notes=("mangoldt series summed in double precision (math.fsum)",
+               "mangoldt tail corrected by its mean-value integral; "
+               "uncorrected residual in aux"), aux=aux)
 
 
 def verify_residue_theorem(params: SumRuleParams, store: ZeroStore,
@@ -619,17 +618,16 @@ def verify_residue_theorem(params: SumRuleParams, store: ZeroStore,
     its consistency across parameter pairs."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-    engine = ZetaEngine(ctx)
-    integral = contour_integral(params, ctx, engine)
-    catalog = pole_catalog(params, store, ctx, engine)
+    integral = contour_integral(params, ctx)
+    catalog = pole_catalog(params, store, ctx)
     residue_sum = mp.mpc(0)
     for site in catalog:
-        residue_sum += numeric_residue(site, params, ctx, catalog, engine, store)
+        residue_sum += numeric_residue(site, params, ctx, catalog, store=store)
     orientation = -1 if abs(integral + residue_sum) <= abs(integral - residue_sum) else 1
     residual = abs(integral - orientation * residue_sum)
-    _, tail_z = zero_sum_lhs(params, store, ctx, engine)
-    _, tail_n = trivial_series(params, ctx, engine)
-    _, tail_k = half_integer_series(params, ctx, engine)
+    _, tail_z = zero_sum_lhs(params, store, ctx)
+    _, tail_n = trivial_series(params, ctx)
+    _, tail_k = half_integer_series(params, ctx)
     # series tails map back to residue scale through the -2 sqrt(a) x^(-1/4) factor
     scale = cpow(x, mp.mpf(1) / 4, ctx) / (2 * mp.sqrt(a))
     tail = (tail_z + tail_n + tail_k) * scale + 100 * ctx.target_tol

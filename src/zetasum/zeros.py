@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from .numctx import NumericContext
-from .zetafn import ZetaEngine, ZetaEngineConfig
+from .zetafn import ZetaEngine, engine_for
 
 __all__ = [
     "ZeroRecord",
@@ -195,15 +195,13 @@ def _build_records(engine: ZetaEngine, brackets):
     return records
 
 
-def locate_zeros(count: int, ctx: NumericContext,
-                 zeta_config: ZetaEngineConfig = ZetaEngineConfig()) -> ZeroStore:
+def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     """First `count` critical-line zeros, refined at context precision."""
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}]")
-    engine = ZetaEngine(ctx, zeta_config)
+    engine = engine_for(ctx)
     # bracketing only needs a few good digits; refine at full precision
-    scan_ctx = ctx if ctx.precision_bits <= 96 else NumericContext(96)
-    scanner = ZetaEngine(scan_ctx, zeta_config)
+    scanner = engine_for(ctx if ctx.precision_bits <= 96 else NumericContext(96))
     brackets = _scan_brackets(scanner, count, SCAN_STEP)
     taus_rough = [(lo + hi) / 2 for lo, hi in brackets]
     if _check_counts(scanner, taus_rough) is not None:
@@ -296,8 +294,7 @@ def _parse_zeros_text(text: str):
     return header, taus, zps
 
 
-def import_zeros(path, ctx: NumericContext,
-                 zeta_config: ZetaEngineConfig = ZetaEngineConfig()) -> ZeroStore:
+def import_zeros(path, ctx: NumericContext) -> ZeroStore:
     """Read a zeros table, revalidate each tau, refine it to context precision,
     and recompute zeta'(rho).  Rejects non-monotone input, a payload that no
     longer matches the header's checksum (when the header carries one), and
@@ -324,7 +321,7 @@ def import_zeros(path, ctx: NumericContext,
     if "checksum" in header and header["checksum"] != payload:
         raise ZeroImportError(0, f"checksum mismatch: header says {header['checksum']}, "
                                  f"payload hashes to {payload}")
-    engine = ZetaEngine(ctx, zeta_config)
+    engine = engine_for(ctx)
     records = []
     for idx, ((line_no, _), t0) in enumerate(zip(tau_lines, taus), start=1):
         z, zd = engine.hardy_z_with_deriv(t0)
@@ -377,11 +374,10 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
     return ZeroStore(tuple(records), "computed", ctx.precision_bits)
 
 
-def load_or_compute(count: int, ctx: NumericContext, cache_dir=None,
-                    zeta_config: ZetaEngineConfig = ZetaEngineConfig()) -> ZeroStore:
+def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStore:
     """locate_zeros with a text-file cache keyed by (count, precision_bits)."""
     if cache_dir is None:
-        return locate_zeros(count, ctx, zeta_config)
+        return locate_zeros(count, ctx)
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, count, ctx.precision_bits)
     cached = _load_cache(path, count, ctx)
@@ -398,6 +394,6 @@ def load_or_compute(count: int, ctx: NumericContext, cache_dir=None,
                 big = _load_cache(os.path.join(cache_dir, name), bigger, ctx)
                 if big is not None:
                     return big.prefix(count)
-    store = locate_zeros(count, ctx, zeta_config)
+    store = locate_zeros(count, ctx)
     export_zeros(store, path, ctx, include_zeta_prime=True)
     return store

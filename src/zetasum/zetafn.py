@@ -2,12 +2,12 @@
 the Riemann-Siegel theta phase and the Hardy Z function.
 
 Evaluation strategy
-  Re s >= reflection_threshold : Euler-Maclaurin
+  Re s >= REFLECTION_THRESHOLD : Euler-Maclaurin
       zeta(s) ~ sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
                 + sum_{j<=M} B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(-s-2j+1)
-      with the cutoff N auto-escalated until the first omitted Bernoulli
-      term falls below the context tolerance.
-  Re s <  reflection_threshold : functional equation
+      with the cutoff N doubled (at most MAX_ESCALATIONS times) until the
+      first omitted Bernoulli term falls below the context tolerance.
+  Re s <  REFLECTION_THRESHOLD : functional equation
       zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
 
 zeta'(s) uses the term-wise differentiated Euler-Maclaurin sum on the right
@@ -17,21 +17,22 @@ split degenerates into a 0*inf product.  That circle, like the sum rule's
 contour and residue circles, is integrated by trapezoid_mean.
 
 Bernoulli numbers come from the tangent-number triangle as exact rationals,
-cached process-wide.  All functions are pure; engines hold only immutable
-configuration plus the write-once coefficient cache.
+cached process-wide.  All functions are pure.  An engine's state, the
+coefficients B_2j/(2j)! at working precision, is fixed at construction, so
+engine_for(ctx) builds one engine per context and every caller shares it.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numctx import NumericContext
 
 __all__ = [
-    "ZetaEngineConfig",
     "ZetaEngine",
+    "engine_for",
     "ZetaPoleError",
     "PrecisionError",
     "InternalConsistencyError",
@@ -119,50 +120,30 @@ def bernoulli(two_k: int) -> Fraction:
         return _bern_cache[k - 1]
 
 
-@dataclass(frozen=True)
-class ZetaEngineConfig:
-    """Euler-Maclaurin tuning. em_terms/em_corrections of None pick
-    precision-dependent defaults; explicit values are floors/caps."""
-
-    em_terms: int | None = None
-    em_corrections: int | None = None
-    reflection_threshold: float = 0.5
-    max_escalations: int = 6
-
-    def __post_init__(self):
-        if self.em_terms is not None and self.em_terms < 10:
-            raise ValueError("em_terms must be >= 10")
-        if self.em_corrections is not None and self.em_corrections < 2:
-            raise ValueError("em_corrections must be >= 2")
+# Euler-Maclaurin on Re s >= REFLECTION_THRESHOLD, the functional equation left of it
+REFLECTION_THRESHOLD = 0.5
+# doublings of the Euler-Maclaurin cutoff N before PrecisionError
+MAX_ESCALATIONS = 6
 
 
 class ZetaEngine:
     """zeta/zeta' evaluator bound to one NumericContext."""
 
-    def __init__(self, ctx: NumericContext, config: ZetaEngineConfig = ZetaEngineConfig()):
+    def __init__(self, ctx: NumericContext):
         self.ctx = ctx
-        self.config = config
         p = ctx.precision_bits
-        self._n0 = config.em_terms or (16 + int(0.25 * p))
-        self._m_cap = config.em_corrections or (12 + int(0.30 * p))
+        self._n0 = 16 + int(0.25 * p)
+        self._m_cap = 12 + int(0.30 * p)
         # remainder target well below one ulp at nominal precision; target_tol
         # is the coarser per-operation quality gate
         self._stop_tol = ctx.mp.mpf(2) ** (-(p + 16))
-        # write-once coefficient cache B_2j/(2j)! at working precision
+        # B_2j/(2j)! at working precision for j <= m_cap + 1, all _em_once reads
         mp = ctx.mp
-        self._coef = []
-        for j in range(1, self._m_cap + 2):
-            b = bernoulli(2 * j)
-            self._coef.append(mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j))
+        bern = [bernoulli(2 * j) for j in range(1, self._m_cap + 2)]
+        self._coef = tuple(mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
+                           for j, b in enumerate(bern, start=1))
 
     # -- Euler-Maclaurin core ------------------------------------------------
-
-    def _coef_at(self, j: int):
-        while j > len(self._coef):
-            b = bernoulli(2 * (len(self._coef) + 1))
-            self._coef.append(self.ctx.mp.mpf(b.numerator) / b.denominator
-                              / self.ctx.mp.factorial(2 * (len(self._coef) + 1)))
-        return self._coef[j - 1]
 
     def _pick_n(self, s) -> int:
         mp = self.ctx.mp
@@ -176,10 +157,9 @@ class ZetaEngine:
 
     def _em(self, s, want_deriv: bool):
         """Euler-Maclaurin zeta (or zeta') for Re s >= threshold, s != 1."""
-        mp = self.ctx.mp
         tol = self._stop_tol
         n = self._pick_n(s)
-        for _ in range(self.config.max_escalations + 1):
+        for _ in range(MAX_ESCALATIONS + 1):
             value, rem = self._em_once(s, n, want_deriv)
             if rem < tol:
                 return value
@@ -219,7 +199,7 @@ class ZetaEngine:
         prev_mag = mp.inf
         while True:
             j += 1
-            c = self._coef_at(j)
+            c = self._coef[j - 1]
             term = c * rf * npow
             mag = abs(term)
             if mag < tol:
@@ -250,7 +230,7 @@ class ZetaEngine:
             raise ZetaPoleError("zeta has a pole at s = 1")
         if s == 0:
             return mp.mpf(-0.5)
-        if mp.re(s) >= self.config.reflection_threshold:
+        if mp.re(s) >= REFLECTION_THRESHOLD:
             return self._em(s, want_deriv=False)
         w = 1 - s
         zw = self._em(w, want_deriv=False)
@@ -263,7 +243,7 @@ class ZetaEngine:
         s = mp.convert(s)
         if s == 1:
             raise ZetaPoleError("zeta has a pole at s = 1")
-        if mp.re(s) >= self.config.reflection_threshold:
+        if mp.re(s) >= REFLECTION_THRESHOLD:
             return self._em(s, want_deriv=True)
         if abs(s) < mp.mpf("0.05"):
             # reflection split is 0*inf here; the circle integral is clean
@@ -312,7 +292,7 @@ class ZetaEngine:
         log space.  sign = 0 flags a trivial zero."""
         mp = self.ctx.mp
         s = mp.mpf(s)
-        if s >= self.config.reflection_threshold:
+        if s >= REFLECTION_THRESHOLD:
             raise ValueError("log-space reflection is for the left half-line")
         w = 1 - s
         sp = mp.sinpi(s / 2)
@@ -363,3 +343,11 @@ class ZetaEngine:
         zd = self.zeta_deriv(s)
         zp = -mp.im(phase * (self._theta_deriv(t) * z + zd))
         return mp.re(w), zp
+
+
+@functools.cache
+def engine_for(ctx: NumericContext) -> ZetaEngine:
+    """The one ZetaEngine of ctx, built on first use and shared afterwards.
+    Contexts hash by precision, so the cache holds one engine per precision
+    for the life of the process."""
+    return ZetaEngine(ctx)

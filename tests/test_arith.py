@@ -16,6 +16,12 @@ H_4_TERMS = ("0.03333333333333333333333333", "-0.1666666666666666666666667",
 H_QUARTER = "-0.780584498360584832927752609835744910172131170430048841655022"
 
 TABLE = mangoldt_sieve(5000)
+BASES = dict(TABLE.prime_powers())  # n -> p for n = p^k <= 5000
+
+
+def mangoldt(n, ctx):
+    """Lambda(n) at context precision, read off the sieve."""
+    return ctx.mp.log(BASES[n]) if n in BASES else ctx.mp.mpf(0)
 
 
 def test_sieve_bounds():
@@ -27,20 +33,17 @@ def test_sieve_bounds():
 
 def test_mangoldt_point_values():
     mp = CTX.mp
-    assert TABLE.base(8) == 2 and TABLE.mangoldt(8, CTX) == mp.log(2)
-    assert TABLE.base(6) == 0 and TABLE.mangoldt(6, CTX) == 0
-    assert TABLE.base(1) == 0
-    assert TABLE.base(7) == 7 and TABLE.base(49) == 7
-    assert TABLE.base(4096) == 2
-    with pytest.raises(ValueError):
-        TABLE.base(0)
-    with pytest.raises(ValueError):
-        TABLE.base(5001)
+    assert BASES[8] == 2 and mangoldt(8, CTX) == mp.log(2)
+    assert 6 not in BASES and mangoldt(6, CTX) == 0
+    assert 1 not in BASES
+    assert BASES[7] == 7 and BASES[49] == 7
+    assert BASES[4096] == 2
+    assert min(BASES) == 2 and max(BASES) == 4999 and TABLE.limit == 5000
 
 
 def test_chebyshev_identity_12():
     mp = CTX.mp
-    total = sum((TABLE.mangoldt(d, CTX) for d in range(1, 13) if 12 % d == 0), mp.mpf(0))
+    total = sum((mangoldt(d, CTX) for d in range(1, 13) if 12 % d == 0), mp.mpf(0))
     assert abs(total - mp.log(12)) < 100 * CTX.target_tol
 
 
@@ -48,7 +51,7 @@ def test_chebyshev_identity_12():
 @given(st.integers(min_value=2, max_value=5000))
 def test_chebyshev_identity_random(n):
     mp = CTX.mp
-    total = sum((TABLE.mangoldt(d, CTX) for d in range(1, n + 1) if n % d == 0), mp.mpf(0))
+    total = sum((mangoldt(d, CTX) for d in range(1, n + 1) if n % d == 0), mp.mpf(0))
     assert abs(total - mp.log(n)) < 1000 * CTX.target_tol
 
 
@@ -60,14 +63,24 @@ def test_psi_consistency_1e6():
 
 def test_sieve_deterministic():
     again = mangoldt_sieve(5000)
-    assert again.values == TABLE.values
     assert again.pp_ns == TABLE.pp_ns and again.pp_ps == TABLE.pp_ps
 
 
 def test_prime_power_listing_matches_values():
-    marked = {n for n, _ in TABLE.prime_powers()}
-    assert marked == {n for n in range(2, 5001) if TABLE.values[n]}
-    assert all(TABLE.values[n] == p for n, p in TABLE.prime_powers())
+    # independent route: n is a prime power iff dividing out its smallest
+    # prime factor p leaves 1, and then Lambda(n) = log p
+    def smallest_factor(n):
+        return next(d for d in range(2, n + 1) if n % d == 0)
+
+    def prime_power_base(n):
+        p = smallest_factor(n)
+        while n % p == 0:
+            n //= p
+        return p if n == 1 else None
+
+    listing = list(TABLE.prime_powers())
+    assert [n for n, _ in listing] == sorted(BASES)
+    assert BASES == {n: p for n in range(2, 5001) if (p := prime_power_base(n))}
 
 
 def test_h_at_4_term_by_term():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetasum.numctx import DomainError, NumericContext, constant, cpow, elementary
+from zetasum.arith import guillera_h
+from zetasum.numctx import DomainError, NumericContext, cpow
 
 CTX = NumericContext(128)
 
@@ -22,47 +23,43 @@ def test_precision_floor():
 
 
 def test_target_tol_default_and_bounds():
-    ctx = NumericContext(128)
-    assert ctx.target_tol == ctx.mpf(2) ** (10 - 128)
-    with pytest.raises(ValueError):
-        NumericContext(128, target_tol=0.0)
-    with pytest.raises(ValueError):
-        NumericContext(128, target_tol=2.0 ** -140)
+    for bits in (64, 128, 192):
+        ctx = NumericContext(bits)
+        assert ctx.target_tol == ctx.mpf(2) ** (10 - bits)
+        assert ctx.mpf(2) ** (-bits) <= ctx.target_tol < 1
+    # the tolerance follows from the precision and is not an option
+    with pytest.raises(TypeError):
+        NumericContext(128, target_tol=2.0 ** -100)
+    assert NumericContext(128) == CTX and hash(NumericContext(128)) == hash(CTX)
 
 
 def test_sqrt_principal_branch():
-    v = elementary("sqrt", [CTX.mpc(-1, 0)], CTX)
+    v = CTX.mp.sqrt(CTX.mpc(-1, 0))
     assert CTX.mp.im(v) == 1 and CTX.mp.re(v) == 0
 
 
 def test_pow_identity_and_oracle():
-    assert elementary("pow", [CTX.mpf(17.25), CTX.mpf(0)], CTX) == 1
-    got = elementary("pow", [CTX.mpf(0.5), CTX.mpf(0.25)], CTX)
+    assert cpow(CTX.mpf(17.25), CTX.mpf(0), CTX) == 1
+    got = cpow(CTX.mpf(0.5), CTX.mpf(0.25), CTX)
     assert abs(got - CTX.mpf(POW_HALF_QUARTER)) < 4 * CTX.ulp(got)
 
 
 def test_domain_errors_carry_op_name():
     with pytest.raises(DomainError) as err:
-        elementary("div", [CTX.mpf(1), CTX.mpf(0)], CTX)
-    assert err.value.op == "div"
+        cpow(CTX.mpf(0), CTX.mpf(1), CTX)
+    assert err.value.op == "pow"
     with pytest.raises(DomainError) as err:
-        elementary("log", [CTX.mpf(0)], CTX)
-    assert err.value.op == "log"
-    with pytest.raises(DomainError):
-        elementary("arg", [CTX.mpf(0)], CTX)
-    with pytest.raises(DomainError):
-        elementary("frobnicate", [CTX.mpf(1)], CTX)
+        guillera_h(CTX.mpf(1), CTX)
+    assert err.value.op == "guillera_h"
 
 
 def test_constants():
-    assert abs(constant("pi", CTX) - CTX.mpf(PI)) < 4 * CTX.ulp(CTX.mpf(PI))
-    assert abs(constant("euler_gamma", CTX) - CTX.mpf(EULER_GAMMA)) < 4 * CTX.ulp(CTX.mpf(1))
-    # ln2 self-consistency with the elementary log
-    assert abs(constant("ln2", CTX) - elementary("log", [CTX.mpf(2)], CTX)) \
-        < 4 * CTX.ulp(CTX.mpf(1))
-    assert abs(constant("ln2", CTX) - CTX.mpf(LN2)) < 4 * CTX.ulp(CTX.mpf(1))
-    with pytest.raises(DomainError):
-        constant("feigenbaum", CTX)
+    # the context's mpmath carries at least the nominal precision
+    mp = CTX.mp
+    assert abs(+mp.pi - CTX.mpf(PI)) < 4 * CTX.ulp(CTX.mpf(PI))
+    assert abs(+mp.euler - CTX.mpf(EULER_GAMMA)) < 4 * CTX.ulp(CTX.mpf(1))
+    assert abs(+mp.ln2 - mp.log(2)) < 4 * CTX.ulp(CTX.mpf(1))
+    assert abs(+mp.ln2 - CTX.mpf(LN2)) < 4 * CTX.ulp(CTX.mpf(1))
 
 
 def test_euler_gamma_against_accelerated_limit():
@@ -75,7 +72,7 @@ def test_euler_gamma_against_accelerated_limit():
         h += mp.mpf(1) / k
     est = h - mp.log(n) - mp.mpf(1) / (2 * n) + mp.mpf(1) / (12 * n * n) \
         - mp.mpf(1) / (120 * n**4)
-    assert abs(est - constant("euler_gamma", CTX)) < mp.mpf("1e-20")
+    assert abs(est - mp.euler) < mp.mpf("1e-20")
 
 
 def test_exp_log_roundtrip_bulk():
@@ -88,7 +85,7 @@ def test_exp_log_roundtrip_bulk():
         z = mp.mpc(mag * mp.cos(phi), mag * mp.sin(phi))
         if z == 0:
             continue
-        back = elementary("exp", [elementary("log", [z], CTX)], CTX)
+        back = mp.exp(mp.log(z))
         assert abs(back - z) <= 8 * CTX.ulp(z)
 
 
@@ -96,21 +93,19 @@ def test_exp_log_roundtrip_bulk():
 @given(st.floats(min_value=-30, max_value=30, allow_nan=False))
 def test_sin_of_imaginary_is_i_sinh(y):
     mp = CTX.mp
-    lhs = elementary("sin", [mp.mpc(0, y)], CTX)
-    rhs = mp.mpc(0, 1) * elementary("sinh", [mp.mpf(y)], CTX)
+    lhs = mp.sin(mp.mpc(0, y))
+    rhs = mp.mpc(0, 1) * mp.sinh(mp.mpf(y))
     scale = max(abs(rhs), mp.mpf(1))
     assert abs(lhs - rhs) <= 8 * CTX.ulp(scale)
 
 
 @pytest.mark.parametrize("expr", [
-    lambda c: elementary("pow", [c.mpf(0.5), c.mpf(0.25)], c),
-    lambda c: constant("euler_gamma", c),
-    lambda c: elementary("sqrt", [c.mpc(2, 3)], c),
+    lambda c: cpow(c.mpf(0.5), c.mpf(0.25), c),
+    lambda c: +c.mp.euler,
+    lambda c: c.mp.sqrt(c.mpc(2, 3)),
 ])
 def test_precision_monotonicity(expr):
-    lo = NumericContext(96)
-    hi = lo.at_double_precision()
-    assert hi.precision_bits == 192
+    lo, hi = NumericContext(96), NumericContext(192)
     v_lo, v_hi = expr(lo), expr(hi)
     assert abs(hi.mp.convert(v_lo) - v_hi) < lo.target_tol
 

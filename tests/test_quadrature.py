@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from zetasum import sumrule as sr
-from zetasum.zetafn import PrecisionError, ZetaEngine, trapezoid_mean
+from zetasum.zetafn import PrecisionError, trapezoid_mean
 
 # the criterion-04 parameter pairs
 CONTOUR_PAIRS = (("0.5", "0.5"), ("2", "0.25"), ("0.9", "0.75"))
@@ -85,10 +85,9 @@ def test_contour_stop_is_accurate_and_no_later(ctx96, recorded, a, x):
 
 def test_residue_stops_are_accurate_and_no_later(ctx96, store30_96, recorded):
     params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=2, n_trivial=2, n_halfint=1)
-    engine = ZetaEngine(ctx96)
-    catalog = sr.pole_catalog(params, store30_96, ctx96, engine)
+    catalog = sr.pole_catalog(params, store30_96, ctx96)
     for site in catalog:
-        sr.numeric_residue(site, params, ctx96, catalog, engine, store30_96)
+        sr.numeric_residue(site, params, ctx96, catalog, store=store30_96)
     assert len(recorded) == len(catalog) == 8
     for call in recorded:
         assert call.periodic and call.n == 8

@@ -100,7 +100,7 @@ def test_import_rejects_deleted_line_by_checksum(store30_96, ctx96, tmp_path, mo
     def no_zeta_work(*args, **kwargs):
         raise AssertionError("the checksum is compared before any zeta evaluation")
 
-    monkeypatch.setattr(zeros_mod, "ZetaEngine", no_zeta_work)
+    monkeypatch.setattr(zeros_mod, "engine_for", no_zeta_work)
     with pytest.raises(ZeroImportError, match="checksum"):
         import_zeros(bad, ctx96)
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from zetasum import zetafn
 from zetasum.numctx import NumericContext
-from zetasum.zetafn import (ZetaEngine, ZetaEngineConfig, ZetaPoleError,
-                            bernoulli)
+from zetasum.zetafn import (PrecisionError, ZetaEngine, ZetaPoleError, bernoulli,
+                            engine_for)
 
 CTX = NumericContext(192)
 ENG = ZetaEngine(CTX)
@@ -159,19 +160,19 @@ def test_doubling_stability():
         assert abs(d1 - d2) < CTX.target_tol
 
 
-def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        ZetaEngineConfig(em_terms=5)
-    with pytest.raises(ValueError):
-        ZetaEngineConfig(em_corrections=1)
-    eng = ZetaEngine(CTX, ZetaEngineConfig(em_terms=32, em_corrections=40))
+def test_engine_for_one_per_context():
+    eng = engine_for(NumericContext(192))
+    assert engine_for(CTX) is eng and eng.ctx == CTX
+    assert engine_for(NumericContext(128)) is not eng
     assert abs(eng.zeta(CTX.mpf(2)) - CTX.mp.pi ** 2 / 6) < 100 * CTX.target_tol
 
 
-def test_precision_error_when_escalation_disabled():
-    # two Bernoulli corrections cannot reach 128-bit accuracy at N = 10
-    from zetasum.zetafn import PrecisionError
-    eng = ZetaEngine(CTX, ZetaEngineConfig(em_terms=10, em_corrections=2,
-                                           max_escalations=0))
-    with pytest.raises(PrecisionError):
+def test_precision_error_when_escalation_disabled(monkeypatch):
+    # two Bernoulli corrections cannot reach 192-bit accuracy at N = 10, and
+    # without escalation N stays there; a fresh engine, so the shared
+    # engine_for(CTX) keeps its own settings
+    monkeypatch.setattr(zetafn, "MAX_ESCALATIONS", 0)
+    eng = ZetaEngine(CTX)
+    eng._n0, eng._m_cap = 10, 2
+    with pytest.raises(PrecisionError, match="at N=10$"):
         eng.zeta(CTX.mpf("0.5"))
