@@ -11,8 +11,9 @@ Exit codes: 0 all criteria met, 1 a mathematical criterion failed,
 2 computational or configuration error.
 
 Config precedence: flags > ZETASUM_CACHE_DIR (cache dir only) > config file
-(flat key=value lines) > defaults.  Scan output is byte-deterministic for a
-given RunConfig; wall_time_ms is emitted as 0 unless --timing is given.
+(flat key=value lines) > defaults.  Reports and scans are byte-deterministic
+for a given RunConfig in every format; the wall time is emitted as 0 unless
+--timing is given.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _print_report(rep, ctx, cfg: RunConfig, criterion: str) -> None:
         f"residual         : {ctx.nstr(rep.residual)}",
         f"tail bound       : {ctx.nstr(rep.tail_bound)}",
         f"zeros used       : {rep.zeros_used}",
-        f"wall time (ms)   : {rep.wall_time_ms}",
+        f"wall time (ms)   : {rep.wall_time_ms if cfg.timing else 0}",
         f"criterion        : {criterion}",
     ]
     for k, v in rep.aux:

@@ -2,12 +2,14 @@
 critical line.
 
 Zeros are found as sign changes of the Hardy Z function on a fixed scan
-grid (step 0.25 from t = 10, fallback 0.05), bracketed by bisection and
-polished with Newton steps on Z, then certified by a sign change across
-the claimed enclosure [tau - e, tau + e], e = 2^(10 - precision_bits).
-Every record caches zeta'(1/2 + i tau).  A store is only returned if the
-running count matches the smoothed zero-counting function
-round(theta(T)/pi + 1) within +-1 at every prefix.
+grid (step 0.25 from t = 10, fallback 0.05).  Scan and bisection down to
+width 1e-4 only read signs, so both run at 96 bits at most; Newton steps on
+Z at full precision, each one fused zeta/zeta' pass, then polish the
+midpoint, and a sign change across the claimed enclosure [tau - e, tau + e],
+e = 2^(10 - precision_bits), certifies it.  Every record caches
+zeta'(1/2 + i tau), taken from the pass that computes the residual Z(tau).
+A store is only returned if the running count matches the smoothed
+zero-counting function round(theta(T)/pi + 1) within +-1 at every prefix.
 
 File format (import/export and cache): UTF-8 text, one decimal tau per
 line in ascending order, '#' comment lines allowed, export header
@@ -45,6 +47,8 @@ SCAN_STEP = 0.25
 SCAN_STEP_FINE = 0.05
 MAX_COUNT = 2000
 SIMPLICITY_FLOOR = 1e-15
+# bracket width at which Newton takes over from bisection
+NEWTON_WIDTH = "1e-4"
 
 
 class MissedZeroError(RuntimeError):
@@ -128,30 +132,52 @@ def _scan_brackets(engine: ZetaEngine, count: int, step):
     return brackets
 
 
-def _refine(engine: ZetaEngine, lo, hi):
-    """Bisection + Newton to the enclosure target; returns (tau, err_bound, Z_residual)."""
-    mp = engine.ctx.mp
-    target = mp.mpf(2) ** (10 - engine.ctx.precision_bits)
-    z_lo = engine.hardy_z(lo)
-    z_hi = engine.hardy_z(hi)
-    if z_lo == 0:
-        return lo, target, mp.mpf(0)
-    if z_hi == 0:
-        return hi, target, mp.mpf(0)
-    if z_lo * z_hi > 0:
-        raise MissedZeroError(f"no sign change in ({float(lo):.6f}, {float(hi):.6f})")
-    while hi - lo > mp.mpf("1e-4"):
+def _bisect(engine: ZetaEngine, lo, hi, z_lo, width):
+    """Halve the sign-change bracket [lo, hi] (Z(lo) = z_lo) until it is at
+    most `width` wide; returns (lo, hi, z_lo), with lo = hi where Z vanishes."""
+    while hi - lo > width:
         mid = (lo + hi) / 2
         z_mid = engine.hardy_z(mid)
         if z_mid == 0:
-            lo = hi = mid
-            break
+            return mid, mid, z_mid
         if z_lo * z_mid < 0:
-            hi, z_hi = mid, z_mid
+            hi = mid
         else:
             lo, z_lo = mid, z_mid
+    return lo, hi, z_lo
+
+
+def _narrow(scanner: ZetaEngine, lo, hi):
+    """Bisect a scan bracket to NEWTON_WIDTH by the sign of Z on the scanner.
+    lo and hi carry the refining precision, so every midpoint is the one a
+    bisection at that precision would take."""
+    width = scanner.ctx.mp.mpf(NEWTON_WIDTH)
+    lo, hi, _ = _bisect(scanner, lo, hi, scanner.hardy_z(lo), width)
+    return lo, hi
+
+
+def _refine(engine: ZetaEngine, lo, hi):
+    """Bisection + Newton to the enclosure target; returns (tau, err_bound,
+    |Z(tau)|, zeta'(1/2 + i tau)), the last two from one fused pass."""
+    target = engine.ctx.mp.mpf(2) ** (10 - engine.ctx.precision_bits)
+    tau = _certified_tau(engine, lo, hi, target)
+    z, zp = engine.hardy_z_and_zeta_deriv(tau)
+    return tau, target, abs(z), zp
+
+
+def _certified_tau(engine: ZetaEngine, lo, hi, target):
+    """tau with a sign change of Z across [tau - target, tau + target]."""
+    mp = engine.ctx.mp
+    z_lo = engine.hardy_z(lo)
+    z_hi = engine.hardy_z(hi)
+    if z_lo == 0:
+        return lo
+    if z_hi == 0:
+        return hi
+    if z_lo * z_hi > 0:
+        raise MissedZeroError(f"no sign change in ({float(lo):.6f}, {float(hi):.6f})")
+    lo, hi, z_lo = _bisect(engine, lo, hi, z_lo, mp.mpf(NEWTON_WIDTH))
     t = (lo + hi) / 2
-    z_t = None
     for _ in range(80):
         z_t, zd_t = engine.hardy_z_with_deriv(t)
         if zd_t == 0:
@@ -164,27 +190,17 @@ def _refine(engine: ZetaEngine, lo, hi):
         if abs(delta) < target / 4:
             break
     if engine.hardy_z(t - target) * engine.hardy_z(t + target) < 0:
-        return t, target, abs(engine.hardy_z(t))
+        return t
     # fallback: certified bisection all the way down
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        z_mid = engine.hardy_z(mid)
-        if z_mid == 0:
-            return mid, target, mp.mpf(0)
-        if z_lo * z_mid < 0:
-            hi, z_hi = mid, z_mid
-        else:
-            lo, z_lo = mid, z_mid
-    t = (lo + hi) / 2
-    return t, target, abs(engine.hardy_z(t))
+    lo, hi, _ = _bisect(engine, lo, hi, z_lo, target)
+    return (lo + hi) / 2
 
 
-def _build_records(engine: ZetaEngine, brackets):
+def _build_records(engine: ZetaEngine, scanner: ZetaEngine, brackets):
     mp = engine.ctx.mp
     records = []
     for i, (lo, hi) in enumerate(brackets, start=1):
-        tau, err, resid = _refine(engine, mp.mpf(lo), mp.mpf(hi))
-        zp = engine.zeta_deriv(mp.mpc(0.5, tau))
+        tau, err, resid, zp = _refine(engine, *_narrow(scanner, mp.mpf(lo), mp.mpf(hi)))
         if abs(zp) < SIMPLICITY_FLOOR:
             raise MultipleZeroError(
                 f"|zeta'(rho)| = {float(abs(zp)):.3g} at tau = {float(tau):.9f}")
@@ -213,7 +229,7 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
             hi = float(taus_rough[bad - 1])
             raise MissedZeroError(
                 f"count check fails at prefix {bad}; suspect interval ({lo:.4f}, {hi:.4f})")
-    records = _build_records(engine, brackets)
+    records = _build_records(engine, scanner, brackets)
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"count check fails at prefix {bad} after refinement")
@@ -329,8 +345,7 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
             raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = "
                                            f"{float(abs(z / zd)) if zd != 0 else float('inf'):.3g}")
         step = abs(z / zd) * 4 + mp.mpf("1e-7")
-        tau, err, resid = _refine(engine, t0 - step, t0 + step)
-        zp = engine.zeta_deriv(mp.mpc(0.5, tau))
+        tau, err, _, zp = _refine(engine, t0 - step, t0 + step)
         if abs(zp) < SIMPLICITY_FLOOR:
             raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at line {line_no}")
         records.append(ZeroRecord(idx, tau, err, zp, ctx.precision_bits))

@@ -16,10 +16,19 @@ Cauchy circle integral in a small disk around s = 0 where the reflection
 split degenerates into a 0*inf product.  That circle, like the sum rule's
 contour and residue circles, is integrated by trapezoid_mean.
 
+Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
+the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
+one pass over the same powers k^-s, with the same N, escalations and
+Bernoulli stop.  Each engine keeps a table of log k (and, for Re s = 1/2,
+|k^-s| = exp(-log(k)/2)), so a complex power costs one cos/sin and two
+multiplications.  The table rounds as mpmath 1.3's mpc_pow does, so every
+value is bit for bit what separate passes over mp.power(k, -s) give.
+
 Bernoulli numbers come from the tangent-number triangle as exact rationals,
-cached process-wide.  All functions are pure.  An engine's state, the
-coefficients B_2j/(2j)! at working precision, is fixed at construction, so
-engine_for(ctx) builds one engine per context and every caller shares it.
+cached process-wide.  All functions are pure.  An engine's state is the
+coefficients B_2j/(2j)! at working precision, fixed at construction, and the
+log k table, which only grows and holds values fixed by k and the precision;
+so engine_for(ctx) builds one engine per context and every caller shares it.
 """
 
 from __future__ import annotations
@@ -27,6 +36,9 @@ from __future__ import annotations
 import functools
 import threading
 from fractions import Fraction
+
+from mpmath.libmp import (from_int, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul, mpf_neg,
+                          mpf_shift, round_down, round_nearest)
 
 from .numctx import NumericContext
 
@@ -142,6 +154,7 @@ class ZetaEngine:
         bern = [bernoulli(2 * j) for j in range(1, self._m_cap + 2)]
         self._coef = tuple(mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
                            for j, b in enumerate(bern, start=1))
+        self._logk = (None, None)  # _log_table rows from k = 2, filled on first use
 
     # -- Euler-Maclaurin core ------------------------------------------------
 
@@ -156,45 +169,82 @@ class ZetaEngine:
         return n
 
     def _em(self, s, want_deriv: bool):
-        """Euler-Maclaurin zeta (or zeta') for Re s >= threshold, s != 1."""
+        """Euler-Maclaurin zeta for Re s >= threshold, s != 1; with want_deriv,
+        (zeta(s), zeta'(s)) from the same pass."""
         tol = self._stop_tol
         n = self._pick_n(s)
         for _ in range(MAX_ESCALATIONS + 1):
-            value, rem = self._em_once(s, n, want_deriv)
+            value, deriv, rem = self._em_once(s, n, want_deriv)
             if rem < tol:
-                return value
+                return (value, deriv) if want_deriv else value
             n *= 2
         raise PrecisionError(
             f"Euler-Maclaurin remainder {float(rem):.3g} above tolerance at N={n//2}")
 
+    def _log_table(self, n: int):
+        """Rows (log k at prec+10 rounded down, log k as an mpf, exp(-log(k)/2)
+        at prec+4) indexed by k, extended to k < n on demand.  A longer table
+        replaces the old one whole, so a shared engine never shows a partial row."""
+        table = self._logk
+        if len(table) < n:
+            mp = self.ctx.mp
+            prec = mp.prec
+            rows = []
+            for k in range(len(table), n):
+                log_pow = mpf_log(from_int(k), prec + 10, round_down)
+                rows.append((log_pow, mp.make_mpf(mpf_log(from_int(k), prec, round_nearest)),
+                             mpf_exp(mpf_neg(mpf_shift(log_pow, -1)), prec + 4, round_nearest)))
+            table = self._logk = table + tuple(rows)
+        return table
+
+    def _powers(self, s, n: int):
+        """(k^-s, log k) for k = 2..n-1.  k^-s is bit for bit mp.power(k, -s):
+        for complex s it repeats mpmath 1.3's mpc_pow (log and product at
+        prec+10 rounded down, exp and cos/sin at prec+4, the context rounding
+        to nearest) with log k from the table, and on Re s = 1/2 also |k^-s|."""
+        mp = self.ctx.mp
+        table = self._log_table(n)
+        if mp.im(s) == 0:  # mp.power takes its real-exponent route
+            for k in range(2, n):
+                yield mp.power(k, -s), table[k][1]
+            return
+        prec = mp.prec
+        neg_re, neg_im = (-s)._mpc_
+        on_line = mp.re(s) == 0.5
+        for k in range(2, n):
+            log_pow, log_k, half_mag = table[k]
+            mag = half_mag if on_line else mpf_exp(
+                mpf_mul(log_pow, neg_re, prec + 10, round_down), prec + 4, round_nearest)
+            c, sn = mpf_cos_sin(mpf_mul(log_pow, neg_im, prec + 10, round_down),
+                                prec + 4, round_nearest)
+            yield (mp.make_mpc((mpf_mul(mag, c, prec, round_nearest),
+                                mpf_mul(mag, sn, prec, round_nearest))), log_k)
+
     def _em_once(self, s, n, want_deriv):
+        """One pass at cutoff n: (zeta(s), zeta'(s) or None, first omitted
+        Bernoulli term).  zeta' = -sum log k * k^-s + the differentiated tail,
+        over the same powers and the same Bernoulli stop as zeta."""
         mp = self.ctx.mp
         tol = self._stop_tol
+        total = mp.mpf(1)
+        deriv = mp.mpf(0) if want_deriv else None
+        for p, log_k in self._powers(s, n):
+            total += p
+            if want_deriv:
+                deriv -= log_k * p
+        ln_n = mp.log(n)
+        n1s = mp.power(n, 1 - s)
+        ns = mp.power(n, -s)
+        total += n1s / (s - 1) + ns / 2
         if want_deriv:
-            total = mp.mpf(0)
-            for k in range(2, n):
-                lk = mp.log(k)
-                total -= lk * mp.power(k, -s)
-            ln_n = mp.log(n)
-            n1s = mp.power(n, 1 - s)
-            ns = mp.power(n, -s)
-            total += -ln_n * n1s / (s - 1) - n1s / (s - 1) ** 2
-            total += -ln_n * ns / 2
-        else:
-            total = mp.mpf(1)
-            for k in range(2, n):
-                total += mp.power(k, -s)
-            ln_n = mp.log(n)
-            ns = mp.power(n, -s)
-            total += mp.power(n, 1 - s) / (s - 1) + ns / 2
+            deriv += -ln_n * n1s / (s - 1) - n1s / (s - 1) ** 2
+            deriv += -ln_n * ns / 2
 
-        # Bernoulli corrections; rf = s(s+1)...(s+2j-2), npow = N^(-s-2j+1)
+        # Bernoulli corrections; rf = s(s+1)...(s+2j-2), npow = N^(-s-2j+1),
+        # rf_logd = d/ds log rf = sum 1/(s+i) for the derivative
         rf = s
-        rf_logd = None  # d/ds log rf = sum 1/(s+i), built incrementally for the derivative
-        if want_deriv:
-            rf_logd = 1 / s
+        rf_logd = 1 / s if want_deriv else None
         npow = ns / n
-        rem = None
         j = 0
         prev_mag = mp.inf
         while True:
@@ -202,32 +252,32 @@ class ZetaEngine:
             c = self._coef[j - 1]
             term = c * rf * npow
             mag = abs(term)
-            if mag < tol:
-                rem = mag
-                break
-            if j > self._m_cap or mag > prev_mag * 4:
-                # corrections stopped converging at this N
-                rem = mag
-                break
+            # stop below tolerance, or where the corrections stop converging at this N
+            if mag < tol or j > self._m_cap or mag > prev_mag * 4:
+                return total, deriv, mag
+            total += term
             if want_deriv:
-                total += term * (rf_logd - ln_n)
-            else:
-                total += term
+                deriv += term * (rf_logd - ln_n)
             prev_mag = mag
             rf = rf * (s + (2 * j - 1)) * (s + 2 * j)
             if want_deriv:
                 rf_logd = rf_logd + 1 / (s + (2 * j - 1)) + 1 / (s + 2 * j)
             npow = npow / (n * n)
-        return total, rem
 
     # -- public operations ----------------------------------------------------
 
-    def zeta(self, s):
-        """zeta(s) at context precision for any complex s != 1."""
+    def zeta(self, s, with_deriv: bool = False):
+        """zeta(s) at context precision for any complex s != 1.  With
+        with_deriv, (zeta(s), zeta'(s)) from one Euler-Maclaurin pass; that
+        needs Re s >= REFLECTION_THRESHOLD."""
         mp = self.ctx.mp
         s = mp.convert(s)
         if s == 1:
             raise ZetaPoleError("zeta has a pole at s = 1")
+        if with_deriv:
+            if mp.re(s) < REFLECTION_THRESHOLD:
+                raise ValueError("zeta with its derivative is summed for Re s >= 1/2 only")
+            return self._em(s, want_deriv=True)
         if s == 0:
             return mp.mpf(-0.5)
         if mp.re(s) >= REFLECTION_THRESHOLD:
@@ -244,7 +294,7 @@ class ZetaEngine:
         if s == 1:
             raise ZetaPoleError("zeta has a pole at s = 1")
         if mp.re(s) >= REFLECTION_THRESHOLD:
-            return self._em(s, want_deriv=True)
+            return self._em(s, want_deriv=True)[1]
         if abs(s) < mp.mpf("0.05"):
             # reflection split is 0*inf here; the circle integral is clean
             est = self.cauchy_deriv(s, radius=mp.mpf("0.1"))
@@ -252,8 +302,7 @@ class ZetaEngine:
                 return mp.re(est)
             return est
         w = 1 - s
-        zw = self._em(w, want_deriv=False)
-        zdw = self._em(w, want_deriv=True)
+        zw, zdw = self._em(w, want_deriv=True)
         pref = mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.gamma(w)
         sp, cp = mp.sinpi(s / 2), mp.cospi(s / 2)
         return pref * ((mp.log(2 * mp.pi) - mp.digamma(w)) * sp * zw
@@ -323,26 +372,32 @@ class ZetaEngine:
         return self._hardy(t, with_deriv=False)[0]
 
     def hardy_z_with_deriv(self, t):
-        """(Z(t), Z'(t)) sharing one zeta evaluation."""
-        return self._hardy(t, with_deriv=True)
+        """(Z(t), Z'(t)) from one Euler-Maclaurin pass for zeta and zeta'."""
+        mp = self.ctx.mp
+        t = mp.mpf(t)
+        z, zeta, zeta_d, phase = self._hardy(t, with_deriv=True)
+        return z, -mp.im(phase * (self._theta_deriv(t) * zeta + zeta_d))
+
+    def hardy_z_and_zeta_deriv(self, t):
+        """(Z(t), zeta'(1/2 + i t)) from one Euler-Maclaurin pass: the residual
+        and the weight of a zero record."""
+        z, _, zeta_d, _ = self._hardy(t, with_deriv=True)
+        return z, zeta_d
 
     def _hardy(self, t, with_deriv: bool):
+        """(Z(t), zeta(s), zeta'(s) or None, e^(i theta(t))) at s = 1/2 + i t."""
         mp = self.ctx.mp
         t = mp.mpf(t)
         if not t > 0:
             raise ValueError("Hardy Z is evaluated for t > 0")
         s = mp.mpc(0.5, t)
-        z = self.zeta(s)
+        z, zd = self.zeta(s, with_deriv=True) if with_deriv else (self.zeta(s), None)
         phase = mp.expj(self.riemann_siegel_theta(t))
         w = phase * z
         if abs(mp.im(w)) >= 1000 * self.ctx.target_tol * max(1, abs(w)):
             raise InternalConsistencyError(
                 f"Hardy Z imaginary part {float(mp.im(w)):.3g} at t={float(t):.6f}")
-        if not with_deriv:
-            return mp.re(w), None
-        zd = self.zeta_deriv(s)
-        zp = -mp.im(phase * (self._theta_deriv(t) * z + zd))
-        return mp.re(w), zp
+        return mp.re(w), z, zd, phase
 
 
 @functools.cache

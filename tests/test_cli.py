@@ -49,6 +49,17 @@ def test_verify_json_numbers_are_strings(base_args, store30_96, capsys, tmp_path
     assert doc["wall_time_ms"] == 0  # deterministic output unless --timing
 
 
+def test_verify_text_is_deterministic(base_args, store30_96, capsys):
+    # the text report prints the wall time as 0 unless --timing, like JSON and CSV
+    args = ["verify", "sumrule", "--a", "0.5", "--x", "0.5", "--zeros", "10"] + base_args
+    outputs = []
+    for _ in range(2):
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out.encode("utf-8"))
+    assert outputs[0] == outputs[1]
+    assert b"wall time (ms)   : 0\n" in outputs[0]
+
+
 def test_zeros_roundtrip_via_cli(base_args, store30_96, tmp_path, capsys):
     export_path = tmp_path / "zeros.txt"
     rc = main(["zeros", "--count", "8", "--export", str(export_path)] + base_args)

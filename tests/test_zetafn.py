@@ -152,12 +152,12 @@ def test_doubling_stability():
     mp = CTX.mp
     for s in (mp.mpf(2), mp.mpc(0.5, 25), mp.mpf("0.5")):
         n0 = ENG._pick_n(s)
-        v1, _ = ENG._em_once(s, n0, want_deriv=False)
-        v2, _ = ENG._em_once(s, 2 * n0, want_deriv=False)
+        v1, d1, _ = ENG._em_once(s, n0, want_deriv=True)
+        v2, d2, _ = ENG._em_once(s, 2 * n0, want_deriv=True)
         assert abs(v1 - v2) < CTX.target_tol
-        d1, _ = ENG._em_once(s, n0, want_deriv=True)
-        d2, _ = ENG._em_once(s, 2 * n0, want_deriv=True)
         assert abs(d1 - d2) < CTX.target_tol
+        # the zeta of the fused pass is the zeta of a plain pass, bit for bit
+        assert ENG._em_once(s, n0, want_deriv=False)[:2] == (v1, None)
 
 
 def test_engine_for_one_per_context():
@@ -176,3 +176,19 @@ def test_precision_error_when_escalation_disabled(monkeypatch):
     eng._n0, eng._m_cap = 10, 2
     with pytest.raises(PrecisionError, match="at N=10$"):
         eng.zeta(CTX.mpf("0.5"))
+
+
+def test_fused_pass_matches_separate_calls(monkeypatch):
+    mp = CTX.mp
+    eng = ZetaEngine(CTX)
+    assert len(eng._logk) == 2  # the log k table is filled on first use, not at construction
+    for s in (mp.mpc(0.5, 37.5), mp.mpc(1.25, -8), mp.mpf(3)):
+        assert eng.zeta(s, with_deriv=True) == (eng.zeta(s), eng.zeta_deriv(s))
+    with pytest.raises(ValueError):
+        eng.zeta(mp.mpc(-1, 3), with_deriv=True)
+    t = mp.mpf("21.02")
+    want = (eng.hardy_z(t), eng.zeta_deriv(mp.mpc(0.5, t)))
+    # neither critical-line pair calls zeta_deriv: each is one fused pass
+    monkeypatch.setattr(ZetaEngine, "zeta_deriv", None)
+    assert eng.hardy_z_and_zeta_deriv(t) == want
+    assert eng.hardy_z_with_deriv(t)[0] == want[0]
