@@ -3,7 +3,7 @@ critical zeros of the Riemann zeta function."""
 
 from .numctx import DomainError, NumericContext
 from .zetafn import (InternalConsistencyError, PrecisionError, ZetaEngine,
-                     ZetaPoleError, bernoulli, engine_for)
+                     ZetaPoleError, engine_for)
 from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError,
                     ZeroRecord, ZeroStore, export_zeros, import_zeros,
                     load_or_compute, locate_zeros)

@@ -10,10 +10,10 @@ Subcommands
 Exit codes: 0 all criteria met, 1 a mathematical criterion failed,
 2 computational or configuration error.
 
-Config precedence: flags > ZETASUM_CACHE_DIR (cache dir only) > config file
-(flat key=value lines) > defaults.  Reports and scans are byte-deterministic
-for a given RunConfig in every format; the wall time is emitted as 0 unless
---timing is given.
+Settings precedence: flags > ZETASUM_CACHE_DIR (cache dir only) > config file
+(flat key=value lines; an unknown key or a bad value exits 2) > DEFAULTS.
+Reports and scans are byte-deterministic for the same settings in every
+format; the wall time is emitted as 0 unless --timing is given.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .arith import mangoldt_sieve
 from .numctx import DomainError, NumericContext
@@ -32,7 +31,7 @@ from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError, _expect
                     export_zeros, import_zeros, load_or_compute)
 from . import sumrule as sr
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 ENV_CACHE_DIR = "ZETASUM_CACHE_DIR"
 
@@ -42,132 +41,134 @@ COMPUTATIONAL_ERRORS = (
     sr.SingularityError, sr.OverlappingPoleError, OSError,
 )
 
-SCAN_COLUMNS = ("a", "x", "lhs", "rhs_const", "rhs_n_series", "rhs_k_series",
-                "residual", "tail_bound", "zeros_used", "wall_time_ms", "status")
+FORMATS = ("text", "csv", "json")
+
+# every setting a flag or the config file can give, with its default
+DEFAULTS = {
+    "precision_bits": 192, "zeros_count": 100, "n_trivial": 40, "n_halfint": 12,
+    "lambda_limit": 10**6, "a": None, "x": None, "a_list": (), "x_list": (),
+    "cache_dir": None, "zeros_file": None, "out": None, "output_format": "text",
+}
+
+# report attribute (also the JSON key), CSV column, text label
+FIELDS = (
+    ("a", "a", "a"),
+    ("x", "x", "x"),
+    ("lhs_zero_sum", "lhs", "lhs zero sum"),
+    ("rhs_const", "rhs_const", "rhs constant"),
+    ("rhs_n_series", "rhs_n_series", "rhs n-series"),
+    ("rhs_k_series", "rhs_k_series", "rhs k-series"),
+    ("residual", "residual", "residual"),
+    ("tail_bound", "tail_bound", "tail bound"),
+    ("zeros_used", "zeros_used", "zeros used"),
+    ("wall_time_ms", "wall_time_ms", "wall time (ms)"),
+)
+TABLE = ("a", "x", "residual", "tail_bound")  # a grid's text table, then status
 
 
-@dataclass
-class RunConfig:
-    precision_bits: int = 192
-    cache_dir: str | None = None
-    zeros_count: int = 100
-    a: str | None = None
-    x: str | None = None
-    a_list: tuple = ()
-    x_list: tuple = ()
-    n_trivial: int = 40
-    n_halfint: int = 12
-    output_format: str = "text"
-    zeros_file: str | None = None
-    out: str | None = None
-    timing: bool = False
-    lambda_limit: int = 10**6
+def _split(text: str) -> tuple:
+    """Comma-separated values, empty ones dropped."""
+    return tuple(s for s in text.split(",") if s)
 
 
 def _read_config_file(path: str) -> dict:
+    """Flat key=value lines, each value converted by the type of its default."""
     values = {}
     with open(path, "r", encoding="utf-8") as f:
         for raw in f:
             line = raw.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
-            k, v = line.split("=", 1)
-            values[k.strip()] = v.strip()
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k not in DEFAULTS:
+                raise ValueError(f"config file {path}: unknown key {k!r}")
+            convert = {int: int, tuple: _split}.get(type(DEFAULTS[k]), str)
+            try:
+                values[k] = convert(v)
+            except ValueError:
+                raise ValueError(f"config file {path}: {k} = {v!r} is not an integer") from None
+    if values.get("output_format", "text") not in FORMATS:
+        raise ValueError(f"config file {path}: output_format = {values['output_format']!r} "
+                         f"is not one of {', '.join(FORMATS)}")
     return values
 
 
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
+def _settle(args) -> None:
+    """Give every setting in DEFAULTS a value on args: its flag, else
+    ZETASUM_CACHE_DIR (cache dir only), else the config file, else DEFAULTS."""
+    values = dict(DEFAULTS)
     if args.config:
-        file_vals = _read_config_file(args.config)
-        for key in ("precision_bits", "zeros_count", "n_trivial", "n_halfint",
-                    "lambda_limit"):
-            if key in file_vals:
-                setattr(cfg, key, int(file_vals[key]))
-        for key in ("cache_dir", "a", "x", "output_format", "zeros_file", "out"):
-            if key in file_vals:
-                setattr(cfg, key, file_vals[key])
-        if "a_list" in file_vals:
-            cfg.a_list = tuple(file_vals["a_list"].split(","))
-        if "x_list" in file_vals:
-            cfg.x_list = tuple(file_vals["x_list"].split(","))
+        values.update(_read_config_file(args.config))
     if os.environ.get(ENV_CACHE_DIR):
-        cfg.cache_dir = os.environ[ENV_CACHE_DIR]
-    for key in ("precision_bits", "cache_dir", "zeros_count", "a", "x",
-                "n_trivial", "n_halfint", "output_format", "zeros_file",
-                "out", "timing", "lambda_limit"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "a_list", None):
-        cfg.a_list = tuple(s for s in args.a_list.split(",") if s)
-    if getattr(args, "x_list", None):
-        cfg.x_list = tuple(s for s in args.x_list.split(",") if s)
-    return cfg
+        values["cache_dir"] = os.environ[ENV_CACHE_DIR]
+    for key, value in values.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
-def _store_for(cfg: RunConfig, ctx: NumericContext, count: int):
-    if cfg.zeros_file:
-        store = import_zeros(cfg.zeros_file, ctx)
-        if len(store) < count:
-            raise ValueError(f"zeros file holds {len(store)} zeros, {count} needed")
-        return store.prefix(count)
-    return load_or_compute(count, ctx, cfg.cache_dir).prefix(count)
+def _store_for(args, ctx: NumericContext, count: int):
+    if args.zeros_file:
+        return import_zeros(args.zeros_file, ctx).prefix(count)
+    return load_or_compute(count, ctx, args.cache_dir).prefix(count)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as f:
+# -- reports -------------------------------------------------------------------
+
+
+def _row(rep, ctx: NumericContext, timing: bool) -> tuple:
+    """(values, PASS or FAIL) of one report: its FIELDS keyed by attribute,
+    numbers as full-precision decimal strings, then its notes and aux."""
+    values = {}
+    for attr, _, _ in FIELDS:
+        v = getattr(rep, attr)
+        values[attr] = v if isinstance(v, int) else ctx.nstr(v)
+    if not timing:
+        values["wall_time_ms"] = 0
+    values["notes"] = list(rep.notes)
+    if rep.aux:
+        values["aux"] = dict(rep.aux)
+    return values, "PASS" if rep.passes() else "FAIL"
+
+
+def _render(args, rows, criterion: str | None = None) -> None:
+    """Write rows, each (values, status), in args.output_format to args.out or
+    stdout: CSV lines, or for a verdict (one row and its criterion) a JSON object
+    or labelled lines, for a grid a JSON list or a table.  Missing values print empty."""
+    if args.output_format == "csv":
+        lines = [",".join([col for _, col, _ in FIELDS] + ["status"])]
+        lines += [",".join([str(values.get(attr, "")) for attr, _, _ in FIELDS] + [status])
+                  for values, status in rows]
+    elif args.output_format == "json":
+        doc = [{**values, "status": status} for values, status in rows]
+        lines = [json.dumps(doc if criterion is None else rows[0][0], indent=2)]
+    elif criterion is None:
+        lines = [" | ".join(f"{c:>12}" for c in TABLE + ("status",))]
+        lines += [" | ".join(f"{str(v)[:12]:>12}"
+                             for v in [values.get(c, "") for c in TABLE] + [status])
+                  for values, status in rows]
+    else:
+        values = rows[0][0]
+        lines = [f"{label:<17}: {values[attr]}" for attr, _, label in FIELDS]
+        lines.append(f"{'criterion':<17}: {criterion}")
+        lines += [f"aux {k:<16}: {v}" for k, v in values.get("aux", {}).items()]
+        lines += [f"note: {note}" for note in values["notes"]]
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_row(d: dict, status: str) -> list:
-    """One SCAN_COLUMNS row from EvaluationReport.to_dict output."""
-    return [d["a"], d["x"], d["lhs_zero_sum"], d["rhs_const"], d["rhs_n_series"],
-            d["rhs_k_series"], d["residual"], d["tail_bound"],
-            str(d["zeros_used"]), str(d["wall_time_ms"]), status]
-
-
-def _print_report(rep, ctx, cfg: RunConfig, criterion: str) -> None:
-    if cfg.output_format == "json":
-        _emit(json.dumps(rep.to_dict(ctx, timing=cfg.timing), indent=2) + "\n", cfg)
-        return
-    if cfg.output_format == "csv":
-        row = _csv_row(rep.to_dict(ctx, timing=cfg.timing), "PASS" if rep.passes() else "FAIL")
-        _emit(",".join(SCAN_COLUMNS) + "\n" + ",".join(row) + "\n", cfg)
-        return
-    lines = [
-        f"a                : {ctx.nstr(rep.a)}",
-        f"x                : {ctx.nstr(rep.x)}",
-        f"lhs zero sum     : {ctx.nstr(rep.lhs_zero_sum)}",
-        f"rhs constant     : {ctx.nstr(rep.rhs_const)}",
-        f"rhs n-series     : {ctx.nstr(rep.rhs_n_series)}",
-        f"rhs k-series     : {ctx.nstr(rep.rhs_k_series)}",
-        f"residual         : {ctx.nstr(rep.residual)}",
-        f"tail bound       : {ctx.nstr(rep.tail_bound)}",
-        f"zeros used       : {rep.zeros_used}",
-        f"wall time (ms)   : {rep.wall_time_ms if cfg.timing else 0}",
-        f"criterion        : {criterion}",
-    ]
-    for k, v in rep.aux:
-        lines.append(f"aux {k:<16}: {v}")
-    for note in rep.notes:
-        lines.append(f"note: {note}")
-    _emit("\n".join(lines) + "\n", cfg)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_zeros(args) -> int:
-    cfg = _build_config(args)
-    ctx = NumericContext(cfg.precision_bits)
+    ctx = NumericContext(args.precision_bits)
     if args.import_path:
         store = import_zeros(args.import_path, ctx)
     else:
-        store = load_or_compute(args.count or cfg.zeros_count, ctx, cfg.cache_dir)
+        store = load_or_compute(args.count or args.zeros_count, ctx, args.cache_dir)
     engine = engine_for(ctx)
     mp = ctx.mp
     worst = mp.mpf(0)
@@ -184,9 +185,25 @@ def cmd_zeros(args) -> int:
     return 0
 
 
-def _verify_integral(cfg, ctx) -> tuple:
-    params = sr.SumRuleParams(a=cfg.a, x=cfg.x, n_zeros=1, n_trivial=cfg.n_trivial,
-                              n_halfint=cfg.n_halfint)
+def _worst_residue(sites, params, ctx: NumericContext, catalog, store):
+    """Largest relative deviation of a numeric residue from its derived value."""
+    mp = ctx.mp
+    worst = mp.mpf(0)
+    for site in sites:
+        num = sr.numeric_residue(site, params, ctx, catalog, store=store)
+        worst = max(worst, abs(num - site.analytic_residue) / abs(site.analytic_residue))
+    return worst
+
+
+def _rh_form_ok(rep, ctx: NumericContext) -> bool:
+    """rh-form passes and its cross-differences to the a = 1/2 sum rule are <= 1e-12."""
+    cross = max(ctx.mpf(v) for k, v in rep.aux if k.startswith("cross_"))
+    return rep.passes() and cross <= ctx.mpf("1e-12")
+
+
+def _verify_integral(args, ctx) -> tuple:
+    params = sr.SumRuleParams(a=args.a, x=args.x, n_zeros=1, n_trivial=args.n_trivial,
+                              n_halfint=args.n_halfint)
     a, x = params.bind(ctx)
     mp = ctx.mp
     t0 = time.perf_counter()
@@ -204,19 +221,16 @@ def _verify_integral(cfg, ctx) -> tuple:
     return rep, rep.passes(), "|integral - closed form| <= 10 * (20*target_tol)"
 
 
-def _verify_residues(cfg, ctx) -> tuple:
-    params = sr.SumRuleParams(a=cfg.a, x=cfg.x, n_zeros=min(cfg.zeros_count, 10),
-                              n_trivial=min(cfg.n_trivial, 10),
-                              n_halfint=min(cfg.n_halfint, 4))
+def _verify_residues(args, ctx) -> tuple:
+    params = sr.SumRuleParams(a=args.a, x=args.x, n_zeros=min(args.zeros_count, 10),
+                              n_trivial=min(args.n_trivial, 10),
+                              n_halfint=min(args.n_halfint, 4))
     a, x = params.bind(ctx)
     mp = ctx.mp
     t0 = time.perf_counter()
-    store = _store_for(cfg, ctx, params.n_zeros)
+    store = _store_for(args, ctx, params.n_zeros)
     catalog = sr.pole_catalog(params, store, ctx)
-    worst = mp.mpf(0)
-    for site in catalog:
-        num = sr.numeric_residue(site, params, ctx, catalog, store=store)
-        worst = max(worst, abs(num - site.analytic_residue) / abs(site.analytic_residue))
+    worst = _worst_residue(catalog, params, ctx, catalog, store)
     wall = int((time.perf_counter() - t0) * 1000)
     rep = sr.EvaluationReport(
         a=a, x=x, lhs_zero_sum=mp.mpf(0), rhs_const=mp.mpf(0), rhs_n_series=mp.mpf(0),
@@ -227,116 +241,81 @@ def _verify_residues(cfg, ctx) -> tuple:
     return rep, worst <= mp.mpf("1e-12"), "max relative residue deviation <= 1e-12"
 
 
+def _verify_sumrule(args, ctx) -> tuple:
+    params = sr.SumRuleParams(a=args.a, x=args.x, n_zeros=args.zeros_count,
+                              n_trivial=args.n_trivial, n_halfint=args.n_halfint)
+    store = _store_for(args, ctx, args.zeros_count)
+    rep = sr.evaluate_sumrule(params, store, ctx)
+    return rep, rep.passes(), "|residual| <= 10 * tail_bound"
+
+
+def _verify_rh_form(args, ctx) -> tuple:
+    store = _store_for(args, ctx, args.zeros_count)
+    rep = sr.evaluate_rh_form(args.x, store, ctx, n_zeros=args.zeros_count,
+                              n_trivial=args.n_trivial, n_halfint=args.n_halfint)
+    return (rep, _rh_form_ok(rep, ctx),
+            "|residual| <= 10 * tail_bound and cross-diffs <= 1e-12")
+
+
+def _verify_guillera(args, ctx) -> tuple:
+    store = _store_for(args, ctx, args.zeros_count)
+    rep = sr.evaluate_guillera(args.x, store, mangoldt_sieve(args.lambda_limit), ctx)
+    return rep, abs(rep.residual) <= ctx.mpf("1e-3"), "|corrected residual| <= 1e-3"
+
+
+# verify kind -> (settings it requires, function(args, ctx) -> (report, ok, criterion))
+VERIFY = {
+    "integral": (("a", "x"), _verify_integral),
+    "residues": (("a", "x"), _verify_residues),
+    "sumrule": (("a", "x"), _verify_sumrule),
+    "rh-form": (("x",), _verify_rh_form),
+    "guillera": (("x",), _verify_guillera),
+}
+
+
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
-    ctx = NumericContext(cfg.precision_bits)
-    kind = args.kind
-    if kind in ("integral", "residues", "sumrule") and (cfg.a is None or cfg.x is None):
-        raise ValueError(f"verify {kind} requires --a and --x")
-    if kind in ("rh-form", "guillera") and cfg.x is None:
-        raise ValueError(f"verify {kind} requires --x")
-    if kind == "integral":
-        rep, ok, criterion = _verify_integral(cfg, ctx)
-    elif kind == "residues":
-        rep, ok, criterion = _verify_residues(cfg, ctx)
-    elif kind == "sumrule":
-        params = sr.SumRuleParams(a=cfg.a, x=cfg.x, n_zeros=cfg.zeros_count,
-                                  n_trivial=cfg.n_trivial, n_halfint=cfg.n_halfint)
-        store = _store_for(cfg, ctx, cfg.zeros_count)
-        rep = sr.evaluate_sumrule(params, store, ctx)
-        ok, criterion = rep.passes(), "|residual| <= 10 * tail_bound"
-    elif kind == "rh-form":
-        store = _store_for(cfg, ctx, cfg.zeros_count)
-        rep = sr.evaluate_rh_form(cfg.x, store, ctx, n_zeros=cfg.zeros_count,
-                                  n_trivial=cfg.n_trivial, n_halfint=cfg.n_halfint)
-        cross = max(ctx.mpf(v) for k, v in rep.aux if k.startswith("cross_"))
-        ok = rep.passes() and cross <= ctx.mpf("1e-12")
-        criterion = "|residual| <= 10 * tail_bound and cross-diffs <= 1e-12"
-    elif kind == "guillera":
-        store = _store_for(cfg, ctx, cfg.zeros_count)
-        table = mangoldt_sieve(cfg.lambda_limit)
-        rep = sr.evaluate_guillera(cfg.x, store, table, ctx)
-        ok = abs(rep.residual) <= ctx.mpf("1e-3")
-        criterion = "|corrected residual| <= 1e-3"
-    else:
-        raise ValueError(f"unknown verify kind {kind!r}")
-    _print_report(rep, ctx, cfg, criterion)
-    if cfg.output_format == "text":
+    ctx = NumericContext(args.precision_bits)
+    required, verify = VERIFY[args.kind]
+    if any(getattr(args, name) is None for name in required):
+        raise ValueError(f"verify {args.kind} requires "
+                         + " and ".join(f"--{name}" for name in required))
+    rep, ok, criterion = verify(args, ctx)
+    _render(args, [_row(rep, ctx, args.timing)], criterion)
+    if args.output_format == "text":
         print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
 def cmd_scan(args) -> int:
-    cfg = _build_config(args)
-    ctx = NumericContext(cfg.precision_bits)
-    if not cfg.a_list or not cfg.x_list:
+    ctx = NumericContext(args.precision_bits)
+    if not args.a_list or not args.x_list:
         raise ValueError("scan requires --a-list and --x-list")
-    store = _store_for(cfg, ctx, cfg.zeros_count)
+    store = _store_for(args, ctx, args.zeros_count)
     rows = []
-    reports = []
-    any_fail = False
-    for a in cfg.a_list:  # a-major, then x: deterministic row order
-        for x in cfg.x_list:
+    for a in args.a_list:  # a-major, then x: deterministic row order
+        for x in args.x_list:
             try:
-                params = sr.SumRuleParams(a=a, x=x, n_zeros=cfg.zeros_count,
-                                          n_trivial=cfg.n_trivial, n_halfint=cfg.n_halfint)
+                params = sr.SumRuleParams(a=a, x=x, n_zeros=args.zeros_count,
+                                          n_trivial=args.n_trivial, n_halfint=args.n_halfint)
                 rep = sr.evaluate_sumrule(params, store, ctx)
-                status = "PASS" if rep.passes() else "FAIL"
-                if status == "FAIL":
-                    any_fail = True
-                d = rep.to_dict(ctx, timing=cfg.timing)
-                d["status"] = status
-                reports.append(d)
-                rows.append(_csv_row(d, status))
+                rows.append(_row(rep, ctx, args.timing))
             except COMPUTATIONAL_ERRORS as exc:
-                any_fail = True
                 msg = f"error: {exc}".replace(",", ";").replace("\n", " ")
-                reports.append({"a": a, "x": x, "status": msg})
-                rows.append([a, x, "", "", "", "", "", "", "", "", msg])
-    if cfg.output_format == "json":
-        _emit(json.dumps(reports, indent=2) + "\n", cfg)
-    elif cfg.output_format == "csv":
-        lines = [",".join(SCAN_COLUMNS)] + [",".join(r) for r in rows]
-        _emit("\n".join(lines) + "\n", cfg)
-    else:
-        header = " | ".join(f"{c:>12}" for c in ("a", "x", "residual", "tail_bound", "status"))
-        lines = [header]
-        for r in rows:
-            lines.append(" | ".join(f"{v[:12]:>12}" for v in (r[0], r[1], r[6], r[7], r[10])))
-        _emit("\n".join(lines) + "\n", cfg)
-    if args.plot_script:
-        data = cfg.out or "scan.csv"
-        script = "\n".join([
-            "set datafile separator ','",
-            "set logscale y",
-            "set xlabel 'n_zeros'",
-            "set ylabel '|residual|'",
-            f"plot '{data}' using 9:(abs($7)) with points title 'residual vs zeros used'",
-            ""])
-        with open(args.plot_script, "w", encoding="utf-8") as f:
-            f.write(script)
-    return 1 if any_fail else 0
+                rows.append(({"a": a, "x": x}, msg))
+    _render(args, rows)
+    return 0 if all(status == "PASS" for _, status in rows) else 1
 
 
-def cmd_selftest(args) -> int:
-    cfg = _build_config(args)
-    ctx = NumericContext(min(cfg.precision_bits, 128))
+def _selftest_checks(args):
+    """(name, ok) of each selftest check in order.  The generator is lazy, so a
+    caller that stops at the first failure skips the remaining computations."""
+    ctx = NumericContext(min(args.precision_bits, 128))
     mp = ctx.mp
     engine = engine_for(ctx)
-
-    def check(name: str, ok: bool) -> bool:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        return ok
-
     tol = ctx.target_tol
-    if not check("zeta(2) = pi^2/6",
-                 abs(engine.zeta(mp.mpf(2)) - mp.pi ** 2 / 6) < 100 * tol):
-        return 1
-    if not check("zeta(0) = -1/2", engine.zeta(mp.mpf(0)) == mp.mpf("-0.5")):
-        return 1
-    if not check("zeta(-7) = 1/240",
-                 abs(engine.zeta(mp.mpf(-7)) - mp.mpf(1) / 240) < 100 * tol):
-        return 1
+    yield "zeta(2) = pi^2/6", abs(engine.zeta(mp.mpf(2)) - mp.pi ** 2 / 6) < 100 * tol
+    yield "zeta(0) = -1/2", engine.zeta(mp.mpf(0)) == mp.mpf("-0.5")
+    yield "zeta(-7) = 1/240", abs(engine.zeta(mp.mpf(-7)) - mp.mpf(1) / 240) < 100 * tol
     ok = True
     for n in range(1, 5):
         cf = engine.zeta_deriv_neg_even(n)
@@ -344,40 +323,35 @@ def cmd_selftest(args) -> int:
             ok = False
     circle = engine.cauchy_deriv(mp.mpf(-2), radius=mp.mpf("1e-3"))
     ok = ok and abs(circle - engine.zeta_deriv_neg_even(1)) < 1e-20
-    if not check("zeta'(-2n) closed form (n=1..4, plus circle route)", ok):
-        return 1
-    store = load_or_compute(10, ctx, cfg.cache_dir)
-    if not check("first 10 zeros + count check",
-                 abs(store[0].tau - mp.mpf("14.134725141734693790")) < mp.mpf("1e-15")):
-        return 1
+    yield "zeta'(-2n) closed form (n=1..4, plus circle route)", ok
+    store = load_or_compute(10, ctx, args.cache_dir)
+    yield ("first 10 zeros + count check",
+           abs(store[0].tau - mp.mpf("14.134725141734693790")) < mp.mpf("1e-15"))
     params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=6, n_trivial=12, n_halfint=6)
     catalog = sr.pole_catalog(params, store, ctx)
-    worst = mp.mpf(0)
-    for site in catalog[:8] + catalog[12:16] + catalog[19:23]:
-        num = sr.numeric_residue(site, params, ctx, catalog, store=store)
-        worst = max(worst, abs(num - site.analytic_residue) / abs(site.analytic_residue))
-    if not check("residue arbitration (sampled sites) <= 1e-12", worst <= mp.mpf("1e-12")):
-        return 1
+    worst = _worst_residue(catalog[:8] + catalog[12:16] + catalog[19:23], params, ctx,
+                           catalog, store)
+    yield "residue arbitration (sampled sites) <= 1e-12", worst <= mp.mpf("1e-12")
     closure = sr.verify_residue_theorem(params, store, ctx)
-    if not check("contour closure at (0.5, 0.5)",
-                 closure.passes() and closure.orientation == -1):
-        return 1
+    yield "contour closure at (0.5, 0.5)", closure.passes() and closure.orientation == -1
     rep = sr.evaluate_sumrule(params, store, ctx)
-    if not check("sum rule at (0.5, 0.5)", rep.passes()):
-        return 1
+    yield "sum rule at (0.5, 0.5)", rep.passes()
     flipped = rep.lhs_zero_sum - (rep.rhs_const + rep.rhs_n_series - rep.rhs_k_series)
-    if not check("flipped k-series sign is rejected", abs(flipped) > 10 * rep.tail_bound):
-        return 1
+    yield "flipped k-series sign is rejected", abs(flipped) > 10 * rep.tail_bound
     rh = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=6, n_trivial=12, n_halfint=6)
-    cross = max(ctx.mpf(v) for k, v in rh.aux if k.startswith("cross_"))
-    if not check("rh-form cross-evaluation <= 1e-12", rh.passes() and cross <= mp.mpf("1e-12")):
-        return 1
+    yield "rh-form cross-evaluation <= 1e-12", _rh_form_ok(rh, ctx)
     bases = dict(mangoldt_sieve(10**4).prime_powers())
-    ok = (bases[8] == 2 and 6 not in bases
-          and abs(sum(mp.log(bases[d]) for d in (2, 3, 4, 6, 12) if d in bases)
-                  - mp.log(12)) < 100 * tol)
-    if not check("Mangoldt sieve identities", ok):
-        return 1
+    yield "Mangoldt sieve identities", (
+        bases[8] == 2 and 6 not in bases
+        and abs(sum(mp.log(bases[d]) for d in (2, 3, 4, 6, 12) if d in bases)
+                - mp.log(12)) < 100 * tol)
+
+
+def cmd_selftest(args) -> int:
+    for name, ok in _selftest_checks(args):
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        if not ok:
+            return 1
     print("selftest: all checks passed")
     return 0
 
@@ -391,8 +365,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", dest="cache_dir", default=None,
                    help=f"zeros cache directory (env {ENV_CACHE_DIR})")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--format", dest="output_format", default=None,
-                   choices=("text", "csv", "json"))
+    p.add_argument("--format", dest="output_format", default=None, choices=FORMATS)
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--timing", action="store_true", default=None,
                    help="emit real wall_time_ms (breaks byte-determinism)")
@@ -415,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one identity at one point")
     _add_common(p)
-    p.add_argument("kind", choices=("integral", "residues", "sumrule", "rh-form", "guillera"))
+    p.add_argument("kind", choices=tuple(VERIFY))
     p.add_argument("--a", default=None)
     p.add_argument("--x", default=None)
     p.add_argument("--zeros", dest="zeros_count", type=int, default=None)
@@ -426,13 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="evaluate the sum rule over an (a, x) grid")
     _add_common(p)
-    p.add_argument("--a-list", default=None, help="comma-separated a values")
-    p.add_argument("--x-list", default=None, help="comma-separated x values")
+    p.add_argument("--a-list", type=_split, default=None, help="comma-separated a values")
+    p.add_argument("--x-list", type=_split, default=None, help="comma-separated x values")
     p.add_argument("--zeros", dest="zeros_count", type=int, default=None)
     p.add_argument("--n-trivial", dest="n_trivial", type=int, default=None)
     p.add_argument("--n-halfint", dest="n_halfint", type=int, default=None)
-    p.add_argument("--plot-script", dest="plot_script", default=None,
-                   help="emit a gnuplot script to this path")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("selftest", help="reduced-scale invariant suite")
@@ -444,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _settle(args)
         return args.func(args)
     except COMPUTATIONAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -168,30 +168,8 @@ class EvaluationReport:
     notes: tuple = ()
     aux: tuple = ()  # ((key, decimal-string), ...) extra diagnostics
 
-    def rhs_total(self):
-        return self.rhs_const + self.rhs_n_series + self.rhs_k_series
-
     def passes(self) -> bool:
         return abs(self.residual) <= 10 * self.tail_bound
-
-    def to_dict(self, ctx: NumericContext, timing: bool = True) -> dict:
-        """JSON-ready dict; numbers as full-precision decimal strings."""
-        d = {
-            "a": ctx.nstr(self.a),
-            "x": ctx.nstr(self.x),
-            "lhs_zero_sum": ctx.nstr(self.lhs_zero_sum),
-            "rhs_const": ctx.nstr(self.rhs_const),
-            "rhs_n_series": ctx.nstr(self.rhs_n_series),
-            "rhs_k_series": ctx.nstr(self.rhs_k_series),
-            "residual": ctx.nstr(self.residual),
-            "tail_bound": ctx.nstr(self.tail_bound),
-            "zeros_used": self.zeros_used,
-            "wall_time_ms": self.wall_time_ms if timing else 0,
-            "notes": list(self.notes),
-        }
-        if self.aux:
-            d["aux"] = {k: v for k, v in self.aux}
-        return d
 
 
 @dataclass(frozen=True)
@@ -317,8 +295,7 @@ def pole_catalog(params: SumRuleParams, store: ZeroStore, ctx: NumericContext,
     engine_for(ctx)."""
     a, x = params.bind(ctx)
     params.check_resonance(ctx)
-    if len(store) < params.n_zeros:
-        raise ValueError(f"store holds {len(store)} zeros, {params.n_zeros} needed")
+    zeros = store.prefix(params.n_zeros)
     mp = ctx.mp
     engine = engine or engine_for(ctx)
     sites = []
@@ -328,7 +305,7 @@ def pole_catalog(params: SumRuleParams, store: ZeroStore, ctx: NumericContext,
     for k in range(0, params.n_halfint + 1):
         loc = mp.mpf(k) + mp.mpf("0.5")
         sites.append(PoleSite("half_integer", k, loc, _residue_half_integer(k, a, x, ctx, engine)))
-    for rec in store.records[: params.n_zeros]:
+    for rec in zeros:
         rho = mp.mpc(0.5, rec.tau)
         v = mp.sqrt(1 - rho / a)
         sites.append(PoleSite("critical_zero", rec.index, (1 + v) / 2,
@@ -395,12 +372,10 @@ def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     -x^((rho-a)/4a) / (sqrt(rho-a) sinh((pi/2) sqrt((rho-a)/a)) zeta'(rho)),
     summed in ascending zero order; tail = 3 |last term|."""
     a, x = params.bind(ctx)
-    if len(store) < params.n_zeros:
-        raise ValueError(f"store holds {len(store)} zeros, {params.n_zeros} needed")
     mp = ctx.mp
     total = mp.mpf(0)
     last = None
-    for rec in store.records[: params.n_zeros]:
+    for rec in store.prefix(params.n_zeros):
         if abs(rec.zeta_prime) < SIMPLICITY_FLOOR:
             raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at index {rec.index}")
         rho = mp.mpc(0.5, rec.tau)
@@ -505,12 +480,10 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
         raise ValueError("x must lie in (0, 1) exclusive")
     engine = engine_for(ctx)
     half = mp.mpf("0.5")
-    if len(store) < n_zeros:
-        raise ValueError(f"store holds {len(store)} zeros, {n_zeros} needed")
     ln_x = mp.log(x)
     one_plus_i = mp.mpc(1, 1)
     lhs = mp.mpf(0)
-    for rec in store.records[:n_zeros]:
+    for rec in store.prefix(n_zeros):
         tau = rec.tau
         num = mp.exp(mp.mpc(0, half) * (tau * ln_x + mp.pi / 2)) / mp.sqrt(tau)
         den = mp.sin(mp.pi * mp.sqrt(tau) / one_plus_i) * rec.zeta_prime

@@ -115,7 +115,8 @@ def _check_counts(engine: ZetaEngine, taus) -> int | None:
 
 
 def _scan_brackets(engine: ZetaEngine, count: int, step):
-    """Sign-change brackets of Z on the scan grid until `count` are found."""
+    """Sign-change brackets (lo, hi, Z(lo)) of Z on the scan grid until `count`
+    are found; Z(lo) is None around a grid point where Z vanishes."""
     mp = engine.ctx.mp
     step = mp.mpf(step)
     t = mp.mpf(SCAN_START)
@@ -125,9 +126,9 @@ def _scan_brackets(engine: ZetaEngine, count: int, step):
         t_next = t + step
         z_next = engine.hardy_z(t_next)
         if z_prev == 0:
-            brackets.append((t - step / 2, t + step / 2))
+            brackets.append((t - step / 2, t + step / 2, None))
         elif z_prev * z_next < 0:
-            brackets.append((t, t_next))
+            brackets.append((t, t_next, z_prev))
         t, z_prev = t_next, z_next
     return brackets
 
@@ -147,12 +148,13 @@ def _bisect(engine: ZetaEngine, lo, hi, z_lo, width):
     return lo, hi, z_lo
 
 
-def _narrow(scanner: ZetaEngine, lo, hi):
+def _narrow(scanner: ZetaEngine, lo, hi, z_lo):
     """Bisect a scan bracket to NEWTON_WIDTH by the sign of Z on the scanner.
     lo and hi carry the refining precision, so every midpoint is the one a
     bisection at that precision would take."""
-    width = scanner.ctx.mp.mpf(NEWTON_WIDTH)
-    lo, hi, _ = _bisect(scanner, lo, hi, scanner.hardy_z(lo), width)
+    if z_lo is None:
+        z_lo = scanner.hardy_z(lo)
+    lo, hi, _ = _bisect(scanner, lo, hi, z_lo, scanner.ctx.mp.mpf(NEWTON_WIDTH))
     return lo, hi
 
 
@@ -199,8 +201,9 @@ def _certified_tau(engine: ZetaEngine, lo, hi, target):
 def _build_records(engine: ZetaEngine, scanner: ZetaEngine, brackets):
     mp = engine.ctx.mp
     records = []
-    for i, (lo, hi) in enumerate(brackets, start=1):
-        tau, err, resid, zp = _refine(engine, *_narrow(scanner, mp.mpf(lo), mp.mpf(hi)))
+    for i, (lo, hi, z_lo) in enumerate(brackets, start=1):
+        narrowed = _narrow(scanner, mp.mpf(lo), mp.mpf(hi), z_lo)
+        tau, err, resid, zp = _refine(engine, *narrowed)
         if abs(zp) < SIMPLICITY_FLOOR:
             raise MultipleZeroError(
                 f"|zeta'(rho)| = {float(abs(zp)):.3g} at tau = {float(tau):.9f}")
@@ -219,10 +222,10 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     # bracketing only needs a few good digits; refine at full precision
     scanner = engine_for(ctx if ctx.precision_bits <= 96 else NumericContext(96))
     brackets = _scan_brackets(scanner, count, SCAN_STEP)
-    taus_rough = [(lo + hi) / 2 for lo, hi in brackets]
+    taus_rough = [(lo + hi) / 2 for lo, hi, _ in brackets]
     if _check_counts(scanner, taus_rough) is not None:
         brackets = _scan_brackets(scanner, count, SCAN_STEP_FINE)
-        taus_rough = [(lo + hi) / 2 for lo, hi in brackets]
+        taus_rough = [(lo + hi) / 2 for lo, hi, _ in brackets]
         bad = _check_counts(scanner, taus_rough)
         if bad is not None:
             lo = float(taus_rough[bad - 2]) if bad >= 2 else SCAN_START

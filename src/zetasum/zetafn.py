@@ -24,8 +24,8 @@ Bernoulli stop.  Each engine keeps a table of log k (and, for Re s = 1/2,
 multiplications.  The table rounds as mpmath 1.3's mpc_pow does, so every
 value is bit for bit what separate passes over mp.power(k, -s) give.
 
-Bernoulli numbers come from the tangent-number triangle as exact rationals,
-cached process-wide.  All functions are pure.  An engine's state is the
+Bernoulli numbers come from mpmath's bernfrac as exact rationals.  All
+functions are pure.  An engine's state is the
 coefficients B_2j/(2j)! at working precision, fixed at construction, and the
 log k table, which only grows and holds values fixed by k and the precision;
 so engine_for(ctx) builds one engine per context and every caller shares it.
@@ -34,8 +34,6 @@ so engine_for(ctx) builds one engine per context and every caller shares it.
 from __future__ import annotations
 
 import functools
-import threading
-from fractions import Fraction
 
 from mpmath.libmp import (from_int, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul, mpf_neg,
                           mpf_shift, round_down, round_nearest)
@@ -48,7 +46,6 @@ __all__ = [
     "ZetaPoleError",
     "PrecisionError",
     "InternalConsistencyError",
-    "bernoulli",
     "trapezoid_mean",
 ]
 
@@ -97,41 +94,6 @@ class InternalConsistencyError(RuntimeError):
     """A built-in cross-check failed (e.g. Hardy Z came out non-real)."""
 
 
-# ---------------------------------------------------------------------------
-# Bernoulli numbers B_2, B_4, ... as exact rationals (tangent-number triangle)
-
-_bern_lock = threading.Lock()
-_bern_cache: list[Fraction] = []
-
-
-def _extend_bernoulli(m: int) -> None:
-    # tangent numbers T_1..T_m by the integer triangle, then
-    # B_2k = (-1)^(k-1) * 2k * T_k / (2^2k * (2^2k - 1))
-    T = [0] * (m + 1)
-    T[1] = 1
-    for k in range(2, m + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    _bern_cache.clear()
-    for k in range(1, m + 1):
-        sign = 1 if k % 2 == 1 else -1
-        den = (1 << (2 * k)) * ((1 << (2 * k)) - 1)
-        _bern_cache.append(Fraction(sign * T[k] * 2 * k, den))
-
-
-def bernoulli(two_k: int) -> Fraction:
-    """B_{two_k} for even two_k >= 2, as an exact Fraction."""
-    if two_k < 2 or two_k % 2:
-        raise ValueError("bernoulli expects an even index >= 2")
-    k = two_k // 2
-    with _bern_lock:
-        if k > len(_bern_cache):
-            _extend_bernoulli(max(k, 2 * len(_bern_cache), 32))
-        return _bern_cache[k - 1]
-
-
 # Euler-Maclaurin on Re s >= REFLECTION_THRESHOLD, the functional equation left of it
 REFLECTION_THRESHOLD = 0.5
 # doublings of the Euler-Maclaurin cutoff N before PrecisionError
@@ -151,9 +113,9 @@ class ZetaEngine:
         self._stop_tol = ctx.mp.mpf(2) ** (-(p + 16))
         # B_2j/(2j)! at working precision for j <= m_cap + 1, all _em_once reads
         mp = ctx.mp
-        bern = [bernoulli(2 * j) for j in range(1, self._m_cap + 2)]
-        self._coef = tuple(mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
-                           for j, b in enumerate(bern, start=1))
+        bern = [mp.bernfrac(2 * j) for j in range(1, self._m_cap + 2)]
+        self._coef = tuple(mp.mpf(num) / den / mp.factorial(2 * j)
+                           for j, (num, den) in enumerate(bern, start=1))
         self._logk = (None, None)  # _log_table rows from k = 2, filled on first use
 
     # -- Euler-Maclaurin core ------------------------------------------------

@@ -109,16 +109,6 @@ def test_scan_failing_point_gets_status(base_args, store30_96, tmp_path):
     assert "error" in rows[1].split(",")[10]
 
 
-def test_scan_plot_script(base_args, store30_96, tmp_path):
-    out = tmp_path / "s.csv"
-    script = tmp_path / "plot.gp"
-    rc = main(["scan", "--a-list", "0.5", "--x-list", "0.5", "--zeros", "10",
-               "--format", "csv", "--out", str(out),
-               "--plot-script", str(script)] + base_args)
-    assert rc == 0
-    assert "plot" in script.read_text()
-
-
 def test_config_file_and_flag_precedence(base_args, store30_96, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("a=0.5\nx=0.5\nzeros_count=10\nn_trivial=16\nn_halfint=6\n")
@@ -131,6 +121,21 @@ def test_config_file_and_flag_precedence(base_args, store30_96, tmp_path, capsys
     out = capsys.readouterr().out
     assert rc == 0
     assert "zeros used       : 8" in out
+
+
+@pytest.mark.parametrize("line,key", [
+    ("zeros=10", "zeros"),  # meant as zeros_count
+    ("output_format=xml", "output_format"),
+    ("n_trivial=16.5", "n_trivial"),
+])
+def test_config_file_rejects_bad_values(base_args, tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"a=0.5\nx=0.5\n{line}\n")
+    rc = main(["verify", "sumrule", "--config", str(cfg)] + base_args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert key in captured.err
 
 
 def test_cache_dir_env_override(store30_96, cache_dir, monkeypatch):

@@ -1,13 +1,16 @@
 """Golden bytes: criterion 10's 3x3 scan CSV, the zeros exports of the first
-8 zeros at 96 bits and of the first 16 at 192 bits (with zeta'), and the
-exact values of zeta and zeta' at fixed points, compared byte for byte with
-the files under tests/data/.  A change that alters any of them fails here,
+8 zeros at 96 bits and of the first 16 at 192 bits (with zeta'), the exact
+values of zeta and zeta' at fixed points, and the stdout of every verify kind
+and of scan in each format, compared byte for byte with the files under
+tests/data/.  A change that alters any of them fails here,
 where a determinism check (two runs of one tree) would still pass.  The
 192-bit export and the zeta values were recorded with separate
 Euler-Maclaurin passes for zeta and zeta' over mp.power(k, -s), so they pin
 that the fused pass over the log k table gives the same bits."""
 
 from pathlib import Path
+
+import pytest
 
 from zetasum.cli import main
 from zetasum.numctx import NumericContext
@@ -38,6 +41,39 @@ def zeta_lines(bits: int):
         for name in ("zeta", "zeta_deriv"):
             value = getattr(engine, name)(s)
             yield f"{bits} {re} {im or 'real'} {name} {value!r}"
+
+
+SMALL = ["--zeros", "10", "--n-trivial", "16", "--n-halfint", "6"]
+SCAN = ["scan", "--a-list", "0.5,2", "--x-list", "0.25,0.5"] + SMALL
+
+# name -> (argv, exit code); stdout goes to tests/data/cli/<name>.txt.  The
+# scan's a = 2 row is resonant, so it prints an error row and exits 1.
+CLI_CASES = {
+    "sumrule_text": (["verify", "sumrule", "--a", "0.5", "--x", "0.5"] + SMALL, 0),
+    "sumrule_json": (["verify", "sumrule", "--a", "0.5", "--x", "0.5", "--format", "json"]
+                     + SMALL, 0),
+    "sumrule_csv": (["verify", "sumrule", "--a", "0.5", "--x", "0.5", "--format", "csv"]
+                    + SMALL, 0),
+    "rh_form": (["verify", "rh-form", "--x", "0.5"] + SMALL, 0),
+    "guillera": (["verify", "guillera", "--x", "0.5", "--zeros", "10",
+                  "--lambda-limit", "100000"], 0),
+    "residues": (["verify", "residues", "--a", "0.5", "--x", "0.5", "--zeros", "3",
+                  "--n-trivial", "3", "--n-halfint", "2"], 0),
+    "integral": (["verify", "integral", "--a", "0.5", "--x", "0.5"], 0),
+    "scan_text": (SCAN, 1),
+    "scan_json": (SCAN + ["--format", "json"], 1),
+    "scan_csv": (SCAN + ["--format", "csv"], 1),
+    "config_override": (["verify", "sumrule", "--config", str(DATA / "cli" / "run.cfg"),
+                         "--zeros", "8"], 0),
+}
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_cli_bytes(name, cache_dir, store30_96, capsys):
+    argv, code = CLI_CASES[name]
+    assert main(argv + ["--precision", "96", "--cache-dir", cache_dir]) == code
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (DATA / "cli" / f"{name}.txt").read_bytes()
 
 
 def test_scan_csv_bytes(cache_dir, store30_96, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -12,6 +13,18 @@ def load_script(name):
 
 
 SMALL = ["--precision", "96", "--zeros", "4", "--n-trivial", "4", "--n-halfint", "2"]
+
+
+def test_residual_decay_two_depths(store30_96, cache_dir, tmp_path):
+    decay = load_script("residual_decay")
+    out = tmp_path / "decay.csv"
+    assert decay.main(["--depths", "20,10", "--precision", "96", "--cache-dir", cache_dir,
+                       "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [row["n_zeros"] for row in rows] == ["10", "20"]
+    residuals = [float(row["abs_residual"]) for row in rows]
+    assert residuals[1] < residuals[0]  # deeper truncation, smaller residual
+    assert all(row["status"] == "PASS" for row in rows)
 
 
 def test_closure_sweep_one_pair(store30_96, cache_dir, capsys):

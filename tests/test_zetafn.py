@@ -6,8 +6,7 @@ import pytest
 
 from zetasum import zetafn
 from zetasum.numctx import NumericContext
-from zetasum.zetafn import (PrecisionError, ZetaEngine, ZetaPoleError, bernoulli,
-                            engine_for)
+from zetasum.zetafn import PrecisionError, ZetaEngine, ZetaPoleError, engine_for
 
 CTX = NumericContext(192)
 ENG = ZetaEngine(CTX)
@@ -27,13 +26,14 @@ GRAM_ZERO = "17.8455995404108"  # theta vanishes here (conventional scaffold poi
 
 
 def test_bernoulli_exact():
+    # the engine's Euler-Maclaurin coefficients are B_2j/(2j)! at working precision
+    mp = CTX.mp
     known = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
              8: Fraction(-1, 30), 10: Fraction(5, 66), 12: Fraction(-691, 2730),
              14: Fraction(7, 6), 16: Fraction(-3617, 510)}
     for idx, want in known.items():
-        assert bernoulli(idx) == want
-    with pytest.raises(ValueError):
-        bernoulli(3)
+        assert ENG._coef[idx // 2 - 1] == (mp.mpf(want.numerator) / want.denominator
+                                          / mp.factorial(idx))
 
 
 def test_zeta_classical_identities():
