@@ -77,8 +77,10 @@ def _read_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         for raw in f:
             line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"config file {path}: {line!r} is not a key=value line")
             k, v = (part.strip() for part in line.split("=", 1))
             if k not in DEFAULTS:
                 raise ValueError(f"config file {path}: unknown key {k!r}")

@@ -2,27 +2,30 @@
 critical line.
 
 Zeros are found as sign changes of the Hardy Z function on a fixed scan
-grid (step 0.25 from t = 10, fallback 0.05).  Scan and bisection down to
-width 1e-4 only read signs, so both run at 96 bits at most; Newton steps on
-Z at full precision, each one fused zeta/zeta' pass, then polish the
-midpoint, and a sign change across the claimed enclosure [tau - e, tau + e],
-e = 2^(10 - precision_bits), certifies it.  Every record caches
-zeta'(1/2 + i tau), taken from the pass that computes the residual Z(tau).
+grid (step 0.25 from t = 10, fallback 0.05).  Located and imported zeros
+take one refinement path, _certify: bisection of the sign-change bracket to
+width 1e-4 on a scanner of at most 96 bits (it only reads signs), Newton on Z
+at full precision inside the bracket, then a full-precision sign change of Z
+across [tau - e, tau + e], e = 2^(10 - precision_bits), as the certificate;
+should that fail, a full-precision bisection down to e.  One fused
+zeta/zeta' pass gives the residual Z(tau) and the cached zeta'(1/2 + i tau).
 A store is only returned if the running count matches the smoothed
 zero-counting function round(theta(T)/pi + 1) within +-1 at every prefix.
 
-File format (import/export and cache): UTF-8 text, one decimal tau per
-line in ascending order, '#' comment lines allowed, export header
-"# precision_bits=<n> checksum=<hex>"; import and cache loads reject a
-payload that no longer matches that checksum.  Cache files additionally carry
-per-record "# zp <re> <im>" comment lines so warm loads skip all zeta
-evaluations.
+File format (import/export and cache): UTF-8 text, one decimal tau per line
+in ascending order, '#' comment lines allowed, export header
+"# precision_bits=<n> checksum=<hex>".  Import and cache loads share one
+reader, _read_zeros, which rejects an unparseable, non-positive or
+non-ascending tau and a checksum mismatch before any zeta evaluation; a
+cache load warns and recomputes instead.  Cache files also carry per-record
+"# zp <re> <im>" lines so warm loads skip all zeta evaluations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -44,6 +47,10 @@ __all__ = [
 
 SCAN_START = 10.0
 SCAN_STEP = 0.25
+# The coarse grid misses two zeros that share one cell: zeros #922 and #923
+# (tau ~ 1329.04 and 1329.21) both lie in [1329.00, 1329.25], where Z is
+# positive at both ends.  The count check sees the pair missing, and the fine
+# rescan recovers it, for every count from 922 up to MAX_COUNT.
 SCAN_STEP_FINE = 0.05
 MAX_COUNT = 2000
 SIMPLICITY_FLOOR = 1e-15
@@ -115,8 +122,8 @@ def _check_counts(engine: ZetaEngine, taus) -> int | None:
 
 
 def _scan_brackets(engine: ZetaEngine, count: int, step):
-    """Sign-change brackets (lo, hi, Z(lo)) of Z on the scan grid until `count`
-    are found; Z(lo) is None around a grid point where Z vanishes."""
+    """Sign-change brackets (lo, hi, Z(lo), Z(hi)) of Z on the scan grid until
+    `count` are found; a grid point where Z vanishes is its own bracket."""
     mp = engine.ctx.mp
     step = mp.mpf(step)
     t = mp.mpf(SCAN_START)
@@ -126,92 +133,66 @@ def _scan_brackets(engine: ZetaEngine, count: int, step):
         t_next = t + step
         z_next = engine.hardy_z(t_next)
         if z_prev == 0:
-            brackets.append((t - step / 2, t + step / 2, None))
+            brackets.append((t, t, z_prev, z_prev))
         elif z_prev * z_next < 0:
-            brackets.append((t, t_next, z_prev))
+            brackets.append((t, t_next, z_prev, z_next))
         t, z_prev = t_next, z_next
     return brackets
 
 
-def _bisect(engine: ZetaEngine, lo, hi, z_lo, width):
-    """Halve the sign-change bracket [lo, hi] (Z(lo) = z_lo) until it is at
-    most `width` wide; returns (lo, hi, z_lo), with lo = hi where Z vanishes."""
+def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
+    """Halve [lo, hi], across which Z (Z(lo) = z_lo, Z(hi) = z_hi) changes
+    sign, until it is at most `width` wide; returns (lo, hi), with lo = hi at
+    a point where Z vanishes."""
+    if z_lo * z_hi > 0:
+        raise MissedZeroError(f"no sign change in ({float(lo):.6f}, {float(hi):.6f})")
+    if z_lo == 0 or z_hi == 0:
+        return (lo, lo) if z_lo == 0 else (hi, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
         z_mid = engine.hardy_z(mid)
         if z_mid == 0:
-            return mid, mid, z_mid
+            return mid, mid
         if z_lo * z_mid < 0:
             hi = mid
         else:
             lo, z_lo = mid, z_mid
-    return lo, hi, z_lo
-
-
-def _narrow(scanner: ZetaEngine, lo, hi, z_lo):
-    """Bisect a scan bracket to NEWTON_WIDTH by the sign of Z on the scanner.
-    lo and hi carry the refining precision, so every midpoint is the one a
-    bisection at that precision would take."""
-    if z_lo is None:
-        z_lo = scanner.hardy_z(lo)
-    lo, hi, _ = _bisect(scanner, lo, hi, z_lo, scanner.ctx.mp.mpf(NEWTON_WIDTH))
     return lo, hi
 
 
-def _refine(engine: ZetaEngine, lo, hi):
-    """Bisection + Newton to the enclosure target; returns (tau, err_bound,
-    |Z(tau)|, zeta'(1/2 + i tau)), the last two from one fused pass."""
-    target = engine.ctx.mp.mpf(2) ** (10 - engine.ctx.precision_bits)
-    tau = _certified_tau(engine, lo, hi, target)
-    z, zp = engine.hardy_z_and_zeta_deriv(tau)
-    return tau, target, abs(z), zp
+def _scanner(ctx: NumericContext) -> ZetaEngine:
+    """The engine that reads signs of Z: the context's own, at most 96 bits."""
+    return engine_for(ctx if ctx.precision_bits <= 96 else NumericContext(96))
 
 
-def _certified_tau(engine: ZetaEngine, lo, hi, target):
-    """tau with a sign change of Z across [tau - target, tau + target]."""
-    mp = engine.ctx.mp
-    z_lo = engine.hardy_z(lo)
-    z_hi = engine.hardy_z(hi)
-    if z_lo == 0:
-        return lo
-    if z_hi == 0:
-        return hi
-    if z_lo * z_hi > 0:
-        raise MissedZeroError(f"no sign change in ({float(lo):.6f}, {float(hi):.6f})")
-    lo, hi, z_lo = _bisect(engine, lo, hi, z_lo, mp.mpf(NEWTON_WIDTH))
-    t = (lo + hi) / 2
+def _certify(engine: ZetaEngine, scanner: ZetaEngine, lo, hi, z_lo, z_hi):
+    """(tau, zeta'(1/2 + i tau)) for the zero in the sign-change bracket
+    [lo, hi], where Z(lo) = z_lo and Z(hi) = z_hi on the scanner; the steps
+    are in the module docstring.  lo and hi carry the engine's precision, so
+    every scanner midpoint is the one a full-precision bisection would take."""
+    e = engine.ctx.target_tol
+    lo, hi = _bisect(scanner, lo, hi, z_lo, z_hi, engine.ctx.mp.mpf(NEWTON_WIDTH))
+    tau = (lo + hi) / 2
     for _ in range(80):
-        z_t, zd_t = engine.hardy_z_with_deriv(t)
-        if zd_t == 0:
+        z, zd = engine.hardy_z_with_deriv(tau)
+        if zd == 0:
             break
-        delta = z_t / zd_t
-        t_new = t - delta
-        if not (lo - 1 < t_new < hi + 1):
-            break  # Newton escaped; bisection fallback below
-        t = t_new
-        if abs(delta) < target / 4:
+        delta = z / zd
+        if not lo <= tau - delta <= hi:
+            break  # Newton left the bracket; the certificate below decides
+        tau -= delta
+        if abs(delta) < e / 4:
             break
-    if engine.hardy_z(t - target) * engine.hardy_z(t + target) < 0:
-        return t
-    # fallback: certified bisection all the way down
-    lo, hi, _ = _bisect(engine, lo, hi, z_lo, target)
-    return (lo + hi) / 2
-
-
-def _build_records(engine: ZetaEngine, scanner: ZetaEngine, brackets):
-    mp = engine.ctx.mp
-    records = []
-    for i, (lo, hi, z_lo) in enumerate(brackets, start=1):
-        narrowed = _narrow(scanner, mp.mpf(lo), mp.mpf(hi), z_lo)
-        tau, err, resid, zp = _refine(engine, *narrowed)
-        if abs(zp) < SIMPLICITY_FLOOR:
-            raise MultipleZeroError(
-                f"|zeta'(rho)| = {float(abs(zp)):.3g} at tau = {float(tau):.9f}")
-        if not resid < 1000 * err * abs(zp):
-            raise MissedZeroError(
-                f"residual {float(resid):.3g} inconsistent with enclosure at tau = {float(tau):.9f}")
-        records.append(ZeroRecord(i, tau, err, zp, engine.ctx.precision_bits))
-    return records
+    if not engine.hardy_z(tau - e) * engine.hardy_z(tau + e) < 0:
+        lo, hi = _bisect(engine, lo, hi, engine.hardy_z(lo), engine.hardy_z(hi), e)
+        tau = (lo + hi) / 2
+    z, zp = engine.hardy_z_and_zeta_deriv(tau)
+    if abs(zp) < SIMPLICITY_FLOOR:
+        raise MultipleZeroError(f"|zeta'(rho)| = {float(abs(zp)):.3g} at tau = {float(tau):.9f}")
+    if not abs(z) < 1000 * e * abs(zp):
+        raise MissedZeroError(
+            f"residual {float(abs(z)):.3g} inconsistent with enclosure at tau = {float(tau):.9f}")
+    return tau, zp
 
 
 def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
@@ -219,20 +200,23 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}]")
     engine = engine_for(ctx)
-    # bracketing only needs a few good digits; refine at full precision
-    scanner = engine_for(ctx if ctx.precision_bits <= 96 else NumericContext(96))
-    brackets = _scan_brackets(scanner, count, SCAN_STEP)
-    taus_rough = [(lo + hi) / 2 for lo, hi, _ in brackets]
-    if _check_counts(scanner, taus_rough) is not None:
-        brackets = _scan_brackets(scanner, count, SCAN_STEP_FINE)
-        taus_rough = [(lo + hi) / 2 for lo, hi, _ in brackets]
+    scanner = _scanner(ctx)
+    for step in (SCAN_STEP, SCAN_STEP_FINE):
+        brackets = _scan_brackets(scanner, count, step)
+        taus_rough = [(lo + hi) / 2 for lo, hi, _, _ in brackets]
         bad = _check_counts(scanner, taus_rough)
-        if bad is not None:
-            lo = float(taus_rough[bad - 2]) if bad >= 2 else SCAN_START
-            hi = float(taus_rough[bad - 1])
-            raise MissedZeroError(
-                f"count check fails at prefix {bad}; suspect interval ({lo:.4f}, {hi:.4f})")
-    records = _build_records(engine, scanner, brackets)
+        if bad is None:
+            break
+    else:
+        lo = float(taus_rough[bad - 2]) if bad >= 2 else SCAN_START
+        hi = float(taus_rough[bad - 1])
+        raise MissedZeroError(
+            f"count check fails at prefix {bad}; suspect interval ({lo:.4f}, {hi:.4f})")
+    mp = ctx.mp
+    records = []
+    for i, (lo, hi, z_lo, z_hi) in enumerate(brackets, start=1):
+        tau, zp = _certify(engine, scanner, mp.mpf(lo), mp.mpf(hi), z_lo, z_hi)
+        records.append(ZeroRecord(i, tau, ctx.target_tol, zp, ctx.precision_bits))
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"count check fails at prefix {bad} after refinement")
@@ -242,19 +226,9 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
 # -- text format -------------------------------------------------------------
 
 
-def _format_tau(ctx: NumericContext, tau) -> str:
-    return ctx.mp.nstr(tau, ctx.dps, strip_zeros=False)
-
-
 def _checksum(payload_lines) -> str:
     h = hashlib.sha256("\n".join(payload_lines).encode("utf-8"))
     return h.hexdigest()[:16]
-
-
-def _payload_checksum(text: str) -> str:
-    """_checksum of the lines export_zeros hashed: every non-empty line but the header."""
-    lines = (raw.strip() for raw in text.splitlines())
-    return _checksum([line for line in lines if line and not line.startswith("# precision_bits=")])
 
 
 def export_zeros(store: ZeroStore, path, ctx: NumericContext | None = None,
@@ -264,7 +238,7 @@ def export_zeros(store: ZeroStore, path, ctx: NumericContext | None = None,
         ctx = NumericContext(store.generated_with)
     lines = []
     for rec in store.records:
-        lines.append(_format_tau(ctx, rec.tau))
+        lines.append(ctx.nstr(rec.tau))
         if include_zeta_prime:
             mp = ctx.mp
             lines.append(f"# zp {mp.nstr(mp.re(rec.zeta_prime), ctx.dps)} "
@@ -288,75 +262,75 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _parse_zeros_text(text: str):
-    """(header_fields, [(line_no, tau_str)], [(line_no, zp_pair or None)])."""
-    header = {}
-    taus = []
-    zps = []
+def _read_zeros(path, ctx: NumericContext):
+    """(header fields, [(line_no, tau, zeta' or None)]) of a zeros file, each
+    value read at context precision, zeta' from the "# zp" line after tau.
+    Raises ZeroImportError for a file without zeros, an unparseable record,
+    a non-positive or non-ascending tau, or a payload that no longer matches
+    the header's checksum (when the header carries one).  Nothing here
+    evaluates zeta."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    header, lines, payload = {}, [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("precision_bits="):
-                for field in body.split():
-                    if "=" in field:
-                        k, v = field.split("=", 1)
-                        header[k] = v
-            elif body.startswith("zp "):
-                parts = body.split()
-                if len(parts) == 3 and taus:
-                    zps.append((taus[-1][0], (parts[1], parts[2])))
+        body = line[1:].split() if line.startswith("#") else None
+        if body and body[0].startswith("precision_bits="):
+            header.update(field.split("=", 1) for field in body if "=" in field)
             continue
-        taus.append((line_no, line))
-    return header, taus, zps
+        payload.append(line)
+        if body is None:
+            lines.append([line_no, line, None])
+        elif len(body) == 3 and body[0] == "zp" and lines:
+            lines[-1][2] = body[1:]
+    if not lines:
+        raise ZeroImportError(0, "no zeros in file")
+    # values are read after the line scan, each tau next to its zeta': read
+    # during the scan, they raised the peak RSS of a warm 500-zero verify run
+    # by about 0.6 MB (heap layout; the live data is the same)
+    mp = ctx.mp
+    rows = []
+    for line_no, line, zp in lines:
+        try:
+            tau = mp.mpf(line)
+            zp = None if zp is None else mp.mpc(mp.mpf(zp[0]), mp.mpf(zp[1]))
+        except ValueError:
+            raise ZeroImportError(line_no, f"unparseable record {line!r}") from None
+        if not tau > 0:
+            raise ZeroImportError(line_no, "tau must be positive")
+        if rows and not tau > rows[-1][1]:
+            raise ZeroImportError(line_no, f"non-monotone tau {line}")
+        rows.append((line_no, tau, zp))
+    if "checksum" in header and header["checksum"] != _checksum(payload):
+        raise ZeroImportError(0, f"checksum mismatch: header says {header['checksum']}, "
+                                 f"payload hashes to {_checksum(payload)}")
+    return header, rows
 
 
 def import_zeros(path, ctx: NumericContext) -> ZeroStore:
-    """Read a zeros table, revalidate each tau, refine it to context precision,
-    and recompute zeta'(rho).  Rejects non-monotone input, a payload that no
-    longer matches the header's checksum (when the header carries one), and
-    any tau whose Newton correction |Z/Z'| exceeds 0.05 (residual inconsistent
-    with a zero).  The first two checks run before any zeta evaluation."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    header, tau_lines, _ = _parse_zeros_text(text)
-    if not tau_lines:
-        raise ZeroImportError(0, "no zeros in file")
-    mp = ctx.mp
-    taus = []
-    for line_no, tau_str in tau_lines:
-        try:
-            t0 = mp.mpf(tau_str)
-        except ValueError:
-            raise ZeroImportError(line_no, f"unparseable value {tau_str!r}") from None
-        if not t0 > 0:
-            raise ZeroImportError(line_no, "tau must be positive")
-        if taus and not t0 > taus[-1]:
-            raise ZeroImportError(line_no, f"non-monotone tau {tau_str}")
-        taus.append(t0)
-    payload = _payload_checksum(text)
-    if "checksum" in header and header["checksum"] != payload:
-        raise ZeroImportError(0, f"checksum mismatch: header says {header['checksum']}, "
-                                 f"payload hashes to {payload}")
+    """Read a zeros table (_read_zeros: every format check and the checksum
+    run before any zeta evaluation), reject any tau whose Newton correction
+    |Z/Z'| exceeds 0.05, and refine the rest to context precision by the
+    certification locate_zeros uses, from a bracket of four corrections."""
+    _, rows = _read_zeros(path, ctx)
     engine = engine_for(ctx)
+    scanner = _scanner(ctx)
     records = []
-    for idx, ((line_no, _), t0) in enumerate(zip(tau_lines, taus), start=1):
+    for idx, (line_no, t0, _) in enumerate(rows, start=1):
         z, zd = engine.hardy_z_with_deriv(t0)
-        if zd == 0 or abs(z / zd) > 0.05:
-            raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = "
-                                           f"{float(abs(z / zd)) if zd != 0 else float('inf'):.3g}")
-        step = abs(z / zd) * 4 + mp.mpf("1e-7")
-        tau, err, _, zp = _refine(engine, t0 - step, t0 + step)
-        if abs(zp) < SIMPLICITY_FLOOR:
-            raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at line {line_no}")
-        records.append(ZeroRecord(idx, tau, err, zp, ctx.precision_bits))
-    store = ZeroStore(tuple(records), "imported", ctx.precision_bits)
+        newton = abs(z / zd) if zd != 0 else ctx.mp.inf
+        if newton > 0.05:
+            raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = {float(newton):.3g}")
+        step = newton * 4 + ctx.mp.mpf("1e-7")
+        lo, hi = t0 - step, t0 + step
+        tau, zp = _certify(engine, scanner, lo, hi, scanner.hardy_z(lo), scanner.hardy_z(hi))
+        records.append(ZeroRecord(idx, tau, ctx.target_tol, zp, ctx.precision_bits))
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"imported table fails the count check at prefix {bad}")
-    return store
+    return ZeroStore(tuple(records), "imported", ctx.precision_bits)
 
 
 # -- cache -------------------------------------------------------------------
@@ -367,28 +341,25 @@ def _cache_path(cache_dir, count: int, precision_bits: int) -> str:
 
 
 def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
+    """The cached store at `path`, or None, with a warning unless the file is
+    absent, if it fails _read_zeros or does not hold this store."""
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    header, tau_lines, zp_lines = _parse_zeros_text(text)
-    if header.get("checksum") != _payload_checksum(text):
-        warnings.warn(f"zeros cache {path}: checksum mismatch, recomputing")
+    try:
+        header, rows = _read_zeros(path, ctx)
+    except ZeroImportError as err:
+        warnings.warn(f"zeros cache {path}: {err}, recomputing")
         return None
-    if header.get("precision_bits") != str(ctx.precision_bits) or len(tau_lines) != count:
+    if (header.get("precision_bits") != str(ctx.precision_bits) or "checksum" not in header
+            or len(rows) != count):
         warnings.warn(f"zeros cache {path}: header mismatch, recomputing")
         return None
-    zp_by_line = dict(zp_lines)
-    mp = ctx.mp
     records = []
-    err = mp.mpf(2) ** (10 - ctx.precision_bits)
-    for idx, (line_no, tau_str) in enumerate(tau_lines, start=1):
-        zp = zp_by_line.get(line_no)
+    for idx, (line_no, tau, zp) in enumerate(rows, start=1):
         if zp is None:
             warnings.warn(f"zeros cache {path}: missing zeta' at line {line_no}, recomputing")
             return None
-        records.append(ZeroRecord(idx, mp.mpf(tau_str), err,
-                                  mp.mpc(mp.mpf(zp[0]), mp.mpf(zp[1])), ctx.precision_bits))
+        records.append(ZeroRecord(idx, tau, ctx.target_tol, zp, ctx.precision_bits))
     return ZeroStore(tuple(records), "computed", ctx.precision_bits)
 
 
@@ -403,15 +374,11 @@ def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStor
         return cached
     # a longer cached run at the same precision also serves any prefix
     for name in sorted(os.listdir(cache_dir)):
-        if name.startswith("zeros_n") and name.endswith(f"_p{ctx.precision_bits}.txt"):
-            try:
-                bigger = int(name.split("_n")[1].split("_p")[0])
-            except ValueError:
-                continue
-            if bigger > count:
-                big = _load_cache(os.path.join(cache_dir, name), bigger, ctx)
-                if big is not None:
-                    return big.prefix(count)
+        bigger = re.fullmatch(rf"zeros_n(\d+)_p{ctx.precision_bits}\.txt", name)
+        if bigger and int(bigger[1]) > count:
+            big = _load_cache(os.path.join(cache_dir, name), int(bigger[1]), ctx)
+            if big is not None:
+                return big.prefix(count)
     store = locate_zeros(count, ctx)
     export_zeros(store, path, ctx, include_zeta_prime=True)
     return store

@@ -127,6 +127,7 @@ def test_config_file_and_flag_precedence(base_args, store30_96, tmp_path, capsys
     ("zeros=10", "zeros"),  # meant as zeros_count
     ("output_format=xml", "output_format"),
     ("n_trivial=16.5", "n_trivial"),
+    ("zeros_count 10", "zeros_count"),  # no "="
 ])
 def test_config_file_rejects_bad_values(base_args, tmp_path, capsys, line, key):
     cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """Golden bytes: criterion 10's 3x3 scan CSV, the zeros exports of the first
-8 zeros at 96 bits and of the first 16 at 192 bits (with zeta'), the exact
+8 zeros at 96 bits and of the first 16 at 192 bits (with zeta'), the sha256
+of the whole 500-zero 192-bit export (with zeta'), the exact
 values of zeta and zeta' at fixed points, and the stdout of every verify kind
 and of scan in each format, compared byte for byte with the files under
 tests/data/.  A change that alters any of them fails here,
@@ -8,6 +9,7 @@ where a determinism check (two runs of one tree) would still pass.  The
 Euler-Maclaurin passes for zeta and zeta' over mp.power(k, -s), so they pin
 that the fused pass over the log k table gives the same bits."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from zetasum.zeros import export_zeros, import_zeros
 from zetasum.zetafn import engine_for
 
 DATA = Path(__file__).resolve().parent / "data"
+# sha256 of store500_192 exported with zeta'
+STORE500_192_SHA256 = "7c93ee5722b2d4bb98b182da4b2616c11f61727249aad32ac65a2130ed0b33db"
 
 # (Re s, Im s) as decimal strings, read at each context's precision; None
 # marks a real point.  Four on the critical line (the last with a full
@@ -108,3 +112,9 @@ def test_zeros_export_192_bytes_and_import(store500_192, ctx192, tmp_path):
     again = tmp_path / "again.txt"
     export_zeros(import_zeros(taus, ctx192), again, ctx192, include_zeta_prime=True)
     assert again.read_bytes() == golden
+
+
+def test_store500_192_bytes(store500_192, ctx192, tmp_path):
+    path = tmp_path / "store500.txt"
+    export_zeros(store500_192, path, ctx192, include_zeta_prime=True)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STORE500_192_SHA256

@@ -5,7 +5,7 @@ import pytest
 from zetasum import zeros as zeros_mod
 from zetasum.numctx import NumericContext
 from zetasum.zetafn import ZetaEngine
-from zetasum.zeros import (ZeroImportError, export_zeros, import_zeros,
+from zetasum.zeros import (ZeroImportError, ZeroStore, export_zeros, import_zeros,
                            load_or_compute, locate_zeros)
 
 # frozen pre-build oracle values (independent zero finder, 30 dps)
@@ -114,13 +114,31 @@ def test_import_rejects_non_zero(ctx96, tmp_path):
     assert "residual" in str(err.value)
 
 
-def test_import_low_precision_then_refine(store30_96, ctx96, tmp_path):
+@pytest.mark.parametrize("decimals", [10, 3])
+def test_import_low_precision_then_refine(store30_96, ctx96, tmp_path, decimals):
+    # at 3 decimals the import bracket is wider than NEWTON_WIDTH, so it is
+    # bisected before Newton; either way the located bytes come back
+    located = store30_96.prefix(8)
     path = tmp_path / "coarse.txt"
-    mp = ctx96.mp
-    path.write_text("".join(mp.nstr(r.tau, 10) + "\n" for r in store30_96.prefix(8)))
-    refined = import_zeros(path, ctx96)
-    for a, b in zip(store30_96, refined):
-        assert abs(a.tau - b.tau) < mp.mpf("1e-10")
+    path.write_text("".join(f"{float(r.tau):.{decimals}f}\n" for r in located))
+    expected, again = tmp_path / "located.txt", tmp_path / "again.txt"
+    export_zeros(located, expected, ctx96, include_zeta_prime=True)
+    export_zeros(import_zeros(path, ctx96), again, ctx96, include_zeta_prime=True)
+    assert again.read_bytes() == expected.read_bytes()
+
+
+def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monkeypatch):
+    # with Z' = 0 Newton stops at once, the certificate at the midpoint of the
+    # 1e-4 bracket fails, and the bracket is bisected at full precision to e;
+    # store30_96 holds the same zeros refined by Newton
+    monkeypatch.setattr(ZetaEngine, "hardy_z_with_deriv", lambda self, t: (0, 0))
+    store = locate_zeros(3, ctx96)
+    engine = ZetaEngine(ctx96)
+    e = ctx96.target_tol
+    for newton, fallback in zip(store30_96, store):
+        assert fallback.tau != newton.tau
+        assert abs(fallback.tau - newton.tau) <= e
+        assert engine.hardy_z(fallback.tau - e) * engine.hardy_z(fallback.tau + e) < 0
 
 
 def test_cache_cold_then_warm(ctx96, tmp_path):
@@ -142,6 +160,21 @@ def test_cache_corruption_triggers_recompute(ctx96, tmp_path):
     with pytest.warns(UserWarning, match="checksum"):
         store = load_or_compute(4, ctx96, d)
     assert len(store) == 4
+
+
+def test_cache_load_rejects_swapped_records(store30_96, ctx96, tmp_path):
+    # a cache file with a valid checksum but taus out of order fails the same
+    # checks as an import, so it is recomputed rather than served
+    records = list(store30_96.records[:6])
+    records[2], records[3] = records[3], records[2]
+    d = tmp_path / "cache"
+    d.mkdir()
+    export_zeros(ZeroStore(tuple(records), "computed", 96), d / "zeros_n6_p96.txt", ctx96,
+                 include_zeta_prime=True)
+    with pytest.warns(UserWarning, match="non-monotone"):
+        store = load_or_compute(6, ctx96, d)
+    taus = [r.tau for r in store]
+    assert len(taus) == 6 and all(b > a for a, b in zip(taus, taus[1:]))
 
 
 def test_cache_keyed_by_precision(ctx96, tmp_path):
