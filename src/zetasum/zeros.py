@@ -4,11 +4,18 @@ critical line.
 Zeros are found as sign changes of the Hardy Z function on a fixed scan
 grid (step 0.25 from t = 10, fallback 0.05).  Located and imported zeros
 take one refinement path, _certify: bisection of the sign-change bracket to
-width 1e-4 on a scanner of at most 96 bits (it only reads signs), Newton on Z
-at full precision inside the bracket, then a full-precision sign change of Z
-across [tau - e, tau + e], e = 2^(10 - precision_bits), as the certificate;
-should that fail, a full-precision bisection down to e.  One fused
-zeta/zeta' pass gives the residual Z(tau) and the cached zeta'(1/2 + i tau).
+width 1e-4 (it only reads signs), Newton on Z at full precision inside the
+bracket, then a full-precision sign change of Z across [tau - e, tau + e],
+e = 2^(10 - precision_bits), as the certificate; should that fail, a
+full-precision bisection down to e.  One fused zeta/zeta' pass gives the
+residual Z(tau) and the cached zeta'(1/2 + i tau).
+
+Every sign the scan and the bisections read comes from _signed_z: Z in
+double precision with a proven error bound (zetafn._hardy_z_float), used
+only where |Z| exceeds the bound, else Z on the scanner of at most 96 bits
+(the bisection to e: at full precision).  Where the bound proves a sign, it
+is the sign of Z and so the one the scanner gives, so every bracket,
+midpoint, Newton start and tau is what a scan on the scanner alone yields.
 A store is only returned if the running count matches the smoothed
 zero-counting function round(theta(T)/pi + 1) within +-1 at every prefix.
 
@@ -26,12 +33,11 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import tempfile
 import warnings
 from dataclasses import dataclass
 
 from .numctx import NumericContext
-from .zetafn import ZetaEngine, engine_for
+from .zetafn import ZetaEngine, _hardy_z_float, engine_for
 
 __all__ = [
     "ZeroRecord",
@@ -121,17 +127,25 @@ def _check_counts(engine: ZetaEngine, taus) -> int | None:
     return None
 
 
+def _signed_z(engine: ZetaEngine, t):
+    """A number with the sign of Z(t): the double-precision Z where its error
+    bound proves the sign, else engine.hardy_z(t).  Either way the sign is
+    the one engine.hardy_z(t) has, whose error lies far below the bound."""
+    value, bound = _hardy_z_float(t)
+    return value if abs(value) > bound else engine.hardy_z(t)
+
+
 def _scan_brackets(engine: ZetaEngine, count: int, step):
     """Sign-change brackets (lo, hi, Z(lo), Z(hi)) of Z on the scan grid until
     `count` are found; a grid point where Z vanishes is its own bracket."""
     mp = engine.ctx.mp
     step = mp.mpf(step)
     t = mp.mpf(SCAN_START)
-    z_prev = engine.hardy_z(t)
+    z_prev = _signed_z(engine, t)
     brackets = []
     while len(brackets) < count:
         t_next = t + step
-        z_next = engine.hardy_z(t_next)
+        z_next = _signed_z(engine, t_next)
         if z_prev == 0:
             brackets.append((t, t, z_prev, z_prev))
         elif z_prev * z_next < 0:
@@ -150,7 +164,7 @@ def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
         return (lo, lo) if z_lo == 0 else (hi, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        z_mid = engine.hardy_z(mid)
+        z_mid = _signed_z(engine, mid)
         if z_mid == 0:
             return mid, mid
         if z_lo * z_mid < 0:
@@ -184,7 +198,7 @@ def _certify(engine: ZetaEngine, scanner: ZetaEngine, lo, hi, z_lo, z_hi):
         if abs(delta) < e / 4:
             break
     if not engine.hardy_z(tau - e) * engine.hardy_z(tau + e) < 0:
-        lo, hi = _bisect(engine, lo, hi, engine.hardy_z(lo), engine.hardy_z(hi), e)
+        lo, hi = _bisect(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi), e)
         tau = (lo + hi) / 2
     z, zp = engine.hardy_z_and_zeta_deriv(tau)
     if abs(zp) < SIMPLICITY_FLOOR:
@@ -249,11 +263,13 @@ def export_zeros(store: ZeroStore, path, ctx: NumericContext | None = None,
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write text to a fresh file next to path, then rename it over path.  The
+    fresh file is opened as open(path, "w") would open it, so it gets the
+    same mode under the process umask."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".zeros-tmp-")
+    tmp = os.path.join(os.path.dirname(path), f".zeros-tmp-{os.getpid()}-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        with open(tmp, "x", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -325,7 +341,8 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
             raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = {float(newton):.3g}")
         step = newton * 4 + ctx.mp.mpf("1e-7")
         lo, hi = t0 - step, t0 + step
-        tau, zp = _certify(engine, scanner, lo, hi, scanner.hardy_z(lo), scanner.hardy_z(hi))
+        tau, zp = _certify(engine, scanner, lo, hi, _signed_z(scanner, lo),
+                           _signed_z(scanner, hi))
         records.append(ZeroRecord(idx, tau, ctx.target_tol, zp, ctx.precision_bits))
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:

@@ -24,16 +24,27 @@ Bernoulli stop.  Each engine keeps a table of log k (and, for Re s = 1/2,
 multiplications.  The table rounds as mpmath 1.3's mpc_pow does, so every
 value is bit for bit what separate passes over mp.power(k, -s) give.
 
-Bernoulli numbers come from mpmath's bernfrac as exact rationals.  All
-functions are pure.  An engine's state is the
+Bernoulli numbers are exact rationals built from the integer tangent
+numbers (_bernoulli).  All functions are pure.  An engine's state is the
 coefficients B_2j/(2j)! at working precision, fixed at construction, and the
 log k table, which only grows and holds values fixed by k and the precision;
 so engine_for(ctx) builds one engine per context and every caller shares it.
+
+Signs of Z for the zero scan: _hardy_z_float(t), for t >= 10, gives Z(t) in
+double precision (Euler-Maclaurin with N and M fixed by t, theta by Stirling's
+series) and a bound on its error: the Backlund and Stieltjes remainders plus
+a rounding margin stated in its docstring.  A caller that needs only the sign
+trusts it where |Z| exceeds the bound and falls back to ZetaEngine.hardy_z
+elsewhere (zeros._signed_z).  Its coefficients are rounded from the same
+exact Bernoulli fractions on first use.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
+from fractions import Fraction
 
 from mpmath.libmp import (from_int, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul, mpf_neg,
                           mpf_shift, round_down, round_nearest)
@@ -100,6 +111,100 @@ REFLECTION_THRESHOLD = 0.5
 MAX_ESCALATIONS = 6
 
 
+def _bernoulli(m: int):
+    """[B_2, B_4, ..., B_2m] as exact Fractions, from the tangent numbers
+    T_k (tan x = sum T_k x^(2k-1)/(2k-1)!) by Brent & Harvey's integer
+    recurrence: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    tan = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        tan[k] = (k - 1) * tan[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * tan[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, m + 1)]
+
+
+# the double-precision Z: Euler-Maclaurin corrections kept, Stirling terms
+# kept for theta, and the t from which it answers
+_FLOAT_EM_TERMS = 24
+_FLOAT_STIRLING_TERMS = 12
+_FLOAT_Z_START = 10.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+_LOG_PI = math.log(math.pi)
+
+
+@functools.cache
+def _float_coefs():
+    """(B_2j/(2j)! for j <= _FLOAT_EM_TERMS + 1, B_2j/(2j(2j-1)) for
+    j <= _FLOAT_STIRLING_TERMS + 1) as floats rounded from the exact fractions;
+    the last of each is the first omitted term's coefficient."""
+    bern = _bernoulli(max(_FLOAT_EM_TERMS, _FLOAT_STIRLING_TERMS) + 1)
+    em = tuple(float(b / math.factorial(2 * j))
+               for j, b in enumerate(bern[:_FLOAT_EM_TERMS + 1], start=1))
+    stirling = tuple(float(b / (2 * j * (2 * j - 1)))
+                     for j, b in enumerate(bern[:_FLOAT_STIRLING_TERMS + 1], start=1))
+    return em, stirling
+
+
+def _hardy_z_float(t):
+    """(value, bound) with |Z(t) - value| <= bound, in double precision, for
+    t >= _FLOAT_Z_START; below it the bound is infinite.  t may be an mpf.
+
+    theta(t) = Im log Gamma(z) - (t/2) log pi, z = 1/4 + i t/2, by Stirling's
+    series with K = _FLOAT_STIRLING_TERMS terms; Stieltjes' bound puts the
+    omitted part below the first omitted term times sec^(2K+2)(arg z / 2).
+    zeta(s), s = 1/2 + i t, by Euler-Maclaurin with N = floor(t/3) + 12 and
+    M = _FLOAT_EM_TERMS corrections; the remainder is at most
+    |s + 2M + 1| / (2M + 3/2) times the first omitted correction (Backlund).
+    Z = sum_{k<N} k^(-1/2) cos(theta - t log k) + Re(e^(i theta) * tail).
+
+    Rounding margin, with u = 2^-53 and every libm call (log, cos, sqrt,
+    atan2, hypot) within one ulp: each angle theta - t log k is off by at
+    most 16 u t log(N + t).  That covers the rounding of the mpf t to a float
+    (one ulp, so at most 2 u t log k in t log k), log k, the product, the
+    subtraction and the float theta.  Each term also carries at most
+    (N + 6M + 32) u of its magnitude: the summation over N terms, cos, the
+    square root, the product, and the complex arithmetic of the tail.  With
+    A = 2 sqrt(N) - 1 >= sum_{k<N} k^(-1/2) plus the tail's term sizes, the
+    bound is twice (EM remainder + A * (theta remainder + angle error +
+    (N + 6M + 32) u)); the factor 2 covers the (1 + O(N u)) factors of the
+    estimates and the float evaluation of the bound itself."""
+    t = float(t)
+    if not t >= _FLOAT_Z_START:
+        return 0.0, math.inf
+    em, stirling = _float_coefs()
+    z = complex(0.25, t / 2)
+    inv = 1 / z
+    inv2 = inv * inv
+    series = (z - 0.5) * cmath.log(z) - z
+    for c in stirling[:-1]:
+        series += c * inv
+        inv *= inv2
+    theta = series.imag - t / 2 * _LOG_PI
+    theta_rem = abs(stirling[-1] * inv) * (2 * abs(z) / (abs(z) + z.real)) ** len(stirling)
+    n = int(t / 3) + 12
+    main = sum(math.cos(theta - t * math.log(k)) / math.sqrt(k) for k in range(1, n))
+    # e^(i theta) N^-s (N / (s - 1) + 1/2 + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-2j))
+    s = complex(0.5, t)
+    head = n / (s - 1)
+    bracket, size = head + 0.5, abs(head) + 0.5
+    q = s / n
+    for j, c in enumerate(em[:-1], start=1):
+        term = c * q
+        bracket += term
+        size += abs(term)
+        q *= (s + (2 * j - 1)) * (s + 2 * j) / (n * n)
+    m = len(em) - 1
+    root_n = math.sqrt(n)
+    em_rem = abs(s + (2 * m + 1)) / (2 * m + 1.5) * abs(em[-1] * q) / root_n
+    value = main + (cmath.rect(1 / root_n, theta - t * math.log(n)) * bracket).real
+    magnitude = 2 * root_n - 1 + size / root_n
+    angle = 16 * _UNIT_ROUNDOFF * t * math.log(n + t)
+    ops = (n + 6 * m + 32) * _UNIT_ROUNDOFF
+    return value, 2 * (em_rem + magnitude * (theta_rem + angle + ops))
+
+
 class ZetaEngine:
     """zeta/zeta' evaluator bound to one NumericContext."""
 
@@ -113,9 +218,8 @@ class ZetaEngine:
         self._stop_tol = ctx.mp.mpf(2) ** (-(p + 16))
         # B_2j/(2j)! at working precision for j <= m_cap + 1, all _em_once reads
         mp = ctx.mp
-        bern = [mp.bernfrac(2 * j) for j in range(1, self._m_cap + 2)]
-        self._coef = tuple(mp.mpf(num) / den / mp.factorial(2 * j)
-                           for j, (num, den) in enumerate(bern, start=1))
+        self._coef = tuple(mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
+                           for j, b in enumerate(_bernoulli(self._m_cap + 1), start=1))
         self._logk = (None, None)  # _log_table rows from k = 2, filled on first use
 
     # -- Euler-Maclaurin core ------------------------------------------------

@@ -192,3 +192,43 @@ def test_fused_pass_matches_separate_calls(monkeypatch):
     monkeypatch.setattr(ZetaEngine, "zeta_deriv", None)
     assert eng.hardy_z_and_zeta_deriv(t) == want
     assert eng.hardy_z_with_deriv(t)[0] == want[0]
+
+
+@pytest.mark.parametrize("bits", [96, 128, 192, 256])
+def test_coefficients_match_bernfrac(bits):
+    # the tangent-number Bernoulli numbers are mpmath's bernfrac exactly, so
+    # every Euler-Maclaurin coefficient keeps its bits
+    ctx = NumericContext(bits)
+    mp = ctx.mp
+    eng = ZetaEngine(ctx)
+    for j, coef in enumerate(eng._coef, start=1):
+        num, den = mp.bernfrac(2 * j)
+        assert coef == mp.mpf(num) / den / mp.factorial(2 * j), j
+    assert [(b.numerator, b.denominator) for b in zetafn._bernoulli(len(eng._coef))] == [
+        tuple(int(x) for x in mp.bernfrac(2 * j)) for j in range(1, len(eng._coef) + 1)]
+
+
+def float_z_points(taus):
+    """A grid over [10, 2520] with irregular offsets, and tau +- 10^-k for
+    each tau and k = 3..12 (at 128 bits)."""
+    with mpmath.workprec(128):
+        points = [mpmath.mpf(10) + mpmath.mpf("19.8731") * i for i in range(127)]
+        for tau in taus:
+            for k in range(3, 13):
+                d = mpmath.mpf(10) ** -k
+                points += [mpmath.mpf(tau) - d, mpmath.mpf(tau) + d]
+    return points
+
+
+def test_float_z_within_its_bound(store30_96):
+    # the double-precision Z against mpmath's siegelz at 128 bits; next to
+    # the zeros |Z| drops below the bound, where a caller must fall back
+    fallbacks = 0
+    with mpmath.workprec(128):
+        for t in float_z_points(r.tau for r in store30_96):
+            value, bound = zetafn._hardy_z_float(t)
+            assert 0 < bound < 1e-8
+            assert abs(mpmath.siegelz(t) - value) <= bound, t
+            fallbacks += abs(value) <= bound
+    assert fallbacks >= 30
+    assert zetafn._hardy_z_float(CTX.mpf("9.99")) == (0.0, float("inf"))
