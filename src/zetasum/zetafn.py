@@ -16,6 +16,18 @@ Cauchy circle integral in a small disk around s = 0 where the reflection
 split degenerates into a 0*inf product.  That circle, like the sum rule's
 contour and residue circles, is integrated by trapezoid_mean.
 
+trapezoid_mean runs each level on two CPUs.  Where the affinity mask (read at
+each call) holds more than one CPU and the process has one thread, a call
+forks one child at its first level of two or more nodes; the child evaluates
+the odd-indexed nodes of every level and the caller the even-indexed ones.
+Nodes and values cross two pipes as raw mpmath tuples (marshal).  Values are
+summed in node order, so every level, stop and result is bit for bit the
+in-process one.  The integrand must be pure, since what it changes in the
+child is lost.  A level on which either process raised is evaluated again in
+process, in order, so the caller sees the in-process exception.  The child
+leaves by os._exit and never outlives the call; a quadrature inside a
+quadrature, and any quadrature in the child, evaluates in process.
+
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
 one pass over the same powers k^-s, with the same N, escalations and
@@ -42,8 +54,13 @@ exact Bernoulli fractions on first use.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
+import marshal
 import math
+import os
+import signal
+import threading
 from fractions import Fraction
 
 from mpmath.libmp import (from_int, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul, mpf_neg,
@@ -78,27 +95,169 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     levels on, when the extrapolated error 10^max(D1^2/D2, 2 D1) < tol with
     D1 = log10|I_k - I_(k-1)|, D2 = log10|I_k - I_(k-2)| (Borwein, Bailey &
     Girgensohn: the error of an analytic integrand squares at each level).
-    Raises PrecisionError(failure) after max_doublings doublings."""
+    Raises PrecisionError(failure) after max_doublings doublings.
+
+    g maps an mpf of ctx to an mpf or mpc of ctx and must be pure: where a
+    second CPU is free, a forked child evaluates every other node of each
+    level (_Split), and whatever g changes in the child is lost.  The values
+    are summed in node order, so the result is bit for bit the in-process
+    one, and an exception in g is the one the in-process loop raises."""
     mp = ctx.mp
-    if periodic:
-        total = sum(g(mp.mpf(j) / n) for j in range(n))
-    else:
-        total = (g(mp.zero) + g(mp.one)) / 2 + sum(g(mp.mpf(j) / n) for j in range(1, n))
-    levels = [scale * total / n]
-    for _ in range(max_doublings):
-        total += sum(g(mp.mpf(2 * j + 1) / (2 * n)) for j in range(n))
-        n *= 2
-        levels.append(scale * total / n)
-        d1 = abs(levels[-1] - levels[-2])
-        if d1 < tol:
-            return levels[-1]
-        if len(levels) >= 3:
-            d2 = abs(levels[-1] - levels[-3])
-            if 0 < d2 < 1:  # else log10 fails or the estimate is at least 1
-                e1, e2 = mp.log10(d1), mp.log10(d2)
-                if mp.power(10, max(e1 * e1 / e2, 2 * e1)) < tol:
-                    return levels[-1]
-    raise PrecisionError(failure)
+    with _Split(g, mp) as evaluate:
+        if periodic:
+            total = sum(evaluate([mp.mpf(j) / n for j in range(n)]))
+        else:
+            g0, g1 = evaluate([mp.zero, mp.one])
+            total = (g0 + g1) / 2 + sum(evaluate([mp.mpf(j) / n for j in range(1, n)]))
+        levels = [scale * total / n]
+        for _ in range(max_doublings):
+            total += sum(evaluate([mp.mpf(2 * j + 1) / (2 * n) for j in range(n)]))
+            n *= 2
+            levels.append(scale * total / n)
+            d1 = abs(levels[-1] - levels[-2])
+            if d1 < tol:
+                return levels[-1]
+            if len(levels) >= 3:
+                d2 = abs(levels[-1] - levels[-3])
+                if 0 < d2 < 1:  # else log10 fails or the estimate is at least 1
+                    e1, e2 = mp.log10(d1), mp.log10(d2)
+                    if mp.power(10, max(e1 * e1 / e2, 2 * e1)) < tol:
+                        return levels[-1]
+        raise PrecisionError(failure)
+
+
+# True in a quadrature child, and in a parent while its child lives: a
+# quadrature there evaluates in process, so no process has two children
+_split_busy = False
+
+
+def _may_fork() -> bool:
+    """A child gets a second CPU (the affinity is read at each call), and fork
+    copies only the calling thread, so the process must have one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (not _split_busy and affinity is not None and len(affinity(0)) > 1
+            and threading.active_count() == 1)
+
+
+def _raw(v):
+    """The form in which an mpf or mpc crosses a pipe: a private MPContext's
+    types cannot be serialised, their _mpf_/_mpc_ tuples of ints can."""
+    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+
+
+class _Split:
+    """evaluate(nodes) gives g over nodes.  The first list of two or more
+    nodes forks the child, where _may_fork allows; it takes the odd-indexed
+    nodes of every list.  A list on which either side raised, or the child
+    died, is evaluated again in process.  Leaving the with block closes the
+    pipes and reaps the child, after killing it if an exception is leaving."""
+
+    def __init__(self, g, mp):
+        self.g, self.mp = g, mp
+        self.forked = False
+        self.pid = None  # the child's, until reaped
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._end(kill=exc_type is not None)
+
+    def __call__(self, nodes):
+        """The values of g over nodes in node order: a list where the child
+        took its share, else an iterator that evaluates them as it is read."""
+        if not self.forked and len(nodes) > 1 and _may_fork():
+            self._fork()
+        if self.pid is not None:
+            try:
+                marshal.dump([u._mpf_ for u in nodes[1::2]], self.send)
+                self.send.flush()
+            except OSError:  # the child is gone
+                self._end(kill=True)
+        if self.pid is not None:
+            try:
+                even = [self.g(u) for u in nodes[::2]]
+            except Exception:
+                even = None
+            odd = self._receive()
+            if even is not None and odd is not None:
+                values = nodes[:]
+                values[::2], values[1::2] = even, odd
+                return values
+        return map(self.g, nodes)
+
+    def _receive(self):
+        """The child's values, or None where g raised there or the child died."""
+        try:
+            raws = marshal.load(self.receive)
+        except (EOFError, ValueError, OSError):  # ValueError: a truncated message
+            self._end(kill=True)
+            return None
+        if raws is None:
+            return None
+        mp = self.mp
+        return [mp.make_mpc(r) if len(r) == 2 else mp.make_mpf(r) for r in raws]
+
+    def _fork(self):
+        global _split_busy
+        self.forked = True
+        from_parent, to_child = os.pipe()
+        from_child, to_parent = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (to_child, from_parent, from_child, to_parent):
+                os.close(fd)
+            return
+        if pid == 0:
+            _serve(self.g, self.mp, from_parent, to_parent, (to_child, from_child))
+        os.close(from_parent)
+        os.close(to_parent)
+        self.pid, _split_busy = pid, True
+        self.send = os.fdopen(to_child, "wb")
+        self.receive = os.fdopen(from_child, "rb")
+
+    def _end(self, kill: bool):
+        global _split_busy
+        if self.pid is None:
+            return
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        for pipe in (self.send, self.receive):
+            with contextlib.suppress(OSError):  # a write the child never read
+                pipe.close()
+        os.waitpid(self.pid, 0)
+        self.pid, _split_busy = None, False
+
+
+def _serve(g, mp, read_fd: int, write_fd: int, parent_fds):
+    """The child, which never returns: close the parent's pipe ends, so each
+    side sees the other's exit as end of file; then for each node list read,
+    send back the raw values, or None where g raised.  At end of input, or on
+    any other exception, leave by os._exit, so no stdio buffer is flushed and
+    no atexit handler runs."""
+    global _split_busy
+    code = 0
+    try:
+        _split_busy = True
+        for fd in parent_fds:
+            os.close(fd)
+        with os.fdopen(read_fd, "rb") as inp, os.fdopen(write_fd, "wb") as out:
+            while True:
+                try:
+                    nodes = marshal.load(inp)
+                except EOFError:
+                    break
+                try:
+                    raws = [_raw(g(mp.make_mpf(r))) for r in nodes]
+                except Exception:
+                    raws = None
+                marshal.dump(raws, out)
+                out.flush()
+    except BaseException:
+        code = 1
+    finally:
+        os._exit(code)
 
 
 class InternalConsistencyError(RuntimeError):

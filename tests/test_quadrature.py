@@ -1,22 +1,35 @@
 """The doubling trapezoid rule (zetafn.trapezoid_mean) as the sum rule's
 quadratures drive it: accuracy of the extrapolated stop, level count against
-the plain |I_k - I_(k-1)| < tol stop, and the level cap."""
+the plain |I_k - I_(k-1)| < tol stop, and the level cap.  Then the split of
+each level between this process and a forked child: values bit for bit the
+in-process ones, the in-process exception, and no child left behind."""
 
+import os
 from types import SimpleNamespace
 
 import pytest
 
 from zetasum import sumrule as sr
-from zetasum.zetafn import PrecisionError, trapezoid_mean
+from zetasum import zetafn
+from zetasum.zetafn import PrecisionError, engine_for, trapezoid_mean
 
 # the criterion-04 parameter pairs
 CONTOUR_PAIRS = (("0.5", "0.5"), ("2", "0.25"), ("0.9", "0.75"))
+# whether trapezoid_mean forks here: it needs a second CPU in the affinity mask
+SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
+
+
+def one_cpu(monkeypatch):
+    """Make every trapezoid_mean call evaluate in process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 @pytest.fixture()
 def recorded(monkeypatch):
     """Every trapezoid_mean call sumrule makes, with its memoized integrand
-    and the node count it stopped at."""
+    and the node count it stopped at.  The calls run in process, so the memo
+    sees every node: a forked child's evaluations never reach it."""
+    one_cpu(monkeypatch)
     calls = []
 
     def recording(g, ctx, n, tol, scale, failure, periodic=False, max_doublings=20):
@@ -29,6 +42,8 @@ def recorded(monkeypatch):
 
         value = trapezoid_mean(memo, ctx, n, tol, scale, failure, periodic, max_doublings)
         n_final = len(cache) if periodic else len(cache) - 1
+        # the memo holds the whole final grid, not a share of its nodes
+        assert set(cache) == {ctx.mp.mpf(j) / n_final for j in range(len(cache))}
         calls.append(SimpleNamespace(g=memo, ctx=ctx, n=n, tol=tol, scale=scale,
                                      periodic=periodic, n_final=n_final, value=value))
         return value
@@ -109,3 +124,172 @@ def test_exact_levels_stop_at_once(ctx96):
     got = trapezoid_mean(lambda u: mp.cospi(2 * u) ** 2, ctx96, 8, ctx96.target_tol, 2,
                          "not exact", periodic=True, max_doublings=1)
     assert abs(got - 1) < ctx96.target_tol
+
+
+# -- the two-process split -------------------------------------------------------
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children this process forks."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def raw(v):
+    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+
+
+def split_and_in_process(monkeypatch, fn):
+    """(fn() as trapezoid_mean splits it here, fn() with one CPU)."""
+    split = fn()
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        return split, fn()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("a,x", [CONTOUR_PAIRS[0], CONTOUR_PAIRS[2]])
+def test_contour_split_is_bit_for_bit(ctx96, monkeypatch, forks, a, x):
+    params = sr.SumRuleParams(a=a, x=x)
+    split, alone = split_and_in_process(monkeypatch, lambda: sr.contour_integral(params, ctx96))
+    assert raw(split) == raw(alone)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, monkeypatch, forks):
+    params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=2, n_trivial=2, n_halfint=1)
+    catalog = sr.pole_catalog(params, store30_96, ctx96)
+    sites = list({site.family: site for site in catalog}.values())
+    assert len(sites) == 4  # trivial, half-integer, zero and conjugate zero
+
+    def values():
+        out = [sr.numeric_residue(site, params, ctx96, catalog, store=store30_96)
+               for site in sites]
+        return out + [engine_for(ctx96).zeta_deriv(ctx96.mpf("0.01"))]  # cauchy_deriv
+
+    split, alone = split_and_in_process(monkeypatch, values)
+    assert [raw(v) for v in split] == [raw(v) for v in alone]
+    assert len(forks) == 5 * SPLITS
+
+
+def cos_sq_levels(mp):
+    """Node lists of the periodic rule from 8 points, up to 16."""
+    return [mp.mpf(j) / 8 for j in range(8)], [mp.mpf(2 * j + 1) / 16 for j in range(8)]
+
+
+def test_child_takes_the_odd_nodes(ctx96, forks):
+    mp = ctx96.mp
+    seen = []
+
+    def g(u):
+        seen.append(u)
+        return mp.cospi(2 * u) ** 2
+
+    got = trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 2, "not exact",
+                         periodic=True, max_doublings=1)
+    assert abs(got - 1) < ctx96.target_tol
+    first, second = cos_sq_levels(mp)
+    assert seen == (first[::2] + second[::2] if SPLITS else first + second)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+@pytest.mark.parametrize("bad,first_bad", [
+    ((1, 2), 1),  # an odd node (the child's), then a later even node (this process's)
+    ((3,), 3),
+    ((2,), 2),
+])
+def test_exception_is_the_in_process_one(ctx96, monkeypatch, forks, bad, first_bad):
+    mp = ctx96.mp
+    bad = {mp.mpf(j) / 8 for j in bad}
+
+    def g(u):
+        if u in bad:
+            raise ValueError(f"g fails at {u}")
+        return mp.cospi(2 * u)
+
+    def run():
+        with pytest.raises(ValueError) as info:
+            trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "unused", periodic=True)
+        return str(info.value)
+
+    split, alone = split_and_in_process(monkeypatch, run)
+    assert split == alone == f"g fails at {mp.mpf(first_bad) / 8}"
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+def test_interrupt_kills_and_reaps_the_child(ctx96, forks):
+    mp = ctx96.mp
+
+    def g(u):
+        if u == mp.mpf(3) / 16:  # second level, this process's share
+            raise KeyboardInterrupt
+        return mp.cospi(2 * u)
+
+    with pytest.raises(KeyboardInterrupt):
+        trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "unused", periodic=True)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+def test_dead_child_leaves_the_value_unchanged(ctx96, monkeypatch, forks):
+    mp = ctx96.mp
+    parent = os.getpid()
+
+    def g(u):
+        if os.getpid() != parent:
+            os._exit(3)
+        return mp.exp(mp.cospi(2 * u))
+
+    split, alone = split_and_in_process(
+        monkeypatch, lambda: trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "unused",
+                                            periodic=True))
+    assert raw(split) == raw(alone)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+def test_nested_quadrature_does_not_fork(ctx96, monkeypatch, forks):
+    mp = ctx96.mp
+    seen = []
+
+    def g(u):  # I_0(cos 2 pi u), as the mean of exp(cos(2 pi u) cos(2 pi v)) over v
+        if zetafn._may_fork():
+            raise AssertionError("a quadrature inside a quadrature may fork")
+        seen.append(u)
+        c = mp.cospi(2 * u)
+        return trapezoid_mean(lambda v: mp.exp(c * mp.cospi(2 * v)), ctx96, 8,
+                              ctx96.target_tol, 1, "inner", periodic=True)
+
+    def outer():
+        return trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "outer", periodic=True)
+
+    split = outer()
+    split_seen = seen[:]
+    seen.clear()
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        alone = outer()
+    assert raw(split) == raw(alone)
+    assert len(forks) == SPLITS
+    # no node twice: g never raised in the child, which would make this
+    # process evaluate that level again in full
+    assert len(set(split_seen)) == len(split_seen)
+    assert len(split_seen) < len(seen) if SPLITS else split_seen == seen
+    assert_no_child()
