@@ -63,7 +63,7 @@ import signal
 import threading
 from fractions import Fraction
 
-from mpmath.libmp import (from_int, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul, mpf_neg,
+from mpmath.libmp import (MPZ, from_int, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul, mpf_neg,
                           mpf_shift, round_down, round_nearest)
 
 from .numctx import NumericContext
@@ -101,7 +101,10 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     second CPU is free, a forked child evaluates every other node of each
     level (_Split), and whatever g changes in the child is lost.  The values
     are summed in node order, so the result is bit for bit the in-process
-    one, and an exception in g is the one the in-process loop raises."""
+    one, and an exception in g is the one the in-process loop raises.  Only
+    the affinity mask counts CPUs: a CPU quota (a cgroup's cpu.max) is not
+    detected, and under one the two processes share its time; pinning the
+    process to one CPU (taskset -c 0) gives the in-process path."""
     mp = ctx.mp
     with _Split(g, mp) as evaluate:
         if periodic:
@@ -140,9 +143,22 @@ def _may_fork() -> bool:
 
 
 def _raw(v):
-    """The form in which an mpf or mpc crosses a pipe: a private MPContext's
-    types cannot be serialised, their _mpf_/_mpc_ tuples of ints can."""
-    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+    """The form in which an mpf or mpc crosses a pipe: each _mpf_ tuple as
+    four plain ints.  A private MPContext's types cannot be serialised, and
+    under mpmath's gmpy backend the mantissa is a gmpy2.mpz, which marshal
+    cannot write."""
+    if hasattr(v, "_mpc_"):
+        return tuple((s, int(m), int(e), int(bc)) for s, m, e, bc in v._mpc_)
+    s, m, e, bc = v._mpf_
+    return s, int(m), int(e), int(bc)
+
+
+def _from_raw(mp, r):
+    """The mpf or mpc of mp that _raw gave r, its mantissa mpmath's MPZ again."""
+    if len(r) == 2:
+        return mp.make_mpc(tuple((s, MPZ(m), e, bc) for s, m, e, bc in r))
+    s, m, e, bc = r
+    return mp.make_mpf((s, MPZ(m), e, bc))
 
 
 class _Split:
@@ -170,9 +186,9 @@ class _Split:
             self._fork()
         if self.pid is not None:
             try:
-                marshal.dump([u._mpf_ for u in nodes[1::2]], self.send)
+                marshal.dump([_raw(u) for u in nodes[1::2]], self.send)
                 self.send.flush()
-            except OSError:  # the child is gone
+            except (OSError, ValueError):  # the child is gone, or a value marshal cannot write
                 self._end(kill=True)
         if self.pid is not None:
             try:
@@ -195,8 +211,7 @@ class _Split:
             return None
         if raws is None:
             return None
-        mp = self.mp
-        return [mp.make_mpc(r) if len(r) == 2 else mp.make_mpf(r) for r in raws]
+        return [_from_raw(self.mp, r) for r in raws]
 
     def _fork(self):
         global _split_busy
@@ -249,7 +264,7 @@ def _serve(g, mp, read_fd: int, write_fd: int, parent_fds):
                 except EOFError:
                     break
                 try:
-                    raws = [_raw(g(mp.make_mpf(r))) for r in nodes]
+                    raws = [_raw(g(_from_raw(mp, r))) for r in nodes]
                 except Exception:
                     raws = None
                 marshal.dump(raws, out)

@@ -4,6 +4,7 @@ the plain |I_k - I_(k-1)| < tol stop, and the level cap.  Then the split of
 each level between this process and a forked child: values bit for bit the
 in-process ones, the in-process exception, and no child left behind."""
 
+import marshal
 import os
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 
 from zetasum import sumrule as sr
 from zetasum import zetafn
-from zetasum.zetafn import PrecisionError, engine_for, trapezoid_mean
+from zetasum.zetafn import PrecisionError, _from_raw, _raw, engine_for, trapezoid_mean
 
 # the criterion-04 parameter pairs
 CONTOUR_PAIRS = (("0.5", "0.5"), ("2", "0.25"), ("0.9", "0.75"))
@@ -145,10 +146,6 @@ def forks(monkeypatch):
     return pids
 
 
-def raw(v):
-    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
-
-
 def split_and_in_process(monkeypatch, fn):
     """(fn() as trapezoid_mean splits it here, fn() with one CPU)."""
     split = fn()
@@ -166,7 +163,7 @@ def assert_no_child():
 def test_contour_split_is_bit_for_bit(ctx96, monkeypatch, forks, a, x):
     params = sr.SumRuleParams(a=a, x=x)
     split, alone = split_and_in_process(monkeypatch, lambda: sr.contour_integral(params, ctx96))
-    assert raw(split) == raw(alone)
+    assert _raw(split) == _raw(alone)
     assert len(forks) == SPLITS
     assert_no_child()
 
@@ -183,7 +180,7 @@ def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, mon
         return out + [engine_for(ctx96).zeta_deriv(ctx96.mpf("0.01"))]  # cauchy_deriv
 
     split, alone = split_and_in_process(monkeypatch, values)
-    assert [raw(v) for v in split] == [raw(v) for v in alone]
+    assert [_raw(v) for v in split] == [_raw(v) for v in alone]
     assert len(forks) == 5 * SPLITS
 
 
@@ -192,13 +189,39 @@ def cos_sq_levels(mp):
     return [mp.mpf(j) / 8 for j in range(8)], [mp.mpf(2 * j + 1) / 16 for j in range(8)]
 
 
-def test_child_takes_the_odd_nodes(ctx96, forks):
+class Mpz(int):
+    """An integer marshal cannot write, as gmpy2.mpz, the mantissa type of
+    mpmath's gmpy backend, is one."""
+
+
+def with_mpz(mp, v):
+    """v with its mantissa an Mpz."""
+    s, m, e, bc = v._mpf_
+    return mp.make_mpf((s, Mpz(m), e, bc))
+
+
+def test_raw_form_takes_a_mantissa_marshal_cannot_write(ctx96, monkeypatch):
+    mp = ctx96.mp
+    x, y = with_mpz(mp, mp.mpf(1) / 3), with_mpz(mp, -mp.pi)
+    with pytest.raises(ValueError):
+        marshal.dumps(x._mpf_)
+    monkeypatch.setattr(zetafn, "MPZ", Mpz)  # as if Mpz were the backend's mantissa type
+    for v in (x, mp.make_mpc((x._mpf_, y._mpf_))):
+        back = _from_raw(mp, marshal.loads(marshal.dumps(_raw(v))))
+        assert back == v and _raw(back) == _raw(v)
+        parts = back._mpc_ if hasattr(back, "_mpc_") else (back._mpf_,)
+        assert all(type(m) is Mpz for _, m, _, _ in parts)
+
+
+@pytest.mark.parametrize("mpz", [False, True], ids=["int", "mpz"])
+def test_child_takes_the_odd_nodes(ctx96, forks, mpz):
     mp = ctx96.mp
     seen = []
 
     def g(u):
         seen.append(u)
-        return mp.cospi(2 * u) ** 2
+        v = mp.cospi(2 * u) ** 2
+        return with_mpz(mp, v) if mpz else v  # mpz: the child must still send it
 
     got = trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 2, "not exact",
                          periodic=True, max_doublings=1)
@@ -260,7 +283,25 @@ def test_dead_child_leaves_the_value_unchanged(ctx96, monkeypatch, forks):
     split, alone = split_and_in_process(
         monkeypatch, lambda: trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "unused",
                                             periodic=True))
-    assert raw(split) == raw(alone)
+    assert _raw(split) == _raw(alone)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+def test_unwritable_nodes_leave_the_value_unchanged(ctx96, monkeypatch, forks):
+    mp = ctx96.mp
+    parent = os.getpid()
+
+    def dump(value, file):
+        if os.getpid() == parent:
+            raise ValueError("unmarshallable object")
+        marshal.dump(value, file)
+
+    monkeypatch.setattr(zetafn, "marshal", SimpleNamespace(dump=dump, load=marshal.load))
+    split, alone = split_and_in_process(
+        monkeypatch, lambda: trapezoid_mean(lambda u: mp.exp(mp.cospi(2 * u)), ctx96, 8,
+                                            ctx96.target_tol, 1, "unused", periodic=True))
+    assert _raw(split) == _raw(alone)
     assert len(forks) == SPLITS
     assert_no_child()
 
@@ -286,7 +327,7 @@ def test_nested_quadrature_does_not_fork(ctx96, monkeypatch, forks):
     with monkeypatch.context() as m:
         one_cpu(m)
         alone = outer()
-    assert raw(split) == raw(alone)
+    assert _raw(split) == _raw(alone)
     assert len(forks) == SPLITS
     # no node twice: g never raised in the child, which would make this
     # process evaluate that level again in full
