@@ -8,8 +8,10 @@ working precision; the cross-check sums the series in double precision.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .numctx import DomainError, NumericContext
 
@@ -33,27 +35,25 @@ class MangoldtTable:
 
 
 def mangoldt_sieve(limit: int) -> MangoldtTable:
-    """Sieve of Eratosthenes marking prime powers up to limit."""
+    """Sieve of Eratosthenes for the primes up to limit, then their powers."""
     if not SIEVE_MIN <= limit <= SIEVE_MAX:
         raise ValueError(f"limit must lie in [{SIEVE_MIN}, {SIEVE_MAX}]")
-    is_comp = bytearray(limit + 1)
-    values = array("L", bytes(array("L").itemsize * (limit + 1)))
-    pp_ns = array("L")
-    pp_ps = array("L")
-    for p in range(2, limit + 1):
-        if is_comp[p]:
-            continue
-        for mult in range(p * p, limit + 1, p):
-            is_comp[mult] = 1
-        q = p
+    is_prime = bytearray([1]) * (limit + 1)
+    is_prime[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    primes = list(compress(range(limit + 1), is_prime))
+    bases = {}  # p^k -> p for k >= 2
+    for p in primes:
+        q = p * p
+        if q > limit:
+            break
         while q <= limit:
-            values[q] = p
+            bases[q] = p
             q *= p
-    for n in range(2, limit + 1):
-        if values[n]:
-            pp_ns.append(n)
-            pp_ps.append(values[n])
-    return MangoldtTable(limit, pp_ns, pp_ps)
+    pp_ns = array("L", sorted(primes + list(bases)))
+    return MangoldtTable(limit, pp_ns, array("L", [bases.get(n, n) for n in pp_ns]))
 
 
 def guillera_h(x, ctx: NumericContext):

@@ -26,7 +26,8 @@ import time
 
 from .arith import mangoldt_sieve
 from .numctx import DomainError, NumericContext
-from .zetafn import InternalConsistencyError, PrecisionError, ZetaPoleError, engine_for
+from .zetafn import (InternalConsistencyError, PrecisionError, ZetaPoleError, _split_map,
+                     engine_for)
 from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError, _expected_count,
                     export_zeros, import_zeros, load_or_compute)
 from . import sumrule as sr
@@ -173,9 +174,7 @@ def cmd_zeros(args) -> int:
         store = load_or_compute(args.count or args.zeros_count, ctx, args.cache_dir)
     engine = engine_for(ctx)
     mp = ctx.mp
-    worst = mp.mpf(0)
-    for rec in store:
-        worst = max(worst, abs(engine.zeta(mp.mpc(0.5, rec.tau))))
+    worst = max(_split_map(lambda i: abs(engine.zeta(mp.mpc(0.5, store[i].tau))), len(store), mp))
     expected = _expected_count(engine, store[-1].tau)
     print(f"zeros          : {len(store)} ({store.source})")
     print(f"tau range      : [{mp.nstr(store[0].tau, 15)}, {mp.nstr(store[-1].tau, 15)}]")

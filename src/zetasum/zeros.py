@@ -19,6 +19,13 @@ midpoint, Newton start and tau is what a scan on the scanner alone yields.
 A store is only returned if the running count matches the smoothed
 zero-counting function round(theta(T)/pi + 1) within +-1 at every prefix.
 
+Each zero is refined on its own (an import first checks Z/Z' at its tau),
+so locate_zeros and import_zeros map the refinement over the zero indices
+with zetafn._split_map: where a second CPU is free, a forked child refines
+the odd indices.  The records are put together in index order, so every
+tau, zeta' and export byte, and the exception (the first failing zero's),
+is the in-process one.
+
 File format (import/export and cache): UTF-8 text, one decimal tau per line
 in ascending order, '#' comment lines allowed, export header
 "# precision_bits=<n> checksum=<hex>".  Import and cache loads share one
@@ -37,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 
 from .numctx import NumericContext
-from .zetafn import ZetaEngine, _hardy_z_float, engine_for
+from .zetafn import ZetaEngine, _hardy_z_float, _split_map, engine_for
 
 __all__ = [
     "ZeroRecord",
@@ -209,6 +216,12 @@ def _certify(engine: ZetaEngine, scanner: ZetaEngine, lo, hi, z_lo, z_hi):
     return tau, zp
 
 
+def _records(refined, ctx: NumericContext) -> tuple:
+    """ZeroRecords, numbered from 1, of the (tau, zeta') pairs _certify gave."""
+    return tuple(ZeroRecord(i, tau, ctx.target_tol, zp, ctx.precision_bits)
+                 for i, (tau, zp) in enumerate(refined, start=1))
+
+
 def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     """First `count` critical-line zeros, refined at context precision."""
     if not 1 <= count <= MAX_COUNT:
@@ -227,14 +240,16 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
         raise MissedZeroError(
             f"count check fails at prefix {bad}; suspect interval ({lo:.4f}, {hi:.4f})")
     mp = ctx.mp
-    records = []
-    for i, (lo, hi, z_lo, z_hi) in enumerate(brackets, start=1):
-        tau, zp = _certify(engine, scanner, mp.mpf(lo), mp.mpf(hi), z_lo, z_hi)
-        records.append(ZeroRecord(i, tau, ctx.target_tol, zp, ctx.precision_bits))
+
+    def refine(i):
+        lo, hi, z_lo, z_hi = brackets[i]
+        return _certify(engine, scanner, mp.mpf(lo), mp.mpf(hi), z_lo, z_hi)
+
+    records = _records(_split_map(refine, len(brackets), mp), ctx)
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"count check fails at prefix {bad} after refinement")
-    return ZeroStore(tuple(records), "computed", ctx.precision_bits)
+    return ZeroStore(records, "computed", ctx.precision_bits)
 
 
 # -- text format -------------------------------------------------------------
@@ -333,21 +348,22 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
     _, rows = _read_zeros(path, ctx)
     engine = engine_for(ctx)
     scanner = _scanner(ctx)
-    records = []
-    for idx, (line_no, t0, _) in enumerate(rows, start=1):
+
+    def refine(i):
+        line_no, t0, _ = rows[i]
         z, zd = engine.hardy_z_with_deriv(t0)
         newton = abs(z / zd) if zd != 0 else ctx.mp.inf
         if newton > 0.05:
             raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = {float(newton):.3g}")
         step = newton * 4 + ctx.mp.mpf("1e-7")
         lo, hi = t0 - step, t0 + step
-        tau, zp = _certify(engine, scanner, lo, hi, _signed_z(scanner, lo),
-                           _signed_z(scanner, hi))
-        records.append(ZeroRecord(idx, tau, ctx.target_tol, zp, ctx.precision_bits))
+        return _certify(engine, scanner, lo, hi, _signed_z(scanner, lo), _signed_z(scanner, hi))
+
+    records = _records(_split_map(refine, len(rows), ctx.mp), ctx)
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"imported table fails the count check at prefix {bad}")
-    return ZeroStore(tuple(records), "imported", ctx.precision_bits)
+    return ZeroStore(records, "imported", ctx.precision_bits)
 
 
 # -- cache -------------------------------------------------------------------

@@ -26,7 +26,11 @@ in-process one.  The integrand must be pure, since what it changes in the
 child is lost.  A level on which either process raised is evaluated again in
 process, in order, so the caller sees the in-process exception.  The child
 leaves by os._exit and never outlives the call; a quadrature inside a
-quadrature, and any quadrature in the child, evaluates in process.
+quadrature, and any quadrature in the child, evaluates in process.  The
+same split serves the zeros: _split_map maps a pure function over indices
+0..n-1, the child taking the odd ones, and values cross as ints, mpfs,
+mpcs or tuples of them; zeros refines each zero through it, and the CLI's
+zeros command evaluates |zeta(rho)| through it.
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -143,10 +147,15 @@ def _may_fork() -> bool:
 
 
 def _raw(v):
-    """The form in which an mpf or mpc crosses a pipe: each _mpf_ tuple as
+    """The form in which a value crosses a pipe: an int as a plain int, a
+    tuple as a list of the raw forms of its items, and each _mpf_ tuple as
     four plain ints.  A private MPContext's types cannot be serialised, and
-    under mpmath's gmpy backend the mantissa is a gmpy2.mpz, which marshal
-    cannot write."""
+    under mpmath's gmpy backend the mantissa is a gmpy2.mpz, an int subclass
+    marshal cannot write."""
+    if isinstance(v, int):
+        return int(v)
+    if isinstance(v, tuple):
+        return [_raw(u) for u in v]
     if hasattr(v, "_mpc_"):
         return tuple((s, int(m), int(e), int(bc)) for s, m, e, bc in v._mpc_)
     s, m, e, bc = v._mpf_
@@ -154,11 +163,24 @@ def _raw(v):
 
 
 def _from_raw(mp, r):
-    """The mpf or mpc of mp that _raw gave r, its mantissa mpmath's MPZ again."""
+    """The value _raw gave r, each mpf or mpc one of mp with its mantissa
+    mpmath's MPZ again."""
+    if isinstance(r, int):
+        return r
+    if isinstance(r, list):
+        return tuple(_from_raw(mp, u) for u in r)
     if len(r) == 2:
         return mp.make_mpc(tuple((s, MPZ(m), e, bc) for s, m, e, bc in r))
     s, m, e, bc = r
     return mp.make_mpf((s, MPZ(m), e, bc))
+
+
+def _split_map(f, count: int, mp) -> list:
+    """[f(0), ..., f(count - 1)], a forked child taking the odd indices where
+    _Split forks; f must be pure, as trapezoid_mean's g, and return ints,
+    mpfs and mpcs of mp, or tuples of them."""
+    with _Split(f, mp) as evaluate:
+        return list(evaluate(list(range(count))))
 
 
 class _Split:

@@ -50,3 +50,19 @@ def store40_192(ctx192, cache_dir):
 @pytest.fixture(scope="session")
 def store500_192(ctx192, cache_dir):
     return load_or_compute(500, ctx192, cache_dir)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children this process forks."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,25 @@ def test_prime_power_listing_matches_values():
     listing = list(TABLE.prime_powers())
     assert [n for n, _ in listing] == sorted(BASES)
     assert BASES == {n: p for n in range(2, 5001) if (p := prime_power_base(n))}
+
+
+def test_sieve_matches_the_marking_sieve_1e5():
+    # the sieve before slice marking, kept as the reference: every integer
+    # visited, every multiple of each prime and every power marked one by one
+    limit = 10**5
+    is_comp, values = bytearray(limit + 1), [0] * (limit + 1)
+    for p in range(2, limit + 1):
+        if is_comp[p]:
+            continue
+        for mult in range(p * p, limit + 1, p):
+            is_comp[mult] = 1
+        q = p
+        while q <= limit:
+            values[q] = p
+            q *= p
+    table = mangoldt_sieve(limit)
+    assert table.pp_ns == array("L", [n for n in range(2, limit + 1) if values[n]])
+    assert table.pp_ps == array("L", [v for v in values[2:] if v])
 
 
 def test_h_at_4_term_by_term():

@@ -12,7 +12,8 @@ import pytest
 
 from zetasum import sumrule as sr
 from zetasum import zetafn
-from zetasum.zetafn import PrecisionError, _from_raw, _raw, engine_for, trapezoid_mean
+from zetasum.zetafn import (PrecisionError, _from_raw, _raw, _split_map, engine_for,
+                            trapezoid_mean)
 
 # the criterion-04 parameter pairs
 CONTOUR_PAIRS = (("0.5", "0.5"), ("2", "0.25"), ("0.9", "0.75"))
@@ -130,24 +131,8 @@ def test_exact_levels_stop_at_once(ctx96):
 # -- the two-process split -------------------------------------------------------
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids of the children this process forks."""
-    pids = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
 def split_and_in_process(monkeypatch, fn):
-    """(fn() as trapezoid_mean splits it here, fn() with one CPU)."""
+    """(fn() as the split runs it here, fn() with one CPU)."""
     split = fn()
     with monkeypatch.context() as m:
         one_cpu(m)
@@ -211,6 +196,27 @@ def test_raw_form_takes_a_mantissa_marshal_cannot_write(ctx96, monkeypatch):
         assert back == v and _raw(back) == _raw(v)
         parts = back._mpc_ if hasattr(back, "_mpc_") else (back._mpf_,)
         assert all(type(m) is Mpz for _, m, _, _ in parts)
+
+
+def test_raw_form_takes_ints_and_nested_tuples(ctx96, monkeypatch, forks):
+    # a refined zero crosses as the pair (tau, zeta'); an int subclass, as
+    # gmpy2.mpz is one, crosses as a plain int
+    mp = ctx96.mp
+    x, y = with_mpz(mp, mp.mpf(1) / 3), with_mpz(mp, -mp.pi)
+    with pytest.raises(ValueError):
+        marshal.dumps(Mpz(7))
+    for v in (Mpz(7), -2**100, (x, (3, mp.make_mpc((x._mpf_, y._mpf_)))), ()):
+        back = _from_raw(mp, marshal.loads(marshal.dumps(_raw(v))))
+        assert back == v and _raw(back) == _raw(v)
+    assert type(_from_raw(mp, _raw(Mpz(7)))) is int
+
+    def f(i):
+        return Mpz(i), (with_mpz(mp, mp.mpf(i) / 3), ())
+
+    split, alone = split_and_in_process(monkeypatch, lambda: _split_map(f, 5, mp))
+    assert split == alone and [_raw(v) for v in split] == [_raw(v) for v in alone]
+    assert len(forks) == SPLITS
+    assert_no_child()
 
 
 @pytest.mark.parametrize("mpz", [False, True], ids=["int", "mpz"])

@@ -11,6 +11,19 @@ from zetasum.zeros import (ZeroImportError, ZeroStore, export_zeros, import_zero
 # frozen pre-build oracle values (independent zero finder, 30 dps)
 TAU_1 = "14.1347251417346937904572519836"
 TAU_10 = "49.7738324776723021819167846786"
+# whether a refinement forks here: it needs a second CPU in the affinity mask
+SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
+
+
+def one_cpu(monkeypatch):
+    """Make every refinement run in process, where a recorder sees each call:
+    one made in a forked child never reaches it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_count_bounds(ctx96):
@@ -245,6 +258,7 @@ def test_scan_signs_equal_scanner_signs(ctx96, monkeypatch):
         reads.append((engine, t, value))
         return value
 
+    one_cpu(monkeypatch)
     monkeypatch.setattr(zeros_mod, "_signed_z", record)
     locate_zeros(100, ctx96)
     assert len(reads) > 100 * 12
@@ -262,9 +276,78 @@ def test_all_fallback_signs_give_the_same_bytes(ctx96, tmp_path, monkeypatch):
         calls.append(t)
         return 0.0, float("inf")
 
+    one_cpu(monkeypatch)
     monkeypatch.setattr(zeros_mod, "_hardy_z_float", no_certificate)
     path = tmp_path / "zeros.txt"
     export_zeros(locate_zeros(8, ctx96), path, ctx96)
     assert len(calls) > 100
     golden = os.path.join(os.path.dirname(__file__), "data", "zeros8_p96.txt")
     assert path.read_bytes() == open(golden, "rb").read()
+
+
+# -- refinement on two CPUs ----------------------------------------------------
+
+
+def locate_export_import(ctx, tmp_path, name):
+    """(located store, imported store, bytes of both exports) for 30 zeros."""
+    located = locate_zeros(30, ctx)
+    path = tmp_path / f"{name}.txt"
+    export_zeros(located, path, ctx)
+    imported = import_zeros(path, ctx)
+    again = tmp_path / f"{name}-again.txt"
+    export_zeros(imported, again, ctx, include_zeta_prime=True)
+    return located, imported, path.read_bytes() + again.read_bytes()
+
+
+def test_split_refinement_is_bit_for_bit(ctx96, tmp_path, monkeypatch, forks):
+    split = locate_export_import(ctx96, tmp_path, "split")
+    assert len(forks) == 2 * SPLITS
+    assert_no_child()
+    one_cpu(monkeypatch)
+    alone = locate_export_import(ctx96, tmp_path, "alone")
+    for got, want in zip(split[:2], alone[:2]):
+        assert ([(r.tau._mpf_, r.zeta_prime._mpc_) for r in got]
+                == [(r.tau._mpf_, r.zeta_prime._mpc_) for r in want])
+    assert split[2] == alone[2]
+
+
+@pytest.mark.parametrize("bad", [(1,), (2,), (1, 2), (2, 3)])
+def test_import_error_is_the_in_process_one(store30_96, ctx96, tmp_path, monkeypatch, forks,
+                                            bad):
+    # row i (from 0) is line i + 1; odd rows are the child's share.  A bad
+    # row holds the midpoint of two zeros, so the table stays ascending
+    taus = [r.tau for r in store30_96.records[:7]]
+    rows = [(t + taus[i + 1]) / 2 if i in bad else t for i, t in enumerate(taus[:6])]
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(ctx96.mp.nstr(t, 25) + "\n" for t in rows))
+
+    def run():
+        with pytest.raises(ZeroImportError) as err:
+            import_zeros(path, ctx96)
+        return err.value.line_no, str(err.value)
+
+    split = run()
+    assert len(forks) == SPLITS
+    assert_no_child()
+    one_cpu(monkeypatch)
+    assert split == run()
+    assert split[0] == bad[0] + 1 and "residual check failed" in split[1]
+
+
+def test_interrupt_in_refinement_kills_and_reaps_the_child(ctx96, monkeypatch, forks):
+    parent = os.getpid()
+    certify = zeros_mod._certify
+    calls = []
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            calls.append(args)
+            if len(calls) == 2:  # zero #3, this process's second
+                raise KeyboardInterrupt
+        return certify(*args)
+
+    monkeypatch.setattr(zeros_mod, "_certify", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        locate_zeros(8, ctx96)
+    assert len(forks) == SPLITS
+    assert_no_child()
