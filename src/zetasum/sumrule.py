@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 from .arith import MangoldtTable, guillera_h
 from .numctx import NumericContext, cpow
-from .zetafn import (InternalConsistencyError, PrecisionError, ZetaEngine, engine_for,
-                     trapezoid_mean)
+from .zetafn import (InternalConsistencyError, PrecisionError, ZetaEngine, _split_map,
+                     engine_for, trapezoid_mean)
 from .zeros import SIMPLICITY_FLOOR, MultipleZeroError, ZeroStore
 
 __all__ = [
@@ -367,23 +367,48 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
 # -- series -------------------------------------------------------------------
 
 
+# A zero sum maps its terms through zetafn._split_map from this many terms up.
+# A fork and reap costs 2-4 ms and a term 0.2-0.25 ms at 96 to 192 bits,
+# so on two vCPUs the split breaks even between 32 and 48 terms; 64 leaves a
+# margin for a second CPU that is not always free.  The closure's 6-term
+# tails and short test sums stay in process.
+_SPLIT_TERMS = 64
+
+
+def _map_zeros(term, count: int, mp) -> list:
+    """[term(0), ..., term(count - 1)]: split over two CPUs by _split_map from
+    _SPLIT_TERMS terms up, else in process; term must be pure."""
+    if count < _SPLIT_TERMS:
+        return [term(i) for i in range(count)]
+    return _split_map(term, count, mp)
+
+
 def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     """(value, tail_bound): Re sum over upper zeros of the stable sinh form
     -x^((rho-a)/4a) / (sqrt(rho-a) sinh((pi/2) sqrt((rho-a)/a)) zeta'(rho)),
-    summed in ascending zero order; tail = 3 |last term|."""
+    summed in ascending zero order; tail = 3 |last term|.  The terms are
+    mapped by _map_zeros (a forked child takes every other one from
+    _SPLIT_TERMS terms up), each giving only its real part and the last one
+    also its modulus, so the value is bit for bit the one-process sum and an
+    exception the first failing zero's."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-    total = mp.mpf(0)
-    last = None
-    for rec in store.prefix(params.n_zeros):
+    zeros = store.prefix(params.n_zeros)
+    last = len(zeros) - 1
+    ln_x, four_a, root_a, half_pi = mp.log(x), 4 * a, mp.sqrt(a), mp.pi / 2
+
+    def term(i):
+        rec = zeros[i]
         if abs(rec.zeta_prime) < SIMPLICITY_FLOOR:
             raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at index {rec.index}")
         rho = mp.mpc(0.5, rec.tau)
         w = mp.sqrt(rho - a)
-        last = -cpow(x, (rho - a) / (4 * a), ctx) / (
-            w * mp.sinh(mp.pi / 2 * w / mp.sqrt(a)) * rec.zeta_prime)
-        total += mp.re(last)
-    return total, 3 * abs(last)
+        t = -mp.exp((rho - a) / four_a * ln_x) / (
+            w * mp.sinh(half_pi * w / root_a) * rec.zeta_prime)
+        return (mp.re(t), abs(t)) if i == last else mp.re(t)
+
+    *reals, (last_re, last_abs) = _map_zeros(term, len(zeros), mp)
+    return sum(reals, mp.zero) + last_re, 3 * last_abs
 
 
 def trivial_series(params: SumRuleParams, ctx: NumericContext):
@@ -402,7 +427,7 @@ def trivial_series(params: SumRuleParams, ctx: NumericContext):
         q = mp.sqrt((2 * n + a) / a)
         sq = mp.sinpi(q / 2)
         log_mag = (2 * n * ln_2pi - (2 * n + a) / (4 * a) * ln_x
-                   - mp.loggamma(2 * n + 1) - mp.log(engine.zeta(mp.mpf(2 * n + 1)))
+                   - mp.loggamma(2 * n + 1) - mp.log(engine._zeta_odd(2 * n + 1))
                    - mp.log(abs(sq)) - mp.log(2 * n + a) / 2)
         sign = (1 if n % 2 == 1 else -1) * (1 if sq > 0 else -1)
         last = sign * mp.exp(log_mag)
@@ -472,7 +497,10 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     variant of the k-series carries an extra x^(1/4); the residual uses the
     corrected k-series and the measured discrepancy factor is reported in
     aux as rh_k_prefactor.  Cross-differences against evaluate_sumrule at
-    a = 1/2 ride along in aux."""
+    a = 1/2 ride along in aux.  The zero terms are mapped by _map_zeros, as
+    zero_sum_lhs maps its own, and give only their real parts; they are
+    summed in ascending zero order, so the sum is bit for bit the
+    one-process one."""
     t0 = time.perf_counter()
     mp = ctx.mp
     x = mp.mpf(x)
@@ -481,13 +509,17 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     engine = engine_for(ctx)
     half = mp.mpf("0.5")
     ln_x = mp.log(x)
-    one_plus_i = mp.mpc(1, 1)
-    lhs = mp.mpf(0)
-    for rec in store.prefix(n_zeros):
-        tau = rec.tau
-        num = mp.exp(mp.mpc(0, half) * (tau * ln_x + mp.pi / 2)) / mp.sqrt(tau)
-        den = mp.sin(mp.pi * mp.sqrt(tau) / one_plus_i) * rec.zeta_prime
-        lhs += mp.re(num / den)
+    zeros = store.prefix(n_zeros)
+    half_i, half_pi, one_plus_i = mp.mpc(0, half), mp.pi / 2, mp.mpc(1, 1)
+
+    def term(i):
+        rec = zeros[i]
+        root = mp.sqrt(rec.tau)
+        num = mp.exp(half_i * (rec.tau * ln_x + half_pi)) / root
+        den = mp.sin(mp.pi * root / one_plus_i) * rec.zeta_prime
+        return mp.re(num / den)
+
+    lhs = sum(_map_zeros(term, len(zeros), mp), mp.zero)
     const = 1 / (mp.pi * mp.sqrt(2) * engine.zeta(half))
     n_val = mp.mpf(0)
     for n in range(1, n_trivial + 1):
@@ -495,7 +527,7 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
         sign = 1 if n % 2 == 1 else -1
         n_val += (sign * mp.power(2 * mp.pi, 2 * n)
                   / (cpow(x, n, ctx) * root * mp.sinpi(root / 2)
-                     * engine.zeta(mp.mpf(2 * n + 1)) * mp.factorial(2 * n)))
+                     * engine._zeta_odd(2 * n + 1) * mp.factorial(2 * n)))
     n_val *= mp.sqrt(2) * cpow(x, -mp.mpf(1) / 4, ctx)
     k_corr = mp.mpf(0)
     for k in range(1, n_halfint + 1):

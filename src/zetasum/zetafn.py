@@ -23,14 +23,16 @@ the odd-indexed nodes of every level and the caller the even-indexed ones.
 Nodes and values cross two pipes as raw mpmath tuples (marshal).  Values are
 summed in node order, so every level, stop and result is bit for bit the
 in-process one.  The integrand must be pure, since what it changes in the
-child is lost.  A level on which either process raised is evaluated again in
-process, in order, so the caller sees the in-process exception.  The child
-leaves by os._exit and never outlives the call; a quadrature inside a
-quadrature, and any quadrature in the child, evaluates in process.  The
-same split serves the zeros: _split_map maps a pure function over indices
-0..n-1, the child taking the odd ones, and values cross as ints, mpfs,
-mpcs or tuples of them; zeros refines each zero through it, and the CLI's
-zeros command evaluates |zeta(rho)| through it.
+child is lost.  Each process evaluates its share of a level up to its first
+failure, and the level is evaluated in process from its first node without a
+value, so the caller sees the in-process exception.  The child leaves by
+os._exit and never outlives the call; a quadrature inside a quadrature, and
+any quadrature in the child, evaluates in process.  The same split serves
+the zeros and the zero sums: _split_map maps a pure function over indices
+0..n-1, the child taking the odd ones, and values cross as ints, mpfs, mpcs
+or tuples of them.  zeros refines each zero through it, the CLI's zeros
+command evaluates |zeta(rho)| through it, and the sum rule maps the terms of
+each zero sum of sumrule._SPLIT_TERMS terms or more through it.
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -42,9 +44,11 @@ value is bit for bit what separate passes over mp.power(k, -s) give.
 
 Bernoulli numbers are exact rationals built from the integer tangent
 numbers (_bernoulli).  All functions are pure.  An engine's state is the
-coefficients B_2j/(2j)! at working precision, fixed at construction, and the
-log k table, which only grows and holds values fixed by k and the precision;
-so engine_for(ctx) builds one engine per context and every caller shares it.
+coefficients B_2j/(2j)! at working precision, fixed at construction, the
+log k table and the table of zeta(m) at odd integers m >= 3 (_zeta_odd,
+which the sum rule's n-series and zeta'(-2n) read).  The tables are filled on
+first use, only grow, and hold values fixed by k or m and the precision; so
+engine_for(ctx) builds one engine per context and every caller shares it.
 
 Signs of Z for the zero scan: _hardy_z_float(t), for t >= 10, gives Z(t) in
 double precision (Euler-Maclaurin with N and M fixed by t, theta by Stirling's
@@ -60,6 +64,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
+import itertools
 import marshal
 import math
 import os
@@ -183,12 +188,22 @@ def _split_map(f, count: int, mp) -> list:
         return list(evaluate(list(range(count))))
 
 
+def _until_failure(f, items) -> list:
+    """[f(u) for u in items], up to the first u on which f raises."""
+    values = []
+    with contextlib.suppress(Exception):
+        for u in items:
+            values.append(f(u))
+    return values
+
+
 class _Split:
     """evaluate(nodes) gives g over nodes.  The first list of two or more
     nodes forks the child, where _may_fork allows; it takes the odd-indexed
-    nodes of every list.  A list on which either side raised, or the child
-    died, is evaluated again in process.  Leaving the with block closes the
-    pipes and reaps the child, after killing it if an exception is leaving."""
+    nodes of every list.  On a list where either side raised, or the child
+    died, the nodes from the first one without a value on are evaluated in
+    process.  Leaving the with block closes the pipes and reaps the child,
+    after killing it if an exception is leaving."""
 
     def __init__(self, g, mp):
         self.g, self.mp = g, mp
@@ -202,8 +217,9 @@ class _Split:
         self._end(kill=exc_type is not None)
 
     def __call__(self, nodes):
-        """The values of g over nodes in node order: a list where the child
-        took its share, else an iterator that evaluates them as it is read."""
+        """The values of g over nodes in node order: a list where each side
+        evaluated its whole share, else an iterator that evaluates g in
+        process, as it is read, from the first node without a value on."""
         if not self.forked and len(nodes) > 1 and _may_fork():
             self._fork()
         if self.pid is not None:
@@ -212,27 +228,24 @@ class _Split:
                 self.send.flush()
             except (OSError, ValueError):  # the child is gone, or a value marshal cannot write
                 self._end(kill=True)
-        if self.pid is not None:
-            try:
-                even = [self.g(u) for u in nodes[::2]]
-            except Exception:
-                even = None
-            odd = self._receive()
-            if even is not None and odd is not None:
-                values = nodes[:]
-                values[::2], values[1::2] = even, odd
-                return values
-        return map(self.g, nodes)
+        if self.pid is None:
+            return map(self.g, nodes)
+        even = _until_failure(self.g, nodes[::2])
+        odd = self._receive()
+        done = min(len(nodes), 2 * len(even), 2 * len(odd) + 1)
+        values = nodes[:done]
+        values[::2], values[1::2] = even[:(done + 1) // 2], odd[:done // 2]
+        if done == len(nodes):
+            return values
+        return itertools.chain(values, map(self.g, nodes[done:]))
 
     def _receive(self):
-        """The child's values, or None where g raised there or the child died."""
+        """The child's values up to its first failure; none where it died."""
         try:
             raws = marshal.load(self.receive)
         except (EOFError, ValueError, OSError):  # ValueError: a truncated message
             self._end(kill=True)
-            return None
-        if raws is None:
-            return None
+            return []
         return [_from_raw(self.mp, r) for r in raws]
 
     def _fork(self):
@@ -270,9 +283,9 @@ class _Split:
 def _serve(g, mp, read_fd: int, write_fd: int, parent_fds):
     """The child, which never returns: close the parent's pipe ends, so each
     side sees the other's exit as end of file; then for each node list read,
-    send back the raw values, or None where g raised.  At end of input, or on
-    any other exception, leave by os._exit, so no stdio buffer is flushed and
-    no atexit handler runs."""
+    send back the raw values up to the first node where g raised.  At end of
+    input, or on any other exception, leave by os._exit, so no stdio buffer
+    is flushed and no atexit handler runs."""
     global _split_busy
     code = 0
     try:
@@ -285,11 +298,7 @@ def _serve(g, mp, read_fd: int, write_fd: int, parent_fds):
                     nodes = marshal.load(inp)
                 except EOFError:
                     break
-                try:
-                    raws = [_raw(g(_from_raw(mp, r))) for r in nodes]
-                except Exception:
-                    raws = None
-                marshal.dump(raws, out)
+                marshal.dump(_until_failure(lambda r: _raw(g(_from_raw(mp, r))), nodes), out)
                 out.flush()
     except BaseException:
         code = 1
@@ -417,6 +426,7 @@ class ZetaEngine:
         self._coef = tuple(mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * j)
                            for j, b in enumerate(_bernoulli(self._m_cap + 1), start=1))
         self._logk = (None, None)  # _log_table rows from k = 2, filled on first use
+        self._odd = {}  # m -> zeta(m) for odd m >= 3, filled on first use
 
     # -- Euler-Maclaurin core ------------------------------------------------
 
@@ -570,13 +580,22 @@ class ZetaEngine:
         return pref * ((mp.log(2 * mp.pi) - mp.digamma(w)) * sp * zw
                        + mp.pi / 2 * cp * zw - sp * zdw)
 
+    def _zeta_odd(self, m: int):
+        """zeta(m) for odd m >= 3, the value zeta(mpf(m)) gives, computed once
+        per engine: the sum rule's n-series and zeta'(-2n) read it on every
+        call."""
+        value = self._odd.get(m)
+        if value is None:
+            value = self._odd[m] = self.zeta(self.ctx.mp.mpf(m))
+        return value
+
     def zeta_deriv_neg_even(self, n: int):
         """zeta'(-2n) = (-1)^n zeta(2n+1) (2n)! / (2 (2 pi)^(2n)), n >= 1."""
         if n < 1:
             raise ValueError("closed form starts at the first trivial zero (n >= 1)")
         mp = self.ctx.mp
         sign = -1 if n % 2 else 1
-        return (sign * self.zeta(mp.mpf(2 * n + 1)) * mp.factorial(2 * n)
+        return (sign * self._zeta_odd(2 * n + 1) * mp.factorial(2 * n)
                 / (2 * mp.power(2 * mp.pi, 2 * n)))
 
     def cauchy_deriv(self, s, radius=None):

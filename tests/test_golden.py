@@ -7,9 +7,12 @@ tests/data/.  A change that alters any of them fails here,
 where a determinism check (two runs of one tree) would still pass.  The
 192-bit export and the zeta values were recorded with separate
 Euler-Maclaurin passes for zeta and zeta' over mp.power(k, -s), so they pin
-that the fused pass over the log k table gives the same bits."""
+that the fused pass over the log k table gives the same bits.  500-zero
+verify and scan calls, whose zero sums split over two CPUs, must print the
+bytes they print in one process."""
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,37 @@ def test_cli_bytes(name, cache_dir, store30_96, capsys):
     assert main(argv + ["--precision", "96", "--cache-dir", cache_dir]) == code
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / "cli" / f"{name}.txt").read_bytes()
+
+
+# 500-zero calls, whose zero sums are long enough to split; pairs from the
+# benchmark's verify-warm pools, all of which pass
+SPLIT_CASES = (
+    ["verify", "sumrule", "--a", "0.6", "--x", "0.4"],
+    ["verify", "rh-form", "--x", "0.75"],
+    ["scan", "--a-list", "0.45,0.9", "--x-list", "0.25,0.5"],
+)
+
+
+def test_split_zero_sums_print_the_one_process_bytes(cache_dir, store500_192, monkeypatch,
+                                                     forks, capsys):
+    def run():
+        outs = []
+        for argv in SPLIT_CASES:
+            assert main(argv + ["--zeros", "500", "--precision", "192",
+                                "--cache-dir", cache_dir]) == 0
+            outs.append(capsys.readouterr().out)
+            with pytest.raises(ChildProcessError):  # no child outlives the call
+                os.waitpid(-1, os.WNOHANG)
+        return outs
+
+    # one split zero sum for sumrule, two for rh-form (its own and the a = 1/2
+    # sum rule's) and one per scan point, where a second CPU is free
+    forked = 7 * (len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1)
+    split = run()
+    assert len(forks) == forked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run() == split
+    assert len(forks) == forked
 
 
 def test_scan_csv_bytes(cache_dir, store30_96, tmp_path):

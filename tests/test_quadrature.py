@@ -263,6 +263,42 @@ def test_exception_is_the_in_process_one(ctx96, monkeypatch, forks, bad, first_b
     assert_no_child()
 
 
+@pytest.mark.parametrize("bad,calls_here,calls_there", [
+    ((5,), [0, 2, 4, 6, 8, 5], [1, 3, 5]),  # the child's first failure
+    ((4,), [0, 2, 4, 4], [1, 3, 5, 7, 9]),  # this process's
+    ((3, 6), [0, 2, 4, 6, 3], [1, 3]),  # both, the child's first
+], ids=["odd", "even", "both"])
+def test_failure_keeps_the_values_before_it(ctx96, monkeypatch, forks, tmp_path, bad,
+                                            calls_here, calls_there):
+    # each side stops at its first failure, and only the nodes from the first
+    # one without a value are evaluated again, in process
+    mp = ctx96.mp
+    log = tmp_path / "calls"
+    parent = os.getpid()
+
+    def g(i):
+        with open(log, "a") as f:  # appends from both processes
+            f.write(f"{os.getpid()} {i}\n")
+        if i in bad:
+            raise ValueError(f"g fails at {i}")
+        return mp.mpf(i) / 3
+
+    def run():
+        log.write_text("")
+        with pytest.raises(ValueError) as info:
+            _split_map(g, 10, mp)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        return (str(info.value), [int(i) for pid, i in calls if int(pid) == parent],
+                [int(i) for pid, i in calls if int(pid) != parent])
+
+    (message, here, there), alone = split_and_in_process(monkeypatch, run)
+    assert message == alone[0] == f"g fails at {bad[0]}"
+    assert alone[1:] == (list(range(bad[0] + 1)), [])
+    assert (here, there) == ((calls_here, calls_there) if SPLITS else alone[1:])
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
 def test_interrupt_kills_and_reaps_the_child(ctx96, forks):
     mp = ctx96.mp
 

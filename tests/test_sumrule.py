@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
 from zetasum.numctx import NumericContext, cpow
-from zetasum.zetafn import engine_for
+from zetasum.zetafn import _raw, engine_for
 from zetasum.zeros import MultipleZeroError, ZeroRecord, ZeroStore
 from zetasum import sumrule as sr
 
@@ -12,6 +14,19 @@ CLOSED_05_05 = "-0.0916440633480003623167023866952491820292920259400332302987046
 CLOSED_2_025 = "0.0684158361041603827040488406226594057486445920385046999813044"
 CLOSED_09_075 = "-0.0157061052588231829252093025698672469527683102240647060482152"
 ZETA_NEG_1_5 = "-0.0254852018898330359495429869107047454690249846009729968346455"
+
+
+# whether a zero sum of _SPLIT_TERMS terms or more forks here
+SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +267,91 @@ def test_zero_sum_simplicity_guard(ctx, store):
     fake = ZeroStore((bad,) + store.records[1:], "computed", ctx.precision_bits)
     with pytest.raises(MultipleZeroError):
         sr.zero_sum_lhs(params(n_zeros=3), fake, ctx)
+
+
+def test_zero_sums_are_the_one_process_loops_bit_for_bit(ctx192, store500_192, forks):
+    # the sums as one loop over the zeros wrote them, before the split and
+    # the hoisted invariants
+    mp = ctx192.mp
+    p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=500)
+    a, x = p.bind(ctx192)
+    total = mp.mpf(0)
+    for rec in store500_192.records:
+        rho = mp.mpc(0.5, rec.tau)
+        w = mp.sqrt(rho - a)
+        last = -cpow(x, (rho - a) / (4 * a), ctx192) / (
+            w * mp.sinh(mp.pi / 2 * w / mp.sqrt(a)) * rec.zeta_prime)
+        total += mp.re(last)
+    assert _raw(sr.zero_sum_lhs(p, store500_192, ctx192)) == _raw((total, 3 * abs(last)))
+    half, ln_x, one_plus_i = mp.mpf("0.5"), mp.log(x), mp.mpc(1, 1)
+    lhs = mp.mpf(0)
+    for rec in store500_192.records:
+        tau = rec.tau
+        num = mp.exp(mp.mpc(0, half) * (tau * ln_x + mp.pi / 2)) / mp.sqrt(tau)
+        den = mp.sin(mp.pi * mp.sqrt(tau) / one_plus_i) * rec.zeta_prime
+        lhs += mp.re(num / den)
+    rep = sr.evaluate_rh_form(x, store500_192, ctx192, n_zeros=500)
+    assert _raw(rep.lhs_zero_sum) == _raw(lhs)
+    assert len(forks) == 3 * SPLITS  # zero_sum_lhs, and both loops of evaluate_rh_form
+    assert_no_child()
+
+
+def test_zero_sums_fork_from_the_size_constant_up(ctx192, store500_192, forks):
+    def zero_sum(n):
+        sr.zero_sum_lhs(sr.SumRuleParams(a="0.6", x="0.4", n_zeros=n), store500_192, ctx192)
+
+    zero_sum(6)  # a closure tail
+    zero_sum(sr._SPLIT_TERMS - 1)
+    assert forks == []
+    zero_sum(sr._SPLIT_TERMS)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+@pytest.mark.parametrize("bad", [(67,), (70,), (70, 75)], ids=["odd", "even", "both"])
+def test_split_zero_sum_raises_the_first_bad_zeros_error(ctx192, store500_192, monkeypatch,
+                                                         forks, bad):
+    # the bad records sit past the size constant, so the sum forks
+    count = sr._SPLIT_TERMS + 16
+    floor = ctx192.mpc("1e-16", 0)
+    records = tuple(ZeroRecord(r.index, r.tau, r.err_bound, floor, r.precision_bits)
+                    if i in bad else r for i, r in enumerate(store500_192.records[:count]))
+    fake = ZeroStore(records, "computed", ctx192.precision_bits)
+    p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=count)
+
+    def message():
+        with pytest.raises(MultipleZeroError) as info:
+            sr.zero_sum_lhs(p, fake, ctx192)
+        return str(info.value)
+
+    split = message()
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        alone = message()
+    assert split == alone == f"|zeta'(rho)| below simplicity floor at index {bad[0] + 1}"
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+@pytest.mark.parametrize("bits", [96, 192])
+def test_zeta_at_odd_integers_is_computed_once(bits, monkeypatch):
+    ctx_b = NumericContext(bits)
+    mp = ctx_b.mp
+    engine = engine_for(ctx_b)
+    p = sr.SumRuleParams(a="0.6", x="0.4", n_trivial=40)
+    first = sr.trivial_series(p, ctx_b)
+    for m in range(3, 82, 2):
+        assert engine._zeta_odd(m) == engine.zeta(mp.mpf(m))
+    em_calls = []
+    em = engine._em
+
+    def counting_em(s, want_deriv):
+        em_calls.append(s)
+        return em(s, want_deriv)
+
+    monkeypatch.setattr(engine, "_em", counting_em)
+    assert _raw(sr.trivial_series(p, ctx_b)) == _raw(first)
+    assert em_calls == []
 
 
 def test_trivial_series_first_term_and_ratio(ctx, engine):
