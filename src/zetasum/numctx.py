@@ -65,9 +65,6 @@ class NumericContext:
     def mpf(self, x):
         return self._mp.mpf(x)
 
-    def mpc(self, re, im=0):
-        return self._mp.mpc(re, im)
-
     def ulp(self, v) -> object:
         """Unit in the last place of v at the nominal precision (of 1 if v == 0)."""
         mag = abs(v)

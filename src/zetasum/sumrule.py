@@ -367,30 +367,14 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
 # -- series -------------------------------------------------------------------
 
 
-# A zero sum maps its terms through zetafn._split_map from this many terms up.
-# A fork and reap costs 2-4 ms and a term 0.2-0.25 ms at 96 to 192 bits,
-# so on two vCPUs the split breaks even between 32 and 48 terms; 64 leaves a
-# margin for a second CPU that is not always free.  The closure's 6-term
-# tails and short test sums stay in process.
-_SPLIT_TERMS = 64
-
-
-def _map_zeros(term, count: int, mp) -> list:
-    """[term(0), ..., term(count - 1)]: split over two CPUs by _split_map from
-    _SPLIT_TERMS terms up, else in process; term must be pure."""
-    if count < _SPLIT_TERMS:
-        return [term(i) for i in range(count)]
-    return _split_map(term, count, mp)
-
-
 def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     """(value, tail_bound): Re sum over upper zeros of the stable sinh form
     -x^((rho-a)/4a) / (sqrt(rho-a) sinh((pi/2) sqrt((rho-a)/a)) zeta'(rho)),
     summed in ascending zero order; tail = 3 |last term|.  The terms are
-    mapped by _map_zeros (a forked child takes every other one from
-    _SPLIT_TERMS terms up), each giving only its real part and the last one
-    also its modulus, so the value is bit for bit the one-process sum and an
-    exception the first failing zero's."""
+    mapped by zetafn._split_map (a forked child takes every other one), each
+    giving only its real part and the last one also its modulus, so the value
+    is bit for bit the one-process sum and an exception the first failing
+    zero's."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     zeros = store.prefix(params.n_zeros)
@@ -407,7 +391,7 @@ def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
             w * mp.sinh(half_pi * w / root_a) * rec.zeta_prime)
         return (mp.re(t), abs(t)) if i == last else mp.re(t)
 
-    *reals, (last_re, last_abs) = _map_zeros(term, len(zeros), mp)
+    *reals, (last_re, last_abs) = _split_map(term, len(zeros), mp)
     return sum(reals, mp.zero) + last_re, 3 * last_abs
 
 
@@ -497,7 +481,7 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     variant of the k-series carries an extra x^(1/4); the residual uses the
     corrected k-series and the measured discrepancy factor is reported in
     aux as rh_k_prefactor.  Cross-differences against evaluate_sumrule at
-    a = 1/2 ride along in aux.  The zero terms are mapped by _map_zeros, as
+    a = 1/2 ride along in aux.  The zero terms are mapped by _split_map, as
     zero_sum_lhs maps its own, and give only their real parts; they are
     summed in ascending zero order, so the sum is bit for bit the
     one-process one."""
@@ -519,7 +503,7 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
         den = mp.sin(mp.pi * root / one_plus_i) * rec.zeta_prime
         return mp.re(num / den)
 
-    lhs = sum(_map_zeros(term, len(zeros), mp), mp.zero)
+    lhs = sum(_split_map(term, len(zeros), mp), mp.zero)
     const = 1 / (mp.pi * mp.sqrt(2) * engine.zeta(half))
     n_val = mp.mpf(0)
     for n in range(1, n_trivial + 1):
@@ -570,7 +554,8 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
     series is summed in double precision (math.fsum; its criterion is 1e-3),
     truncated at the table limit and corrected by the integral tail with
     Lambda replaced by its mean value 1; both corrected and uncorrected
-    residuals are reported."""
+    residuals are reported.  The zero terms are mapped by _split_map and
+    summed in ascending zero order, as zero_sum_lhs sums its own."""
     t0 = time.perf_counter()
     mp = ctx.mp
     x = mp.mpf(x)
@@ -579,13 +564,14 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
     if abs(x - 1) <= 1e-6:
         raise ValueError("x too close to the removable singularity of h")
     engine = engine_for(ctx)
-    ln_x = mp.log(x)
-    lhs = mp.mpf(0)
-    last = None
-    for rec in store.records:
-        last = 2 * mp.sin(rec.tau * ln_x) / mp.sinh(mp.pi * rec.tau)
-        lhs += last
-    tail_z = 3 * abs(last)
+    ln_x, pi, zeros = mp.log(x), +mp.pi, store.records
+
+    def term(i):
+        tau = zeros[i].tau
+        return 2 * mp.sin(tau * ln_x) / mp.sinh(pi * tau)
+
+    terms = _split_map(term, len(zeros), mp)
+    lhs, tail_z = sum(terms, mp.zero), 3 * abs(terms[-1])
     half = mp.mpf("0.5")
     base = (mp.sqrt(x) - engine.zeta_deriv(half) / (mp.pi * engine.zeta(half))
             + guillera_h(x, ctx))

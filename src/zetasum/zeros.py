@@ -12,10 +12,11 @@ residual Z(tau) and the cached zeta'(1/2 + i tau).
 
 Every sign the scan and the bisections read comes from _signed_z: Z in
 double precision with a proven error bound (zetafn._hardy_z_float), used
-only where |Z| exceeds the bound, else Z on the scanner of at most 96 bits
-(the bisection to e: at full precision).  Where the bound proves a sign, it
-is the sign of Z and so the one the scanner gives, so every bracket,
-midpoint, Newton start and tau is what a scan on the scanner alone yields.
+only where |Z| exceeds the bound, else Z at full precision.  Where the bound
+proves a sign, it is the sign of Z and so the one full precision gives, so
+every bracket, midpoint, Newton start and tau is what a scan at full
+precision alone yields.  A zero run reads every sign, theta and Z from one
+engine, engine_for(ctx).
 A store is only returned if the running count matches the smoothed
 zero-counting function round(theta(T)/pi + 1) within +-1 at every prefix.
 
@@ -96,7 +97,6 @@ class ZeroRecord:
     tau: object
     err_bound: object
     zeta_prime: object
-    precision_bits: int
 
 
 @dataclass(frozen=True)
@@ -181,18 +181,12 @@ def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
     return lo, hi
 
 
-def _scanner(ctx: NumericContext) -> ZetaEngine:
-    """The engine that reads signs of Z: the context's own, at most 96 bits."""
-    return engine_for(ctx if ctx.precision_bits <= 96 else NumericContext(96))
-
-
-def _certify(engine: ZetaEngine, scanner: ZetaEngine, lo, hi, z_lo, z_hi):
+def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi):
     """(tau, zeta'(1/2 + i tau)) for the zero in the sign-change bracket
-    [lo, hi], where Z(lo) = z_lo and Z(hi) = z_hi on the scanner; the steps
-    are in the module docstring.  lo and hi carry the engine's precision, so
-    every scanner midpoint is the one a full-precision bisection would take."""
+    [lo, hi], where z_lo and z_hi have the signs of Z(lo) and Z(hi); the
+    steps are in the module docstring."""
     e = engine.ctx.target_tol
-    lo, hi = _bisect(scanner, lo, hi, z_lo, z_hi, engine.ctx.mp.mpf(NEWTON_WIDTH))
+    lo, hi = _bisect(engine, lo, hi, z_lo, z_hi, engine.ctx.mp.mpf(NEWTON_WIDTH))
     tau = (lo + hi) / 2
     for _ in range(80):
         z, zd = engine.hardy_z_with_deriv(tau)
@@ -218,7 +212,7 @@ def _certify(engine: ZetaEngine, scanner: ZetaEngine, lo, hi, z_lo, z_hi):
 
 def _records(refined, ctx: NumericContext) -> tuple:
     """ZeroRecords, numbered from 1, of the (tau, zeta') pairs _certify gave."""
-    return tuple(ZeroRecord(i, tau, ctx.target_tol, zp, ctx.precision_bits)
+    return tuple(ZeroRecord(i, tau, ctx.target_tol, zp)
                  for i, (tau, zp) in enumerate(refined, start=1))
 
 
@@ -227,11 +221,10 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}]")
     engine = engine_for(ctx)
-    scanner = _scanner(ctx)
     for step in (SCAN_STEP, SCAN_STEP_FINE):
-        brackets = _scan_brackets(scanner, count, step)
+        brackets = _scan_brackets(engine, count, step)
         taus_rough = [(lo + hi) / 2 for lo, hi, _, _ in brackets]
-        bad = _check_counts(scanner, taus_rough)
+        bad = _check_counts(engine, taus_rough)
         if bad is None:
             break
     else:
@@ -239,13 +232,11 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
         hi = float(taus_rough[bad - 1])
         raise MissedZeroError(
             f"count check fails at prefix {bad}; suspect interval ({lo:.4f}, {hi:.4f})")
-    mp = ctx.mp
 
     def refine(i):
-        lo, hi, z_lo, z_hi = brackets[i]
-        return _certify(engine, scanner, mp.mpf(lo), mp.mpf(hi), z_lo, z_hi)
+        return _certify(engine, *brackets[i])
 
-    records = _records(_split_map(refine, len(brackets), mp), ctx)
+    records = _records(_split_map(refine, len(brackets), ctx.mp), ctx)
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"count check fails at prefix {bad} after refinement")
@@ -260,11 +251,9 @@ def _checksum(payload_lines) -> str:
     return h.hexdigest()[:16]
 
 
-def export_zeros(store: ZeroStore, path, ctx: NumericContext | None = None,
+def export_zeros(store: ZeroStore, path, ctx: NumericContext,
                  include_zeta_prime: bool = False) -> None:
     """Write the store as zeros-format text (header + ascending tau lines)."""
-    if ctx is None:
-        ctx = NumericContext(store.generated_with)
     lines = []
     for rec in store.records:
         lines.append(ctx.nstr(rec.tau))
@@ -347,7 +336,6 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
     certification locate_zeros uses, from a bracket of four corrections."""
     _, rows = _read_zeros(path, ctx)
     engine = engine_for(ctx)
-    scanner = _scanner(ctx)
 
     def refine(i):
         line_no, t0, _ = rows[i]
@@ -357,7 +345,7 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
             raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = {float(newton):.3g}")
         step = newton * 4 + ctx.mp.mpf("1e-7")
         lo, hi = t0 - step, t0 + step
-        return _certify(engine, scanner, lo, hi, _signed_z(scanner, lo), _signed_z(scanner, hi))
+        return _certify(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi))
 
     records = _records(_split_map(refine, len(rows), ctx.mp), ctx)
     bad = _check_counts(engine, [r.tau for r in records])
@@ -392,7 +380,7 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
         if zp is None:
             warnings.warn(f"zeros cache {path}: missing zeta' at line {line_no}, recomputing")
             return None
-        records.append(ZeroRecord(idx, tau, ctx.target_tol, zp, ctx.precision_bits))
+        records.append(ZeroRecord(idx, tau, ctx.target_tol, zp))
     return ZeroStore(tuple(records), "computed", ctx.precision_bits)
 
 

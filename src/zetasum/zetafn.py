@@ -32,7 +32,7 @@ the zeros and the zero sums: _split_map maps a pure function over indices
 0..n-1, the child taking the odd ones, and values cross as ints, mpfs, mpcs
 or tuples of them.  zeros refines each zero through it, the CLI's zeros
 command evaluates |zeta(rho)| through it, and the sum rule maps the terms of
-each zero sum of sumrule._SPLIT_TERMS terms or more through it.
+each zero sum through it.
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -55,8 +55,8 @@ double precision (Euler-Maclaurin with N and M fixed by t, theta by Stirling's
 series) and a bound on its error: the Backlund and Stieltjes remainders plus
 a rounding margin stated in its docstring.  A caller that needs only the sign
 trusts it where |Z| exceeds the bound and falls back to ZetaEngine.hardy_z
-elsewhere (zeros._signed_z).  Its coefficients are rounded from the same
-exact Bernoulli fractions on first use.
+at working precision elsewhere (zeros._signed_z).  Its coefficients are
+rounded from the same exact Bernoulli fractions on first use.
 """
 
 from __future__ import annotations

@@ -52,6 +52,22 @@ def store500_192(ctx192, cache_dir):
     return load_or_compute(500, ctx192, cache_dir)
 
 
+# whether a quadrature, a zero refinement or a zero sum forks here: it needs
+# a second CPU in the affinity mask
+SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
+
+
+def one_cpu(monkeypatch):
+    """Make every split evaluate in process, where a recorder sees each call:
+    one made in a forked child never reaches it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture()
 def forks(monkeypatch):
     """The pids of the children this process forks."""

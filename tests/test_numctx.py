@@ -34,7 +34,7 @@ def test_target_tol_default_and_bounds():
 
 
 def test_sqrt_principal_branch():
-    v = CTX.mp.sqrt(CTX.mpc(-1, 0))
+    v = CTX.mp.sqrt(CTX.mp.mpc(-1, 0))
     assert CTX.mp.im(v) == 1 and CTX.mp.re(v) == 0
 
 
@@ -102,7 +102,7 @@ def test_sin_of_imaginary_is_i_sinh(y):
 @pytest.mark.parametrize("expr", [
     lambda c: cpow(c.mpf(0.5), c.mpf(0.25), c),
     lambda c: +c.mp.euler,
-    lambda c: c.mp.sqrt(c.mpc(2, 3)),
+    lambda c: c.mp.sqrt(c.mp.mpc(2, 3)),
 ])
 def test_precision_monotonicity(expr):
     lo, hi = NumericContext(96), NumericContext(192)

@@ -9,6 +9,7 @@ import os
 from types import SimpleNamespace
 
 import pytest
+from conftest import SPLITS, assert_no_child, one_cpu
 
 from zetasum import sumrule as sr
 from zetasum import zetafn
@@ -17,15 +18,6 @@ from zetasum.zetafn import (PrecisionError, _from_raw, _raw, _split_map, engine_
 
 # the criterion-04 parameter pairs
 CONTOUR_PAIRS = (("0.5", "0.5"), ("2", "0.25"), ("0.9", "0.75"))
-# whether trapezoid_mean forks here: it needs a second CPU in the affinity mask
-SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
-
-
-def one_cpu(monkeypatch):
-    """Make every trapezoid_mean call evaluate in process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
 @pytest.fixture()
 def recorded(monkeypatch):
     """Every trapezoid_mean call sumrule makes, with its memoized integrand
@@ -137,11 +129,6 @@ def split_and_in_process(monkeypatch, fn):
     with monkeypatch.context() as m:
         one_cpu(m)
         return split, fn()
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("a,x", [CONTOUR_PAIRS[0], CONTOUR_PAIRS[2]])

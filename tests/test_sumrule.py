@@ -1,7 +1,7 @@
-import os
-
 import pytest
+from conftest import SPLITS, assert_no_child, one_cpu
 
+from zetasum.arith import mangoldt_sieve
 from zetasum.numctx import NumericContext, cpow
 from zetasum.zetafn import _raw, engine_for
 from zetasum.zeros import MultipleZeroError, ZeroRecord, ZeroStore
@@ -14,19 +14,6 @@ CLOSED_05_05 = "-0.0916440633480003623167023866952491820292920259400332302987046
 CLOSED_2_025 = "0.0684158361041603827040488406226594057486445920385046999813044"
 CLOSED_09_075 = "-0.0157061052588231829252093025698672469527683102240647060482152"
 ZETA_NEG_1_5 = "-0.0254852018898330359495429869107047454690249846009729968346455"
-
-
-# whether a zero sum of _SPLIT_TERMS terms or more forks here
-SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
-
-
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +78,8 @@ def test_integrand_at_origin(ctx):
 
 
 def test_integrand_frozen_point(ctx):
-    got = sr.integrand(ctx.mpc(0, "0.3"), params(), ctx)
-    want = ctx.mpc(*INTEGRAND_03I)
+    got = sr.integrand(ctx.mp.mpc(0, "0.3"), params(), ctx)
+    want = ctx.mp.mpc(*INTEGRAND_03I)
     assert abs(got - want) < ctx.mpf("1e-38")
 
 
@@ -262,8 +249,7 @@ def test_zero_sum_tail_honesty(ctx, store):
 
 
 def test_zero_sum_simplicity_guard(ctx, store):
-    bad = ZeroRecord(1, store[0].tau, store[0].err_bound,
-                     ctx.mpc("1e-16", 0), ctx.precision_bits)
+    bad = ZeroRecord(1, store[0].tau, store[0].err_bound, ctx.mp.mpc("1e-16", 0))
     fake = ZeroStore((bad,) + store.records[1:], "computed", ctx.precision_bits)
     with pytest.raises(MultipleZeroError):
         sr.zero_sum_lhs(params(n_zeros=3), fake, ctx)
@@ -292,29 +278,39 @@ def test_zero_sums_are_the_one_process_loops_bit_for_bit(ctx192, store500_192, f
         lhs += mp.re(num / den)
     rep = sr.evaluate_rh_form(x, store500_192, ctx192, n_zeros=500)
     assert _raw(rep.lhs_zero_sum) == _raw(lhs)
-    assert len(forks) == 3 * SPLITS  # zero_sum_lhs, and both loops of evaluate_rh_form
+    lhs = mp.mpf(0)
+    for rec in store500_192.records:
+        last = 2 * mp.sin(rec.tau * ln_x) / mp.sinh(mp.pi * rec.tau)
+        lhs += last
+    rep = sr.evaluate_guillera(x, store500_192, mangoldt_sieve(100), ctx192)
+    assert _raw(rep.lhs_zero_sum) == _raw(lhs)
+    assert dict(rep.aux)["zero_tail_bound"] == ctx192.nstr(3 * abs(last))
+    # zero_sum_lhs, both loops of evaluate_rh_form, and evaluate_guillera's
+    assert len(forks) == 4 * SPLITS
     assert_no_child()
 
 
-def test_zero_sums_fork_from_the_size_constant_up(ctx192, store500_192, forks):
+def test_a_closure_tail_forks_as_a_long_zero_sum_does(ctx192, store500_192, monkeypatch,
+                                                      forks):
     def zero_sum(n):
-        sr.zero_sum_lhs(sr.SumRuleParams(a="0.6", x="0.4", n_zeros=n), store500_192, ctx192)
+        return sr.zero_sum_lhs(sr.SumRuleParams(a="0.6", x="0.4", n_zeros=n), store500_192,
+                               ctx192)
 
-    zero_sum(6)  # a closure tail
-    zero_sum(sr._SPLIT_TERMS - 1)
-    assert forks == []
-    zero_sum(sr._SPLIT_TERMS)
+    zero_sum(500)
     assert len(forks) == SPLITS
+    split = zero_sum(6)  # the size of each closure round's zero tail
+    assert len(forks) == 2 * SPLITS
     assert_no_child()
+    one_cpu(monkeypatch)
+    assert _raw(split) == _raw(zero_sum(6))
 
 
 @pytest.mark.parametrize("bad", [(67,), (70,), (70, 75)], ids=["odd", "even", "both"])
 def test_split_zero_sum_raises_the_first_bad_zeros_error(ctx192, store500_192, monkeypatch,
                                                          forks, bad):
-    # the bad records sit past the size constant, so the sum forks
-    count = sr._SPLIT_TERMS + 16
-    floor = ctx192.mpc("1e-16", 0)
-    records = tuple(ZeroRecord(r.index, r.tau, r.err_bound, floor, r.precision_bits)
+    count = 80
+    floor = ctx192.mp.mpc("1e-16", 0)
+    records = tuple(ZeroRecord(r.index, r.tau, r.err_bound, floor)
                     if i in bad else r for i, r in enumerate(store500_192.records[:count]))
     fake = ZeroStore(records, "computed", ctx192.precision_bits)
     p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=count)

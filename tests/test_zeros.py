@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from conftest import SPLITS, assert_no_child, one_cpu
 
 from zetasum import zeros as zeros_mod
 from zetasum.numctx import NumericContext
@@ -11,19 +12,6 @@ from zetasum.zeros import (ZeroImportError, ZeroStore, export_zeros, import_zero
 # frozen pre-build oracle values (independent zero finder, 30 dps)
 TAU_1 = "14.1347251417346937904572519836"
 TAU_10 = "49.7738324776723021819167846786"
-# whether a refinement forks here: it needs a second CPU in the affinity mask
-SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
-
-
-def one_cpu(monkeypatch):
-    """Make every refinement run in process, where a recorder sees each call:
-    one made in a forked child never reaches it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_count_bounds(ctx96):
@@ -267,9 +255,8 @@ def test_scan_signs_equal_scanner_signs(ctx96, monkeypatch):
         assert (value > 0) == (engine.hardy_z(t) > 0) and value != 0, t
 
 
-def test_all_fallback_signs_give_the_same_bytes(ctx96, tmp_path, monkeypatch):
-    # with an infinite bound every sign comes from the 96-bit scanner, as it
-    # did before the double-precision Z; the export is the golden one
+def refuse_every_float_sign(monkeypatch):
+    """Make _hardy_z_float prove no sign; returns the list of t it was asked."""
     calls = []
 
     def no_certificate(t):
@@ -278,11 +265,46 @@ def test_all_fallback_signs_give_the_same_bytes(ctx96, tmp_path, monkeypatch):
 
     one_cpu(monkeypatch)
     monkeypatch.setattr(zeros_mod, "_hardy_z_float", no_certificate)
+    return calls
+
+
+def test_all_fallback_signs_give_the_same_bytes(ctx96, tmp_path, monkeypatch):
+    # with an infinite bound every sign comes from the 96-bit engine, as it
+    # did before the double-precision Z; the export is the golden one
+    calls = refuse_every_float_sign(monkeypatch)
     path = tmp_path / "zeros.txt"
     export_zeros(locate_zeros(8, ctx96), path, ctx96)
     assert len(calls) > 100
     golden = os.path.join(os.path.dirname(__file__), "data", "zeros8_p96.txt")
     assert path.read_bytes() == open(golden, "rb").read()
+
+
+def test_all_fallback_signs_give_the_same_bytes_at_192_bits(ctx192, tmp_path, monkeypatch):
+    # every sign from the 192-bit engine: the first four zeros and their
+    # zeta' are the golden 16-zero export's first eight payload lines
+    calls = refuse_every_float_sign(monkeypatch)
+    path = tmp_path / "zeros.txt"
+    export_zeros(locate_zeros(4, ctx192), path, ctx192, include_zeta_prime=True)
+    assert len(calls) > 50
+    golden = os.path.join(os.path.dirname(__file__), "data", "zeros16_p192_zp.txt")
+    want = open(golden, encoding="utf-8").read().splitlines()[1:9]
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == want
+
+
+def test_a_192_bit_zero_run_asks_for_its_own_engine_only(ctx192, tmp_path, monkeypatch):
+    # signs, theta and Z all come from engine_for(ctx): no second engine
+    asked = []
+    engine_for = zeros_mod.engine_for
+
+    def recording(ctx):
+        asked.append(ctx)
+        return engine_for(ctx)
+
+    monkeypatch.setattr(zeros_mod, "engine_for", recording)
+    path = tmp_path / "zeros.txt"
+    export_zeros(locate_zeros(4, ctx192), path, ctx192)
+    import_zeros(path, ctx192)
+    assert asked == [ctx192, ctx192]
 
 
 # -- refinement on two CPUs ----------------------------------------------------
