@@ -187,13 +187,14 @@ def cmd_zeros(args) -> int:
 
 
 def _worst_residue(sites, params, ctx: NumericContext, catalog, store):
-    """Largest relative deviation of a numeric residue from its derived value."""
-    mp = ctx.mp
-    worst = mp.mpf(0)
-    for site in sites:
+    """Largest relative deviation of a numeric residue from its derived value,
+    the sites mapped by _split_map."""
+    def deviation(i):
+        site = sites[i]
         num = sr.numeric_residue(site, params, ctx, catalog, store=store)
-        worst = max(worst, abs(num - site.analytic_residue) / abs(site.analytic_residue))
-    return worst
+        return abs(num - site.analytic_residue) / abs(site.analytic_residue)
+
+    return max([ctx.mp.mpf(0), *_split_map(deviation, len(sites), ctx.mp)])
 
 
 def _rh_form_ok(rep, ctx: NumericContext) -> bool:

@@ -248,7 +248,10 @@ def contour_integral(params: SumRuleParams, ctx: NumericContext):
     """(1/(2 pi i)) integral of the integrand along s = it, t in [-T, T]:
     T/pi times the interval trapezoid mean, from 32 panels up, stopped by
     trapezoid_mean's extrapolated error estimate at target_tol.  The
-    imaginary part must vanish (conjugate symmetry of the integrand)."""
+    integrand at -it is the conjugate of the one at it, so after its first
+    level, where every mirrored pair must be exact conjugates, the
+    quadrature evaluates only the nodes with t < 0 (conjugate=True).  The
+    imaginary part of the sum must vanish."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     engine = engine_for(ctx)
@@ -258,7 +261,8 @@ def contour_integral(params: SumRuleParams, ctx: NumericContext):
         return _integrand(mp.mpc(0, T * (2 * u - 1)), a, x, ctx, engine)
 
     result = trapezoid_mean(g, ctx, 32, ctx.target_tol, T / mp.pi,
-                            "contour integral did not converge after 20 halvings")
+                            "contour integral did not converge after 20 halvings",
+                            conjugate=True)
     if abs(mp.im(result)) >= 1000 * ctx.target_tol:
         raise InternalConsistencyError(
             f"contour integral came out non-real: Im = {float(mp.im(result)):.3g}")
@@ -605,15 +609,21 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
 def verify_residue_theorem(params: SumRuleParams, store: ZeroStore,
                            ctx: NumericContext) -> ClosureReport:
     """contour integral vs the numeric residues of every cataloged pole.
-    The orientation sign is determined empirically per call; callers assert
-    its consistency across parameter pairs."""
+    The residues are mapped by zetafn._split_map (a forked child takes every
+    other site, and each side runs its sites' quadratures in process) and
+    summed in catalog order, so the sum is bit for bit the one-process one
+    and an exception the first failing site's.  The orientation sign is
+    determined empirically per call; callers assert its consistency across
+    parameter pairs."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     integral = contour_integral(params, ctx)
     catalog = pole_catalog(params, store, ctx)
-    residue_sum = mp.mpc(0)
-    for site in catalog:
-        residue_sum += numeric_residue(site, params, ctx, catalog, store=store)
+
+    def residue(i):
+        return numeric_residue(catalog[i], params, ctx, catalog, store=store)
+
+    residue_sum = sum(_split_map(residue, len(catalog), mp), mp.mpc(0))
     orientation = -1 if abs(integral + residue_sum) <= abs(integral - residue_sum) else 1
     residual = abs(integral - orientation * residue_sum)
     _, tail_z = zero_sum_lhs(params, store, ctx)

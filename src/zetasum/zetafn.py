@@ -14,7 +14,9 @@ zeta'(s) uses the term-wise differentiated Euler-Maclaurin sum on the right
 of the threshold, the differentiated reflection formula on the left, and a
 Cauchy circle integral in a small disk around s = 0 where the reflection
 split degenerates into a 0*inf product.  That circle, like the sum rule's
-contour and residue circles, is integrated by trapezoid_mean.
+contour and residue circles, is integrated by trapezoid_mean.  Where
+g(1 - u) = conj g(u), as on the contour, it evaluates half of each level
+after the first and takes the other half as conjugates (conjugate=True).
 
 trapezoid_mean runs each level on two CPUs.  Where the affinity mask (read at
 each call) holds more than one CPU and the process has one thread, a call
@@ -32,7 +34,8 @@ the zeros and the zero sums: _split_map maps a pure function over indices
 0..n-1, the child taking the odd ones, and values cross as ints, mpfs, mpcs
 or tuples of them.  zeros refines each zero through it, the CLI's zeros
 command evaluates |zeta(rho)| through it, and the sum rule maps the terms of
-each zero sum through it.
+each zero sum and the residues of each closure through it (each side then
+runs its residues' quadratures in process).
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -96,7 +99,7 @@ class PrecisionError(RuntimeError):
 
 
 def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
-                   periodic: bool = False, max_doublings: int = 20):
+                   periodic: bool = False, conjugate: bool = False, max_doublings: int = 20):
     """scale * (mean of g over [0, 1]) by the trapezoid rule: the interval form
     (nodes j/n, j = 0..n, endpoints weighted 1/2) or the periodic form (nodes
     j/n, j < n).  Each level doubles n by adding the midpoints.  With I_k the
@@ -105,6 +108,12 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     D1 = log10|I_k - I_(k-1)|, D2 = log10|I_k - I_(k-2)| (Borwein, Bailey &
     Girgensohn: the error of an analytic integrand squares at each level).
     Raises PrecisionError(failure) after max_doublings doublings.
+
+    conjugate states g(1 - u) = conj g(u).  The first level is then
+    evaluated in full, and InternalConsistencyError names the first pair of
+    its nodes whose values are not exact conjugates, bit for bit.  Each later
+    level evaluates only its nodes u < 1/2 (and u = 1/2) and takes the others
+    as their mirrors' conjugates, so it sums the full grid's values in order.
 
     g maps an mpf of ctx to an mpf or mpc of ctx and must be pure: where a
     second CPU is free, a forked child evaluates every other node of each
@@ -117,13 +126,22 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     mp = ctx.mp
     with _Split(g, mp) as evaluate:
         if periodic:
-            total = sum(evaluate([mp.mpf(j) / n for j in range(n)]))
+            first = list(evaluate([mp.mpf(j) / n for j in range(n)]))
+            total = sum(first)
+            first.append(first[0])  # g(1) = g(0)
         else:
             g0, g1 = evaluate([mp.zero, mp.one])
-            total = (g0 + g1) / 2 + sum(evaluate([mp.mpf(j) / n for j in range(1, n)]))
+            first = [g0, *evaluate([mp.mpf(j) / n for j in range(1, n)]), g1]
+            total = (g0 + g1) / 2 + sum(first[1:-1])
+        if conjugate:
+            _check_conjugate(first, n, mp)
         levels = [scale * total / n]
         for _ in range(max_doublings):
-            total += sum(evaluate([mp.mpf(2 * j + 1) / (2 * n) for j in range(n)]))
+            count = n - n // 2 if conjugate else n
+            values = list(evaluate([mp.mpf(2 * j + 1) / (2 * n) for j in range(count)]))
+            if conjugate:
+                values += [mp.conj(v) for v in reversed(values[:n // 2])]
+            total += sum(values)
             n *= 2
             levels.append(scale * total / n)
             d1 = abs(levels[-1] - levels[-2])
@@ -136,6 +154,15 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
                     if mp.power(10, max(e1 * e1 / e2, 2 * e1)) < tol:
                         return levels[-1]
         raise PrecisionError(failure)
+
+
+def _check_conjugate(values, n: int, mp) -> None:
+    """Raise InternalConsistencyError at the first j <= n/2 where the value at
+    node (n - j)/n is not the conjugate of the one at j/n, bit for bit."""
+    for j in range(n // 2 + 1):
+        if _raw(values[n - j]) != _raw(mp.conj(values[j])):
+            raise InternalConsistencyError(
+                f"g(1 - u) is not conj g(u) at u = {mp.mpf(j) / n}, 1 - u = {mp.mpf(n - j) / n}")
 
 
 # True in a quadrature child, and in a parent while its child lives: a

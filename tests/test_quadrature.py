@@ -13,11 +13,14 @@ from conftest import SPLITS, assert_no_child, one_cpu
 
 from zetasum import sumrule as sr
 from zetasum import zetafn
-from zetasum.zetafn import (PrecisionError, _from_raw, _raw, _split_map, engine_for,
-                            trapezoid_mean)
+from zetasum.zetafn import (InternalConsistencyError, PrecisionError, _from_raw, _raw,
+                            _split_map, engine_for, trapezoid_mean)
 
-# the criterion-04 parameter pairs
+# the criterion-04 parameter pairs, and the criterion-06 pairs not among them
 CONTOUR_PAIRS = (("0.5", "0.5"), ("2", "0.25"), ("0.9", "0.75"))
+CLOSURE_ONLY_PAIRS = (("0.3", "0.5"), ("5", "0.25"), ("5", "0.75"))
+
+
 @pytest.fixture()
 def recorded(monkeypatch):
     """Every trapezoid_mean call sumrule makes, with its memoized integrand
@@ -26,7 +29,8 @@ def recorded(monkeypatch):
     one_cpu(monkeypatch)
     calls = []
 
-    def recording(g, ctx, n, tol, scale, failure, periodic=False, max_doublings=20):
+    def recording(g, ctx, n, tol, scale, failure, periodic=False, conjugate=False,
+                  max_doublings=20):
         cache = {}
 
         def memo(u):
@@ -34,12 +38,22 @@ def recorded(monkeypatch):
                 cache[u] = g(u)
             return cache[u]
 
-        value = trapezoid_mean(memo, ctx, n, tol, scale, failure, periodic, max_doublings)
-        n_final = len(cache) if periodic else len(cache) - 1
-        # the memo holds the whole final grid, not a share of its nodes
-        assert set(cache) == {ctx.mp.mpf(j) / n_final for j in range(len(cache))}
+        value = trapezoid_mean(memo, ctx, n, tol, scale, failure, periodic, conjugate,
+                               max_doublings)
+        mp = ctx.mp
+        if conjugate:
+            # the first level, then the nodes u < 1/2 of every later level
+            n_final = n + 2 * (len(cache) - n - 1)
+            expected = {mp.mpf(j) / n for j in range(n + 1)} | {
+                mp.mpf(j) / n_final for j in range(1, n_final // 2) if j % (n_final // n)}
+        else:
+            n_final = len(cache) if periodic else len(cache) - 1
+            # the memo holds the whole final grid, not a share of its nodes
+            expected = {mp.mpf(j) / n_final for j in range(len(cache))}
+        assert set(cache) == expected
         calls.append(SimpleNamespace(g=memo, ctx=ctx, n=n, tol=tol, scale=scale,
-                                     periodic=periodic, n_final=n_final, value=value))
+                                     periodic=periodic, conjugate=conjugate,
+                                     n_final=n_final, value=value))
         return value
 
     monkeypatch.setattr(sr, "trapezoid_mean", recording)
@@ -87,6 +101,7 @@ def test_contour_stop_is_accurate_and_no_later(ctx96, recorded, a, x):
     sr.contour_integral(sr.SumRuleParams(a=a, x=x), ctx96)
     (call,) = recorded
     assert not call.periodic and call.n == 32 and call.tol == ctx96.target_tol
+    assert call.conjugate
     stop, plain = check_call(call)
     # the integrand is analytic: the extrapolated stop saves the confirming level
     assert plain is None or stop < plain
@@ -136,6 +151,71 @@ def test_contour_split_is_bit_for_bit(ctx96, monkeypatch, forks, a, x):
     params = sr.SumRuleParams(a=a, x=x)
     split, alone = split_and_in_process(monkeypatch, lambda: sr.contour_integral(params, ctx96))
     assert _raw(split) == _raw(alone)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+def full_grid(*args, conjugate=False, **kwargs):
+    """trapezoid_mean evaluating every node of every level."""
+    return trapezoid_mean(*args, **kwargs)
+
+
+@pytest.mark.parametrize("bits,a,x", [(96, a, x) for a, x in CONTOUR_PAIRS + CLOSURE_ONLY_PAIRS]
+                         + [(192, "0.5", "0.5")])
+def test_mirrored_contour_is_the_full_grid_bit_for_bit(request, monkeypatch, forks, bits, a, x):
+    ctx = request.getfixturevalue(f"ctx{bits}")
+    params = sr.SumRuleParams(a=a, x=x)
+    split, alone = split_and_in_process(monkeypatch, lambda: sr.contour_integral(params, ctx))
+    assert len(forks) == SPLITS
+    monkeypatch.setattr(sr, "trapezoid_mean", full_grid)
+    assert _raw(split) == _raw(alone) == _raw(sr.contour_integral(params, ctx))
+    assert_no_child()
+
+
+def conjugate_symmetric(mp, flip=None):
+    """g(u) = exp(e^(i pi (2u - 1))), evaluated for u <= 1/2 and conjugated
+    above, so g(1 - u) = conj g(u) bit for bit; except that at u = flip the
+    last bit of the real part's mantissa is flipped.  Its mean is 1."""
+    half = mp.mpf(1) / 2
+
+    def g(u):
+        v = mp.exp(mp.expjpi(2 * min(u, 1 - u) - 1))
+        if u > half:
+            v = mp.conj(v)
+        if u == flip:
+            _, _, e, _ = v.real._mpf_  # the mantissa is odd: its last bit is 1
+            v = mp.mpc(v.real - mp.ldexp(1, e), v.imag)
+        return v
+
+    return g
+
+
+def test_conjugate_levels_are_the_full_grid_bit_for_bit(ctx96, forks):
+    def mean(conjugate):
+        return trapezoid_mean(conjugate_symmetric(ctx96.mp), ctx96, 8, ctx96.target_tol, 1,
+                              "unused", conjugate=conjugate)
+
+    mirrored = mean(True)
+    assert abs(mirrored - 1) < ctx96.target_tol
+    assert _raw(mirrored) == _raw(mean(False))
+    assert len(forks) == 2 * SPLITS
+    assert_no_child()
+
+
+@pytest.mark.parametrize("j", [3, 6, 8], ids=["below-half", "above-half", "endpoint"])
+def test_first_level_guard_names_the_flipped_node(ctx96, monkeypatch, forks, j):
+    mp = ctx96.mp
+    flip = mp.mpf(j) / 8
+    g = conjugate_symmetric(mp, flip)
+
+    def run():
+        with pytest.raises(InternalConsistencyError) as info:
+            trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "unused", conjugate=True)
+        return str(info.value)
+
+    split, alone = split_and_in_process(monkeypatch, run)
+    u = min(flip, 1 - flip)
+    assert split == alone == f"g(1 - u) is not conj g(u) at u = {u}, 1 - u = {1 - u}"
     assert len(forks) == SPLITS
     assert_no_child()
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from conftest import SPLITS, assert_no_child, one_cpu
 
@@ -531,3 +533,45 @@ def test_closure_ablation_family_b(ctx, store):
     assert abs(integral + full) < abs(b_sum) * mp.mpf("1e-3")
     gap = abs(integral + without_b)
     assert abs(gap - abs(b_sum)) < abs(b_sum) * mp.mpf("0.01")
+
+
+def test_closure_maps_its_residues_and_is_the_one_cpu_report(ctx, store, monkeypatch, forks):
+    p = params(n_zeros=2, n_trivial=2, n_halfint=1)
+    split = sr.verify_residue_theorem(p, store, ctx)
+    # the contour integral, the residues and the zero-sum tail
+    assert len(forks) == 3 * SPLITS
+    assert_no_child()
+    one_cpu(monkeypatch)
+    alone = sr.verify_residue_theorem(p, store, ctx)
+    assert split.sites == 8
+    for field in dataclasses.fields(sr.ClosureReport):
+        assert _raw(getattr(split, field.name)) == _raw(getattr(alone, field.name))
+
+
+@pytest.mark.parametrize("bad", [(3,), (6,), (5, 6)], ids=["odd", "even", "both"])
+def test_closure_raises_the_first_failing_sites_error(ctx, store, monkeypatch, forks, bad):
+    p = params(n_zeros=2, n_trivial=2, n_halfint=1)
+    catalog = sr.pole_catalog(p, store, ctx)
+    bad_sites = [(catalog[i].family, catalog[i].index) for i in bad]
+    numeric_residue = sr.numeric_residue
+
+    def failing(site, *args, **kwargs):
+        if (site.family, site.index) in bad_sites:
+            raise sr.SingularityError(f"residue fails at {site.family} {site.index}")
+        return numeric_residue(site, *args, **kwargs)
+
+    monkeypatch.setattr(sr, "numeric_residue", failing)
+    monkeypatch.setattr(sr, "contour_integral", lambda params, ctx: ctx.mp.mpc(0))
+
+    def message():
+        with pytest.raises(sr.SingularityError) as info:
+            sr.verify_residue_theorem(p, store, ctx)
+        return str(info.value)
+
+    split = message()
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        alone = message()
+    assert split == alone == "residue fails at %s %d" % bad_sites[0]
+    assert len(forks) == SPLITS
+    assert_no_child()
