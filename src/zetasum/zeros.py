@@ -95,7 +95,6 @@ class ZeroRecord:
 
     index: int
     tau: object
-    err_bound: object
     zeta_prime: object
 
 
@@ -210,10 +209,9 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi):
     return tau, zp
 
 
-def _records(refined, ctx: NumericContext) -> tuple:
-    """ZeroRecords, numbered from 1, of the (tau, zeta') pairs _certify gave."""
-    return tuple(ZeroRecord(i, tau, ctx.target_tol, zp)
-                 for i, (tau, zp) in enumerate(refined, start=1))
+def _records(refined) -> tuple:
+    """ZeroRecords, numbered from 1, of (tau, zeta') pairs."""
+    return tuple(ZeroRecord(i, tau, zp) for i, (tau, zp) in enumerate(refined, start=1))
 
 
 def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
@@ -236,7 +234,7 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     def refine(i):
         return _certify(engine, *brackets[i])
 
-    records = _records(_split_map(refine, len(brackets), ctx.mp), ctx)
+    records = _records(_split_map(refine, len(brackets), ctx.mp))
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"count check fails at prefix {bad} after refinement")
@@ -347,7 +345,7 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
         lo, hi = t0 - step, t0 + step
         return _certify(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi))
 
-    records = _records(_split_map(refine, len(rows), ctx.mp), ctx)
+    records = _records(_split_map(refine, len(rows), ctx.mp))
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"imported table fails the count check at prefix {bad}")
@@ -375,17 +373,17 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
             or len(rows) != count):
         warnings.warn(f"zeros cache {path}: header mismatch, recomputing")
         return None
-    records = []
-    for idx, (line_no, tau, zp) in enumerate(rows, start=1):
+    for line_no, _, zp in rows:
         if zp is None:
             warnings.warn(f"zeros cache {path}: missing zeta' at line {line_no}, recomputing")
             return None
-        records.append(ZeroRecord(idx, tau, ctx.target_tol, zp))
-    return ZeroStore(tuple(records), "computed", ctx.precision_bits)
+    return ZeroStore(_records(row[1:] for row in rows), "computed", ctx.precision_bits)
 
 
 def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStore:
-    """locate_zeros with a text-file cache keyed by (count, precision_bits)."""
+    """locate_zeros with a text-file cache keyed by (count, precision_bits).  A
+    miss returns the store as its new cache file reads back, without the
+    guard bits, so a cold run prints what every warm run prints."""
     if cache_dir is None:
         return locate_zeros(count, ctx)
     os.makedirs(cache_dir, exist_ok=True)
@@ -400,6 +398,5 @@ def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStor
             big = _load_cache(os.path.join(cache_dir, name), int(bigger[1]), ctx)
             if big is not None:
                 return big.prefix(count)
-    store = locate_zeros(count, ctx)
-    export_zeros(store, path, ctx, include_zeta_prime=True)
-    return store
+    export_zeros(locate_zeros(count, ctx), path, ctx, include_zeta_prime=True)
+    return _load_cache(path, count, ctx)

@@ -18,24 +18,22 @@ contour and residue circles, is integrated by trapezoid_mean.  Where
 g(1 - u) = conj g(u), as on the contour, it evaluates half of each level
 after the first and takes the other half as conjugates (conjugate=True).
 
-trapezoid_mean runs each level on two CPUs.  Where the affinity mask (read at
-each call) holds more than one CPU and the process has one thread, a call
-forks one child at its first level of two or more nodes; the child evaluates
-the odd-indexed nodes of every level and the caller the even-indexed ones.
-Nodes and values cross two pipes as raw mpmath tuples (marshal).  Values are
-summed in node order, so every level, stop and result is bit for bit the
-in-process one.  The integrand must be pure, since what it changes in the
-child is lost.  Each process evaluates its share of a level up to its first
-failure, and the level is evaluated in process from its first node without a
-value, so the caller sees the in-process exception.  The child leaves by
-os._exit and never outlives the call; a quadrature inside a quadrature, and
-any quadrature in the child, evaluates in process.  The same split serves
-the zeros and the zero sums: _split_map maps a pure function over indices
-0..n-1, the child taking the odd ones, and values cross as ints, mpfs, mpcs
-or tuples of them.  zeros refines each zero through it, the CLI's zeros
-command evaluates |zeta(rho)| through it, and the sum rule maps the terms of
-each zero sum and the residues of each closure through it (each side then
-runs its residues' quadratures in process).
+trapezoid_mean runs each level on two CPUs through _split.  Where the
+affinity mask (read at each call) holds more than one CPU and the process
+has one thread, a call forks one child at its first level.  The child walks
+its own copy of the lazily built levels and streams back, over one pipe, the
+values of each level's odd-indexed nodes as raw mpmath tuples (marshal),
+running ahead only as far as the pipe buffer lets it; the caller evaluates
+the even-indexed ones, sums in node order, and kills and reaps the child on
+leaving.  So every level, stop, result and exception is the in-process one;
+the integrand must be pure, since what it changes in the child is lost.  A
+split inside a split, and any split in the child, evaluates in process.
+_split_map maps a pure function over indices 0..n-1 as one list, the child
+taking the odd ones, with values ints, mpfs, mpcs or tuples of them: zeros
+refines each zero through it, the CLI's zeros command evaluates |zeta(rho)|
+through it, and the sum rule maps each zero sum's terms and each closure's
+residues through it (each side running its residues' quadratures in
+process).
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -117,28 +115,37 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
 
     g maps an mpf of ctx to an mpf or mpc of ctx and must be pure: where a
     second CPU is free, a forked child evaluates every other node of each
-    level (_Split), and whatever g changes in the child is lost.  The values
+    level (_split), and whatever g changes in the child is lost.  The values
     are summed in node order, so the result is bit for bit the in-process
     one, and an exception in g is the one the in-process loop raises.  Only
     the affinity mask counts CPUs: a CPU quota (a cgroup's cpu.max) is not
     detected, and under one the two processes share its time; pinning the
     process to one CPU (taskset -c 0) gives the in-process path."""
     mp = ctx.mp
-    with _Split(g, mp) as evaluate:
+
+    def node_lists(n):
+        # the interval form evaluates its end nodes before the inner ones
         if periodic:
-            first = list(evaluate([mp.mpf(j) / n for j in range(n)]))
+            yield [mp.mpf(j) / n for j in range(n)]
+        else:
+            yield [mp.zero, mp.one, *(mp.mpf(j) / n for j in range(1, n))]
+        for _ in range(max_doublings):
+            yield [mp.mpf(2 * j + 1) / (2 * n) for j in range(n - n // 2 if conjugate else n)]
+            n *= 2
+
+    with contextlib.closing(_split(g, node_lists(n), mp)) as evaluated:
+        first = next(evaluated)
+        if periodic:
             total = sum(first)
             first.append(first[0])  # g(1) = g(0)
         else:
-            g0, g1 = evaluate([mp.zero, mp.one])
-            first = [g0, *evaluate([mp.mpf(j) / n for j in range(1, n)]), g1]
-            total = (g0 + g1) / 2 + sum(first[1:-1])
+            g0, g1, *inner = first
+            total = (g0 + g1) / 2 + sum(inner)
+            first = [g0, *inner, g1]
         if conjugate:
             _check_conjugate(first, n, mp)
         levels = [scale * total / n]
-        for _ in range(max_doublings):
-            count = n - n // 2 if conjugate else n
-            values = list(evaluate([mp.mpf(2 * j + 1) / (2 * n) for j in range(count)]))
+        for values in evaluated:
             if conjugate:
                 values += [mp.conj(v) for v in reversed(values[:n // 2])]
             total += sum(values)
@@ -153,7 +160,7 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
                     e1, e2 = mp.log10(d1), mp.log10(d2)
                     if mp.power(10, max(e1 * e1 / e2, 2 * e1)) < tol:
                         return levels[-1]
-        raise PrecisionError(failure)
+    raise PrecisionError(failure)
 
 
 def _check_conjugate(values, n: int, mp) -> None:
@@ -165,8 +172,8 @@ def _check_conjugate(values, n: int, mp) -> None:
                 f"g(1 - u) is not conj g(u) at u = {mp.mpf(j) / n}, 1 - u = {mp.mpf(n - j) / n}")
 
 
-# True in a quadrature child, and in a parent while its child lives: a
-# quadrature there evaluates in process, so no process has two children
+# True in a split's child, and in a parent while its child lives: a split
+# there evaluates in process, so no process has two children
 _split_busy = False
 
 
@@ -179,7 +186,7 @@ def _may_fork() -> bool:
 
 
 def _raw(v):
-    """The form in which a value crosses a pipe: an int as a plain int, a
+    """The form in which a value crosses the pipe: an int as a plain int, a
     tuple as a list of the raw forms of its items, and each _mpf_ tuple as
     four plain ints.  A private MPContext's types cannot be serialised, and
     under mpmath's gmpy backend the mantissa is a gmpy2.mpz, an int subclass
@@ -208,11 +215,11 @@ def _from_raw(mp, r):
 
 
 def _split_map(f, count: int, mp) -> list:
-    """[f(0), ..., f(count - 1)], a forked child taking the odd indices where
-    _Split forks; f must be pure, as trapezoid_mean's g, and return ints,
-    mpfs and mpcs of mp, or tuples of them."""
-    with _Split(f, mp) as evaluate:
-        return list(evaluate(list(range(count))))
+    """[f(0), ..., f(count - 1)]: _split over the one list of indices, so a
+    forked child takes the odd ones; f must be pure, as trapezoid_mean's g,
+    and return ints, mpfs and mpcs of mp, or tuples of them."""
+    [values] = _split(f, [list(range(count))], mp)
+    return values
 
 
 def _until_failure(f, items) -> list:
@@ -224,109 +231,67 @@ def _until_failure(f, items) -> list:
     return values
 
 
-class _Split:
-    """evaluate(nodes) gives g over nodes.  The first list of two or more
-    nodes forks the child, where _may_fork allows; it takes the odd-indexed
-    nodes of every list.  On a list where either side raised, or the child
-    died, the nodes from the first one without a value on are evaluated in
-    process.  Leaving the with block closes the pipes and reaps the child,
-    after killing it if an exception is leaving."""
-
-    def __init__(self, g, mp):
-        self.g, self.mp = g, mp
-        self.forked = False
-        self.pid = None  # the child's, until reaped
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._end(kill=exc_type is not None)
-
-    def __call__(self, nodes):
-        """The values of g over nodes in node order: a list where each side
-        evaluated its whole share, else an iterator that evaluates g in
-        process, as it is read, from the first node without a value on."""
-        if not self.forked and len(nodes) > 1 and _may_fork():
-            self._fork()
-        if self.pid is not None:
-            try:
-                marshal.dump([_raw(u) for u in nodes[1::2]], self.send)
-                self.send.flush()
-            except (OSError, ValueError):  # the child is gone, or a value marshal cannot write
-                self._end(kill=True)
-        if self.pid is None:
-            return map(self.g, nodes)
-        even = _until_failure(self.g, nodes[::2])
-        odd = self._receive()
-        done = min(len(nodes), 2 * len(even), 2 * len(odd) + 1)
-        values = nodes[:done]
-        values[::2], values[1::2] = even[:(done + 1) // 2], odd[:done // 2]
-        if done == len(nodes):
-            return values
-        return itertools.chain(values, map(self.g, nodes[done:]))
-
-    def _receive(self):
-        """The child's values up to its first failure; none where it died."""
-        try:
-            raws = marshal.load(self.receive)
-        except (EOFError, ValueError, OSError):  # ValueError: a truncated message
-            self._end(kill=True)
-            return []
-        return [_from_raw(self.mp, r) for r in raws]
-
-    def _fork(self):
-        global _split_busy
-        self.forked = True
-        from_parent, to_child = os.pipe()
-        from_child, to_parent = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (to_child, from_parent, from_child, to_parent):
-                os.close(fd)
-            return
-        if pid == 0:
-            _serve(self.g, self.mp, from_parent, to_parent, (to_child, from_child))
-        os.close(from_parent)
-        os.close(to_parent)
-        self.pid, _split_busy = pid, True
-        self.send = os.fdopen(to_child, "wb")
-        self.receive = os.fdopen(from_child, "rb")
-
-    def _end(self, kill: bool):
-        global _split_busy
-        if self.pid is None:
-            return
-        if kill:
-            os.kill(self.pid, signal.SIGKILL)
-        for pipe in (self.send, self.receive):
-            with contextlib.suppress(OSError):  # a write the child never read
-                pipe.close()
-        os.waitpid(self.pid, 0)
-        self.pid, _split_busy = None, False
-
-
-def _serve(g, mp, read_fd: int, write_fd: int, parent_fds):
-    """The child, which never returns: close the parent's pipe ends, so each
-    side sees the other's exit as end of file; then for each node list read,
-    send back the raw values up to the first node where g raised.  At end of
-    input, or on any other exception, leave by os._exit, so no stdio buffer
-    is flushed and no atexit handler runs."""
+def _split(g, node_lists, mp):
+    """Yield [g(u) for u in nodes] for each list of node_lists, which must
+    hold one list at least and be pure as g is.  Where the first list holds two or more nodes and _may_fork
+    allows, a forked child walks its own copy of node_lists and streams back,
+    over one pipe, the values of each list's odd-indexed nodes up to its
+    first failure; this process evaluates the even-indexed ones, merges, and
+    evaluates in process from the first node without a value, so g's
+    exception is the in-process one.  The child runs ahead only as far as
+    the pipe buffer lets it; closing the generator kills and reaps it."""
     global _split_busy
+    lists = iter(node_lists)
+    first = next(lists)
+    lists = itertools.chain([first], lists)
+    pid = pipe = None
+    if len(first) > 1 and _may_fork():
+        read_fd, write_fd = os.pipe()
+        _split_busy = True  # here while the child lives, and in the child
+        with contextlib.suppress(OSError):  # where fork fails, the pipe reads as a dead child's
+            pid = os.fork()
+        if pid == 0:
+            _stream(g, lists, read_fd, write_fd)
+        os.close(write_fd)
+        pipe = os.fdopen(read_fd, "rb")
+    live = pipe is not None
+    try:
+        for nodes in lists:
+            values = []
+            if live:
+                even = _until_failure(g, nodes[::2])
+                try:
+                    odd = [_from_raw(mp, r) for r in marshal.load(pipe)]
+                except (EOFError, ValueError, OSError):  # ValueError: a truncated message
+                    odd = []
+                live = len(odd) == len(nodes) // 2  # else the child failed and left, or died
+                values = nodes[:min(len(nodes), 2 * len(even), 2 * len(odd) + 1)]
+                values[::2], values[1::2] = even[:(len(values) + 1) // 2], odd[:len(values) // 2]
+            yield values + [g(u) for u in nodes[len(values):]]
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if pipe is not None:
+            pipe.close()
+            _split_busy = False
+
+
+def _stream(g, node_lists, read_fd: int, write_fd: int):
+    """The child, which never returns: close the read end (so a write fails
+    once the parent is gone), send the raw values of each list's odd-indexed
+    nodes up to the first where g raised, and stop after that list or the
+    last.  Leave by os._exit: no stdio buffer is flushed, no atexit handler runs."""
     code = 0
     try:
-        _split_busy = True
-        for fd in parent_fds:
-            os.close(fd)
-        with os.fdopen(read_fd, "rb") as inp, os.fdopen(write_fd, "wb") as out:
-            while True:
-                try:
-                    nodes = marshal.load(inp)
-                except EOFError:
-                    break
-                marshal.dump(_until_failure(lambda r: _raw(g(_from_raw(mp, r))), nodes), out)
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as out:
+            for nodes in node_lists:
+                raws = _until_failure(lambda u: _raw(g(u)), nodes[1::2])
+                marshal.dump(raws, out)
                 out.flush()
+                if len(raws) < len(nodes) // 2:
+                    break
     except BaseException:
         code = 1
     finally:

@@ -60,6 +60,17 @@ def test_verify_text_is_deterministic(base_args, store30_96, capsys):
     assert b"wall time (ms)   : 0\n" in outputs[0]
 
 
+def test_cold_and_warm_cache_runs_print_the_same_bytes(tmp_path, capsys):
+    # the first run computes the zeros and writes the cache, the second reads it
+    args = ["verify", "sumrule", "--a", "0.5", "--x", "0.5", "--zeros", "6", "--precision",
+            "96", "--format", "json", "--cache-dir", str(tmp_path / "cache")]
+    outputs = []
+    for _ in range(2):
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_zeros_roundtrip_via_cli(base_args, store30_96, tmp_path, capsys):
     export_path = tmp_path / "zeros.txt"
     rc = main(["zeros", "--count", "8", "--export", str(export_path)] + base_args)

@@ -6,6 +6,7 @@ in-process ones, the in-process exception, and no child left behind."""
 
 import marshal
 import os
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -397,13 +398,15 @@ def test_dead_child_leaves_the_value_unchanged(ctx96, monkeypatch, forks):
     assert_no_child()
 
 
-def test_unwritable_nodes_leave_the_value_unchanged(ctx96, monkeypatch, forks):
+def test_parent_writes_nothing_to_the_child(ctx96, monkeypatch, forks):
+    # the child builds its node lists itself: no node crosses to it
     mp = ctx96.mp
     parent = os.getpid()
+    written = []
 
     def dump(value, file):
         if os.getpid() == parent:
-            raise ValueError("unmarshallable object")
+            written.append(value)
         marshal.dump(value, file)
 
     monkeypatch.setattr(zetafn, "marshal", SimpleNamespace(dump=dump, load=marshal.load))
@@ -411,8 +414,61 @@ def test_unwritable_nodes_leave_the_value_unchanged(ctx96, monkeypatch, forks):
         monkeypatch, lambda: trapezoid_mean(lambda u: mp.exp(mp.cospi(2 * u)), ctx96, 8,
                                             ctx96.target_tol, 1, "unused", periodic=True))
     assert _raw(split) == _raw(alone)
+    assert written == []
     assert len(forks) == SPLITS
     assert_no_child()
+
+
+def test_unsendable_values_leave_the_value_unchanged(ctx96, monkeypatch, forks):
+    mp = ctx96.mp
+    parent = os.getpid()
+    raw = zetafn._raw
+
+    def child_cannot_send(v):
+        if os.getpid() != parent:
+            raise ValueError("unmarshallable object")
+        return raw(v)
+
+    monkeypatch.setattr(zetafn, "_raw", child_cannot_send)
+    split, alone = split_and_in_process(
+        monkeypatch, lambda: trapezoid_mean(lambda u: mp.exp(mp.cospi(2 * u)), ctx96, 8,
+                                            ctx96.target_tol, 1, "unused", periodic=True))
+    assert _raw(split) == _raw(alone)
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_map_over_fewer_than_two_items_forks_nothing(ctx96, forks, count):
+    assert _split_map(lambda i: ctx96.mp.mpf(i) / 3, count, ctx96.mp) == [
+        ctx96.mp.mpf(i) / 3 for i in range(count)]
+    assert forks == []
+
+
+def test_child_run_ahead_is_killed_and_reaped(ctx96, monkeypatch, forks, tmp_path):
+    # exact from 8 nodes, the rule stops at its first doubling; the child,
+    # fast where this process is slow, evaluates later levels until the pipe
+    # is full, and must not outlive the call
+    mp = ctx96.mp
+    parent = os.getpid()
+    log = tmp_path / "child"
+
+    def g(u):
+        if os.getpid() == parent:
+            time.sleep(0.02)
+        else:
+            with open(log, "a") as f:
+                f.write(f"{u}\n")
+        return mp.cospi(2 * u) ** 2
+
+    split, alone = split_and_in_process(
+        monkeypatch, lambda: trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 2, "not exact",
+                                            periodic=True))
+    assert _raw(split) == _raw(alone) and abs(split - 1) < ctx96.target_tol
+    assert len(forks) == SPLITS
+    assert_no_child()
+    if SPLITS:  # a node of the level after the last one this process evaluated
+        assert str(mp.mpf(3) / 32) in log.read_text().split()
 
 
 def test_nested_quadrature_does_not_fork(ctx96, monkeypatch, forks):

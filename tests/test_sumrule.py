@@ -251,7 +251,7 @@ def test_zero_sum_tail_honesty(ctx, store):
 
 
 def test_zero_sum_simplicity_guard(ctx, store):
-    bad = ZeroRecord(1, store[0].tau, store[0].err_bound, ctx.mp.mpc("1e-16", 0))
+    bad = ZeroRecord(1, store[0].tau, ctx.mp.mpc("1e-16", 0))
     fake = ZeroStore((bad,) + store.records[1:], "computed", ctx.precision_bits)
     with pytest.raises(MultipleZeroError):
         sr.zero_sum_lhs(params(n_zeros=3), fake, ctx)
@@ -312,7 +312,7 @@ def test_split_zero_sum_raises_the_first_bad_zeros_error(ctx192, store500_192, m
                                                          forks, bad):
     count = 80
     floor = ctx192.mp.mpc("1e-16", 0)
-    records = tuple(ZeroRecord(r.index, r.tau, r.err_bound, floor)
+    records = tuple(ZeroRecord(r.index, r.tau, floor)
                     if i in bad else r for i, r in enumerate(store500_192.records[:count]))
     fake = ZeroStore(records, "computed", ctx192.precision_bits)
     p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=count)
