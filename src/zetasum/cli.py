@@ -12,8 +12,10 @@ Exit codes: 0 all criteria met, 1 a mathematical criterion failed,
 
 Settings precedence: flags > ZETASUM_CACHE_DIR (cache dir only) > config file
 (flat key=value lines; an unknown key or a bad value exits 2) > DEFAULTS.
-Reports and scans are byte-deterministic for the same settings in every
-format; the wall time is emitted as 0 unless --timing is given.
+`zeros --import F` is that subcommand's spelling of --zeros-file F.  Reports
+and scans are byte-deterministic for the same settings in every format, with
+no cache, a cache or --zeros-file alike.  wall_time_ms times the whole verify
+call, or one scan point's evaluate_sumrule, with --timing, and is 0 without.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ FIELDS = (
     ("residual", "residual", "residual"),
     ("tail_bound", "tail_bound", "tail bound"),
     ("zeros_used", "zeros_used", "zeros used"),
-    ("wall_time_ms", "wall_time_ms", "wall time (ms)"),
+    ("wall_time_ms", "wall_time_ms", "wall time (ms)"),  # the CLI's clock, not a report's
 )
 TABLE = ("a", "x", "residual", "tail_bound")  # a grid's text table, then status
 
@@ -112,21 +114,22 @@ def _settle(args) -> None:
 def _store_for(args, ctx: NumericContext, count: int):
     if args.zeros_file:
         return import_zeros(args.zeros_file, ctx).prefix(count)
-    return load_or_compute(count, ctx, args.cache_dir).prefix(count)
+    return load_or_compute(count, ctx, args.cache_dir)
 
 
 # -- reports -------------------------------------------------------------------
 
 
-def _row(rep, ctx: NumericContext, timing: bool) -> tuple:
+def _row(rep, ctx: NumericContext, args, t0) -> tuple:
     """(values, PASS or FAIL) of one report: its FIELDS keyed by attribute,
-    numbers as full-precision decimal strings, then its notes and aux."""
+    numbers as full-precision decimal strings, wall_time_ms the milliseconds
+    since perf_counter() read t0 with --timing, else 0, then notes and aux."""
+    wall_ms = int((time.perf_counter() - t0) * 1000) if args.timing else 0
     values = {}
-    for attr, _, _ in FIELDS:
+    for attr, _, _ in FIELDS[:-1]:
         v = getattr(rep, attr)
         values[attr] = v if isinstance(v, int) else ctx.nstr(v)
-    if not timing:
-        values["wall_time_ms"] = 0
+    values["wall_time_ms"] = wall_ms
     values["notes"] = list(rep.notes)
     if rep.aux:
         values["aux"] = dict(rep.aux)
@@ -168,10 +171,8 @@ def _render(args, rows, criterion: str | None = None) -> None:
 
 def cmd_zeros(args) -> int:
     ctx = NumericContext(args.precision_bits)
-    if args.import_path:
-        store = import_zeros(args.import_path, ctx)
-    else:
-        store = load_or_compute(args.count or args.zeros_count, ctx, args.cache_dir)
+    store = (import_zeros(args.zeros_file, ctx) if args.zeros_file
+             else load_or_compute(args.count or args.zeros_count, ctx, args.cache_dir))
     engine = engine_for(ctx)
     mp = ctx.mp
     worst = max(_split_map(lambda i: abs(engine.zeta(mp.mpc(0.5, store[i].tau))), len(store), mp))
@@ -208,16 +209,12 @@ def _verify_integral(args, ctx) -> tuple:
                               n_halfint=args.n_halfint)
     a, x = params.bind(ctx)
     mp = ctx.mp
-    t0 = time.perf_counter()
     value = sr.contour_integral(params, ctx)
     closed = sr.cpow(x, mp.mpf(1) / 4, ctx) / (2 * mp.pi * engine_for(ctx).zeta(a))
     residual = abs(value - closed)
-    tail = 20 * ctx.target_tol
-    wall = int((time.perf_counter() - t0) * 1000)
     rep = sr.EvaluationReport(
         a=a, x=x, lhs_zero_sum=mp.re(value), rhs_const=closed, rhs_n_series=mp.mpf(0),
-        rhs_k_series=mp.mpf(0), residual=residual, tail_bound=tail,
-        zeros_used=0, wall_time_ms=wall,
+        rhs_k_series=mp.mpf(0), residual=residual, tail_bound=20 * ctx.target_tol, zeros_used=0,
         notes=("integral along the imaginary axis vs x^(1/4)/(2 pi zeta(a))",),
         aux=(("relative_error", ctx.nstr(residual / abs(closed))),))
     return rep, rep.passes(), "|integral - closed form| <= 10 * (20*target_tol)"
@@ -229,16 +226,13 @@ def _verify_residues(args, ctx) -> tuple:
                               n_halfint=min(args.n_halfint, 4))
     a, x = params.bind(ctx)
     mp = ctx.mp
-    t0 = time.perf_counter()
     store = _store_for(args, ctx, params.n_zeros)
     catalog = sr.pole_catalog(params, store, ctx)
     worst = _worst_residue(catalog, params, ctx, catalog, store)
-    wall = int((time.perf_counter() - t0) * 1000)
     rep = sr.EvaluationReport(
         a=a, x=x, lhs_zero_sum=mp.mpf(0), rhs_const=mp.mpf(0), rhs_n_series=mp.mpf(0),
         rhs_k_series=mp.mpf(0), residual=worst, tail_bound=mp.mpf("1e-13"),
-        zeros_used=params.n_zeros, wall_time_ms=wall,
-        notes=sr.CONVENTION_NOTES,
+        zeros_used=params.n_zeros, notes=sr.CONVENTION_NOTES,
         aux=(("sites_checked", str(len(catalog))),))
     return rep, worst <= mp.mpf("1e-12"), "max relative residue deviation <= 1e-12"
 
@@ -281,8 +275,9 @@ def cmd_verify(args) -> int:
     if any(getattr(args, name) is None for name in required):
         raise ValueError(f"verify {args.kind} requires "
                          + " and ".join(f"--{name}" for name in required))
+    t0 = time.perf_counter()
     rep, ok, criterion = verify(args, ctx)
-    _render(args, [_row(rep, ctx, args.timing)], criterion)
+    _render(args, [_row(rep, ctx, args, t0)], criterion)
     if args.output_format == "text":
         print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -299,8 +294,9 @@ def cmd_scan(args) -> int:
             try:
                 params = sr.SumRuleParams(a=a, x=x, n_zeros=args.zeros_count,
                                           n_trivial=args.n_trivial, n_halfint=args.n_halfint)
+                t0 = time.perf_counter()
                 rep = sr.evaluate_sumrule(params, store, ctx)
-                rows.append(_row(rep, ctx, args.timing))
+                rows.append(_row(rep, ctx, args, t0))
             except COMPUTATIONAL_ERRORS as exc:
                 msg = f"error: {exc}".replace(",", ";").replace("\n", " ")
                 rows.append(({"a": a, "x": x}, msg))
@@ -370,7 +366,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="output_format", default=None, choices=FORMATS)
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument("--timing", action="store_true", default=None,
-                   help="emit real wall_time_ms (breaks byte-determinism)")
+                   help="emit the real wall_time_ms of each verify call or scan point "
+                        "(breaks byte-determinism)")
     p.add_argument("--zeros-file", dest="zeros_file", default=None,
                    help="use an imported zeros table instead of computing")
 
@@ -385,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--export", dest="export_path", default=None)
-    p.add_argument("--import", dest="import_path", default=None)
+    p.add_argument("--import", dest="zeros_file", default=None, help="the same as --zeros-file")
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("verify", help="verify one identity at one point")

@@ -37,7 +37,6 @@ double poles and the printed series terms are individually singular.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .arith import MangoldtTable, guillera_h
@@ -164,7 +163,6 @@ class EvaluationReport:
     residual: object
     tail_bound: object
     zeros_used: int
-    wall_time_ms: int
     notes: tuple = ()
     aux: tuple = ()  # ((key, decimal-string), ...) extra diagnostics
 
@@ -336,27 +334,23 @@ def _phantom_neighbors(params: SumRuleParams, a, ctx, store: ZeroStore | None):
 
 
 def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
-                    catalog: list | None = None, engine: ZetaEngine | None = None,
+                    catalog: list, engine: ZetaEngine | None = None,
                     store: ZeroStore | None = None):
     """Residue at site.location as r times the mean of f(c + r w) w over the
     circle w = e^(2 pi i u), by the periodic trapezoid rule from 8 points up,
     stopped by trapezoid_mean's extrapolated error estimate at target_tol.
-    The radius is 1/4 of the nearest-neighbor distance, capped at 1e-2.
-    engine defaults to engine_for(ctx)."""
+    The radius is 1/4 of the distance to the nearest other pole of the
+    catalog or beyond its truncation, capped at 1e-2.  engine defaults to
+    engine_for(ctx)."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     engine = engine or engine_for(ctx)
-    neighbors = []
-    if catalog:
-        neighbors = [p.location for p in catalog if p is not site]
-        neighbors.extend(_phantom_neighbors(params, a, ctx, store))
-    r = mp.mpf("0.01")
-    if neighbors:
-        nn = min(abs(site.location - loc) for loc in neighbors)
-        if nn < 1e-9:
-            raise OverlappingPoleError(
-                f"catalog poles overlap at {site.family} index {site.index}")
-        r = min(r, nn / 4)
+    neighbors = [p.location for p in catalog if p is not site]
+    neighbors.extend(_phantom_neighbors(params, a, ctx, store))
+    nn = min(abs(site.location - loc) for loc in neighbors)
+    if nn < 1e-9:
+        raise OverlappingPoleError(f"catalog poles overlap at {site.family} index {site.index}")
+    r = min(mp.mpf("0.01"), nn / 4)
     c = site.location
 
     def g(u):
@@ -451,7 +445,6 @@ def half_integer_series(params: SumRuleParams, ctx: NumericContext):
 def evaluate_sumrule(params: SumRuleParams, store: ZeroStore,
                      ctx: NumericContext) -> EvaluationReport:
     """Both sides of the series identity; residual = lhs - (const + n + k)."""
-    t0 = time.perf_counter()
     a, x = params.bind(ctx)
     params.check_resonance(ctx)
     mp = ctx.mp
@@ -463,14 +456,13 @@ def evaluate_sumrule(params: SumRuleParams, store: ZeroStore,
     k_val, tail_k = half_integer_series(params, ctx)
     const = mp.sqrt(a) / (mp.pi * z_a)
     residual = lhs - (const + n_val + k_val)
-    wall = int((time.perf_counter() - t0) * 1000)
     aux = (("tail_zero_sum", ctx.nstr(tail_z)),
            ("tail_n_series", ctx.nstr(tail_n)),
            ("tail_k_series", ctx.nstr(tail_k)))
     return EvaluationReport(
         a=a, x=x, lhs_zero_sum=lhs, rhs_const=const, rhs_n_series=n_val,
         rhs_k_series=k_val, residual=residual, tail_bound=tail_z + tail_n + tail_k,
-        zeros_used=params.n_zeros, wall_time_ms=wall, notes=CONVENTION_NOTES, aux=aux)
+        zeros_used=params.n_zeros, notes=CONVENTION_NOTES, aux=aux)
 
 
 def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
@@ -489,7 +481,6 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     zero_sum_lhs maps its own, and give only their real parts; they are
     summed in ascending zero order, so the sum is bit for bit the
     one-process one."""
-    t0 = time.perf_counter()
     mp = ctx.mp
     x = mp.mpf(x)
     if not (0 < x < 1):
@@ -536,14 +527,13 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
         ("cross_n_diff", ctx.nstr(abs(n_val - ref.rhs_n_series))),
         ("cross_k_diff", ctx.nstr(abs(k_corr - ref.rhs_k_series))),
     )
-    wall = int((time.perf_counter() - t0) * 1000)
     notes = CONVENTION_NOTES + (
         "rh-form k-series variant with an extra x^(1/4) prefactor rejected "
         "empirically; measured factor in aux.rh_k_prefactor",)
     return EvaluationReport(
         a=half, x=x, lhs_zero_sum=lhs, rhs_const=const, rhs_n_series=n_val,
         rhs_k_series=k_corr, residual=residual, tail_bound=ref.tail_bound,
-        zeros_used=n_zeros, wall_time_ms=wall, notes=notes, aux=aux)
+        zeros_used=n_zeros, notes=notes, aux=aux)
 
 
 def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
@@ -560,7 +550,6 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
     Lambda replaced by its mean value 1; both corrected and uncorrected
     residuals are reported.  The zero terms are mapped by _split_map and
     summed in ascending zero order, as zero_sum_lhs sums its own."""
-    t0 = time.perf_counter()
     mp = ctx.mp
     x = mp.mpf(x)
     if not (0 < x < 1):
@@ -590,7 +579,6 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
                                   - mp.sqrt(x) * mp.atan(mp.sqrt(mp.mpf(N) / x))))
     residual = lhs - (base + lam + tail_corr)
     residual_raw = lhs - (base + lam)
-    wall = int((time.perf_counter() - t0) * 1000)
     aux = (
         ("lambda_cutoff", str(N)),
         ("tail_correction", ctx.nstr(tail_corr)),
@@ -600,7 +588,7 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
     return EvaluationReport(
         a=mp.mpf(1), x=x, lhs_zero_sum=lhs, rhs_const=base, rhs_n_series=lam + tail_corr,
         rhs_k_series=mp.mpf(0), residual=residual, tail_bound=mp.mpf("1e-4"),
-        zeros_used=len(store), wall_time_ms=wall,
+        zeros_used=len(store),
         notes=("mangoldt series summed in double precision (math.fsum)",
                "mangoldt tail corrected by its mean-value integral; "
                "uncorrected residual in aux"), aux=aux)
@@ -626,12 +614,9 @@ def verify_residue_theorem(params: SumRuleParams, store: ZeroStore,
     residue_sum = sum(_split_map(residue, len(catalog), mp), mp.mpc(0))
     orientation = -1 if abs(integral + residue_sum) <= abs(integral - residue_sum) else 1
     residual = abs(integral - orientation * residue_sum)
-    _, tail_z = zero_sum_lhs(params, store, ctx)
-    _, tail_n = trivial_series(params, ctx)
-    _, tail_k = half_integer_series(params, ctx)
-    # series tails map back to residue scale through the -2 sqrt(a) x^(-1/4) factor
+    # the series tails map back to residue scale through the -2 sqrt(a) x^(-1/4) factor
     scale = cpow(x, mp.mpf(1) / 4, ctx) / (2 * mp.sqrt(a))
-    tail = (tail_z + tail_n + tail_k) * scale + 100 * ctx.target_tol
+    tail = evaluate_sumrule(params, store, ctx).tail_bound * scale + 100 * ctx.target_tol
     return ClosureReport(a=a, x=x, integral=integral, residue_sum=residue_sum,
                          orientation=orientation, residual=residual,
                          tail_bound=tail, sites=len(catalog))

@@ -8,7 +8,11 @@ width 1e-4 (it only reads signs), Newton on Z at full precision inside the
 bracket, then a full-precision sign change of Z across [tau - e, tau + e],
 e = 2^(10 - precision_bits), as the certificate; should that fail, a
 full-precision bisection down to e.  One fused zeta/zeta' pass gives the
-residual Z(tau) and the cached zeta'(1/2 + i tau).
+residual Z(tau) and the cached zeta'(1/2 + i tau).  The certificate is for
+the refined tau; _certify returns tau and zeta' as a zeros file holds them
+(rounded to the ctx.dps digits export_zeros writes, read back at working
+precision): it moves tau by half a unit in the last digit at most, which is
+under e/2 for every tau < 10^4, so for every zero up to MAX_COUNT.
 
 Every sign the scan and the bisections read comes from _signed_z: Z in
 double precision with a proven error bound (zetafn._hardy_z_float), used
@@ -102,7 +106,6 @@ class ZeroRecord:
 class ZeroStore:
     records: tuple
     source: str  # "computed" or "imported"
-    generated_with: int
 
     def __len__(self) -> int:
         return len(self.records)
@@ -116,7 +119,7 @@ class ZeroStore:
     def prefix(self, n: int) -> "ZeroStore":
         if n > len(self.records):
             raise ValueError(f"store holds {len(self.records)} zeros, {n} requested")
-        return ZeroStore(self.records[:n], self.source, self.generated_with)
+        return ZeroStore(self.records[:n], self.source)
 
 
 def _expected_count(engine: ZetaEngine, tau):
@@ -181,9 +184,9 @@ def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
 
 
 def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi):
-    """(tau, zeta'(1/2 + i tau)) for the zero in the sign-change bracket
-    [lo, hi], where z_lo and z_hi have the signs of Z(lo) and Z(hi); the
-    steps are in the module docstring."""
+    """(tau, zeta'(1/2 + i tau)), as a zeros file holds them, for the zero in
+    the sign-change bracket [lo, hi], where z_lo and z_hi have the signs of
+    Z(lo) and Z(hi); the steps and the rounding are in the module docstring."""
     e = engine.ctx.target_tol
     lo, hi = _bisect(engine, lo, hi, z_lo, z_hi, engine.ctx.mp.mpf(NEWTON_WIDTH))
     tau = (lo + hi) / 2
@@ -206,7 +209,9 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi):
     if not abs(z) < 1000 * e * abs(zp):
         raise MissedZeroError(
             f"residual {float(abs(z)):.3g} inconsistent with enclosure at tau = {float(tau):.9f}")
-    return tau, zp
+    re_zp, im_zp = _zp_fields(engine.ctx, zp)  # read back as _read_zeros reads them
+    mp = engine.ctx.mp
+    return mp.mpf(engine.ctx.nstr(tau)), mp.mpc(mp.mpf(re_zp), mp.mpf(im_zp))
 
 
 def _records(refined) -> tuple:
@@ -238,7 +243,7 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"count check fails at prefix {bad} after refinement")
-    return ZeroStore(records, "computed", ctx.precision_bits)
+    return ZeroStore(records, "computed")
 
 
 # -- text format -------------------------------------------------------------
@@ -249,6 +254,11 @@ def _checksum(payload_lines) -> str:
     return h.hexdigest()[:16]
 
 
+def _zp_fields(ctx: NumericContext, zp) -> list:
+    """Re and Im of zeta' as the decimal strings of its "# zp" line."""
+    return [ctx.mp.nstr(part, ctx.dps) for part in (ctx.mp.re(zp), ctx.mp.im(zp))]
+
+
 def export_zeros(store: ZeroStore, path, ctx: NumericContext,
                  include_zeta_prime: bool = False) -> None:
     """Write the store as zeros-format text (header + ascending tau lines)."""
@@ -256,10 +266,8 @@ def export_zeros(store: ZeroStore, path, ctx: NumericContext,
     for rec in store.records:
         lines.append(ctx.nstr(rec.tau))
         if include_zeta_prime:
-            mp = ctx.mp
-            lines.append(f"# zp {mp.nstr(mp.re(rec.zeta_prime), ctx.dps)} "
-                         f"{mp.nstr(mp.im(rec.zeta_prime), ctx.dps)}")
-    header = f"# precision_bits={store.generated_with} checksum={_checksum(lines)}"
+            lines.append("# zp " + " ".join(_zp_fields(ctx, rec.zeta_prime)))
+    header = f"# precision_bits={ctx.precision_bits} checksum={_checksum(lines)}"
     text = header + "\n" + "\n".join(lines) + "\n"
     _atomic_write(path, text)
 
@@ -349,7 +357,7 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
     bad = _check_counts(engine, [r.tau for r in records])
     if bad is not None:
         raise MissedZeroError(f"imported table fails the count check at prefix {bad}")
-    return ZeroStore(records, "imported", ctx.precision_bits)
+    return ZeroStore(records, "imported")
 
 
 # -- cache -------------------------------------------------------------------
@@ -377,13 +385,13 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
         if zp is None:
             warnings.warn(f"zeros cache {path}: missing zeta' at line {line_no}, recomputing")
             return None
-    return ZeroStore(_records(row[1:] for row in rows), "computed", ctx.precision_bits)
+    return ZeroStore(_records(row[1:] for row in rows), "computed")
 
 
 def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStore:
-    """locate_zeros with a text-file cache keyed by (count, precision_bits).  A
-    miss returns the store as its new cache file reads back, without the
-    guard bits, so a cold run prints what every warm run prints."""
+    """locate_zeros with a text-file cache keyed by (count, precision_bits).
+    A located store already holds what its cache file holds (_certify), so a
+    run with no cache, a cold and a warm one print the same bytes."""
     if cache_dir is None:
         return locate_zeros(count, ctx)
     os.makedirs(cache_dir, exist_ok=True)
@@ -398,5 +406,6 @@ def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStor
             big = _load_cache(os.path.join(cache_dir, name), int(bigger[1]), ctx)
             if big is not None:
                 return big.prefix(count)
-    export_zeros(locate_zeros(count, ctx), path, ctx, include_zeta_prime=True)
-    return _load_cache(path, count, ctx)
+    store = locate_zeros(count, ctx)
+    export_zeros(store, path, ctx, include_zeta_prime=True)
+    return store

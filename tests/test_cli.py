@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import pytest
 
@@ -60,15 +62,47 @@ def test_verify_text_is_deterministic(base_args, store30_96, capsys):
     assert b"wall time (ms)   : 0\n" in outputs[0]
 
 
-def test_cold_and_warm_cache_runs_print_the_same_bytes(tmp_path, capsys):
-    # the first run computes the zeros and writes the cache, the second reads it
-    args = ["verify", "sumrule", "--a", "0.5", "--x", "0.5", "--zeros", "6", "--precision",
-            "96", "--format", "json", "--cache-dir", str(tmp_path / "cache")]
+def test_every_zero_source_prints_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # no cache, a cold cache (the zeros are computed and written), a warm one
+    # (they are read) and --zeros-file on the cache's export (they are
+    # imported): every store holds tau and zeta' as a zeros file holds them
+    monkeypatch.delenv("ZETASUM_CACHE_DIR", raising=False)
+    args = ["verify", "sumrule", "--a", "0.5", "--x", "0.5", "--zeros", "30", "--precision",
+            "96", "--format", "json"]
+    cache, export = str(tmp_path / "cache"), str(tmp_path / "zeros.txt")
     outputs = []
-    for _ in range(2):
-        assert main(args) == 0
+    for extra in ([], ["--cache-dir", cache], ["--cache-dir", cache]):
+        assert main(args + extra) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert main(["zeros", "--count", "30", "--precision", "96", "--cache-dir", cache,
+                 "--export", export]) == 0
+    capsys.readouterr()
+    assert main(args + ["--zeros-file", export]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs == [outputs[0]] * 4
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["verify", "sumrule", "--a", "0.5", "--x", "0.5"], 1),
+    (["scan", "--a-list", "0.5,0.6", "--x-list", "0.5"], 2),
+])
+def test_timing_writes_the_cli_clock_in_its_key(argv, rows, base_args, store30_96, capsys,
+                                                 monkeypatch):
+    # --timing puts the milliseconds the CLI measures around the verify call,
+    # or around each scan point's evaluate_sumrule, where 0 stands without it
+    argv = argv + ["--zeros", "10", "--format", "json"] + base_args
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    clock = itertools.count(0, 0.25)  # each read is 250 ms after the one before
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    assert main(argv + ["--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    plain, timed = ([doc] if isinstance(doc, dict) else doc for doc in (plain, timed))
+    assert len(plain) == len(timed) == rows
+    for p, t in zip(plain, timed):
+        assert list(t) == list(p)
+        assert (p["wall_time_ms"], t["wall_time_ms"]) == (0, 250)
+        assert {**t, "wall_time_ms": 0} == p
 
 
 def test_zeros_roundtrip_via_cli(base_args, store30_96, tmp_path, capsys):
@@ -80,6 +114,15 @@ def test_zeros_roundtrip_via_cli(base_args, store30_96, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "imported" in out
+
+
+def test_zeros_zeros_file_imports_the_file(base_args, store30_96, ctx96, tmp_path, capsys):
+    # --zeros-file is the zeros command's --import: the table is imported, and
+    # --count does not make it compute zeros instead
+    path = tmp_path / "zeros.txt"
+    export_zeros(store30_96.prefix(3), path, ctx96)
+    assert main(["zeros", "--zeros-file", str(path), "--count", "5"] + base_args) == 0
+    assert capsys.readouterr().out.startswith("zeros          : 3 (imported)\n")
 
 
 def test_zeros_import_corrupt_exits_2(base_args, tmp_path, capsys):

@@ -12,10 +12,10 @@ verify and scan calls, whose zero sums split over two CPUs, must print the
 bytes they print in one process."""
 
 import hashlib
-import os
 from pathlib import Path
 
 import pytest
+from conftest import SPLITS, assert_no_child, one_cpu
 
 from zetasum.cli import main
 from zetasum.numctx import NumericContext
@@ -100,16 +100,15 @@ def test_split_zero_sums_print_the_one_process_bytes(cache_dir, store500_192, mo
             assert main(argv + ["--zeros", "500", "--precision", "192",
                                 "--cache-dir", cache_dir]) == 0
             outs.append(capsys.readouterr().out)
-            with pytest.raises(ChildProcessError):  # no child outlives the call
-                os.waitpid(-1, os.WNOHANG)
+            assert_no_child()  # no child outlives the call
         return outs
 
     # one split zero sum for sumrule, two for rh-form (its own and the a = 1/2
     # sum rule's) and one per scan point, where a second CPU is free
-    forked = 7 * (len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1)
+    forked = 7 * SPLITS
     split = run()
     assert len(forks) == forked
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu(monkeypatch)
     assert run() == split
     assert len(forks) == forked
 

@@ -252,7 +252,7 @@ def test_zero_sum_tail_honesty(ctx, store):
 
 def test_zero_sum_simplicity_guard(ctx, store):
     bad = ZeroRecord(1, store[0].tau, ctx.mp.mpc("1e-16", 0))
-    fake = ZeroStore((bad,) + store.records[1:], "computed", ctx.precision_bits)
+    fake = ZeroStore((bad,) + store.records[1:], "computed")
     with pytest.raises(MultipleZeroError):
         sr.zero_sum_lhs(params(n_zeros=3), fake, ctx)
 
@@ -314,7 +314,7 @@ def test_split_zero_sum_raises_the_first_bad_zeros_error(ctx192, store500_192, m
     floor = ctx192.mp.mpc("1e-16", 0)
     records = tuple(ZeroRecord(r.index, r.tau, floor)
                     if i in bad else r for i, r in enumerate(store500_192.records[:count]))
-    fake = ZeroStore(records, "computed", ctx192.precision_bits)
+    fake = ZeroStore(records, "computed")
     p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=count)
 
     def message():

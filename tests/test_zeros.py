@@ -150,10 +150,39 @@ def test_cache_cold_then_warm(ctx96, tmp_path):
     for a, b in zip(cold, warm):
         assert abs(a.tau - b.tau) <= ctx96.target_tol
         assert abs(a.zeta_prime - b.zeta_prime) < ctx96.mpf("1e-20")
-    # a miss returns the store as its file reads back, not the computed one
-    # with its guard bits, so the cold and warm stores are equal bit for bit
+    # a located zero is rounded to what its cache file holds, so the cold and
+    # warm stores are equal bit for bit
     assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in cold] == [
         (_raw(r.tau), _raw(r.zeta_prime)) for r in warm]
+
+
+@pytest.mark.parametrize("bits", [96, 192])
+def test_located_and_imported_stores_are_their_exports_read_back(bits, tmp_path):
+    # _certify rounds every zero to the digits a zeros file holds, so a store
+    # written with zeta' and loaded as a cache file comes back bit for bit
+    ctx = NumericContext(bits)
+    located = locate_zeros(8, ctx)
+    path = tmp_path / "located.txt"
+    export_zeros(located, path, ctx)
+    imported = import_zeros(path, ctx)
+    for name, store in (("located", located), ("imported", imported)):
+        cache = tmp_path / f"{name}-cache.txt"
+        export_zeros(store, cache, ctx, include_zeta_prime=True)
+        back = zeros_mod._load_cache(cache, len(store), ctx)
+        assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
+            (_raw(r.tau), _raw(r.zeta_prime)) for r in back], name
+
+
+@pytest.mark.parametrize("name", ["store30_96", "store40_192"])
+def test_rounded_tau_keeps_the_sign_change_certificate(name, request):
+    # rounding to the file's digits moves tau by under e/2, so Z still changes
+    # sign across [tau - e, tau + e] at every stored tau
+    store = request.getfixturevalue(name)
+    ctx = request.getfixturevalue("ctx" + name.split("_")[1])
+    engine = ZetaEngine(ctx)
+    e = ctx.target_tol
+    for rec in store:
+        assert engine.hardy_z(rec.tau - e) * engine.hardy_z(rec.tau + e) < 0, rec.index
 
 
 def test_cache_corruption_triggers_recompute(ctx96, tmp_path):
@@ -174,7 +203,7 @@ def test_cache_load_rejects_swapped_records(store30_96, ctx96, tmp_path):
     records[2], records[3] = records[3], records[2]
     d = tmp_path / "cache"
     d.mkdir()
-    export_zeros(ZeroStore(tuple(records), "computed", 96), d / "zeros_n6_p96.txt", ctx96,
+    export_zeros(ZeroStore(tuple(records), "computed"), d / "zeros_n6_p96.txt", ctx96,
                  include_zeta_prime=True)
     with pytest.warns(UserWarning, match="non-monotone"):
         store = load_or_compute(6, ctx96, d)
