@@ -12,7 +12,8 @@ Exit codes: 0 all criteria met, 1 a mathematical criterion failed,
 
 Settings precedence: flags > ZETASUM_CACHE_DIR (cache dir only) > config file
 (flat key=value lines; an unknown key or a bad value exits 2) > DEFAULTS.
-`zeros --import F` is that subcommand's spelling of --zeros-file F.  Reports
+`zeros --import F` is that subcommand's spelling of --zeros-file F, and
+`zeros --count N` its spelling of the zeros_count setting (--zeros).  Reports
 and scans are byte-deterministic for the same settings in every format, with
 no cache, a cache or --zeros-file alike.  wall_time_ms times the whole verify
 call, or one scan point's evaluate_sumrule, with --timing, and is 0 without.
@@ -48,7 +49,8 @@ FORMATS = ("text", "csv", "json")
 
 # every setting a flag or the config file can give, with its default
 DEFAULTS = {
-    "precision_bits": 192, "zeros_count": 100, "n_trivial": 40, "n_halfint": 12,
+    "precision_bits": 192, "zeros_count": sr.SumRuleParams.n_zeros,
+    "n_trivial": sr.SumRuleParams.n_trivial, "n_halfint": sr.SumRuleParams.n_halfint,
     "lambda_limit": 10**6, "a": None, "x": None, "a_list": (), "x_list": (),
     "cache_dir": None, "zeros_file": None, "out": None, "output_format": "text",
 }
@@ -120,10 +122,11 @@ def _store_for(args, ctx: NumericContext, count: int):
 # -- reports -------------------------------------------------------------------
 
 
-def _row(rep, ctx: NumericContext, args, t0) -> tuple:
-    """(values, PASS or FAIL) of one report: its FIELDS keyed by attribute,
-    numbers as full-precision decimal strings, wall_time_ms the milliseconds
-    since perf_counter() read t0 with --timing, else 0, then notes and aux."""
+def _row(rep, ctx: NumericContext, args, t0, ok: bool) -> tuple:
+    """(values, PASS if ok else FAIL) of one report, ok the caller's verdict:
+    its FIELDS keyed by attribute, numbers as full-precision decimal strings,
+    wall_time_ms the milliseconds since perf_counter() read t0 with --timing,
+    else 0, then notes and aux."""
     wall_ms = int((time.perf_counter() - t0) * 1000) if args.timing else 0
     values = {}
     for attr, _, _ in FIELDS[:-1]:
@@ -133,7 +136,7 @@ def _row(rep, ctx: NumericContext, args, t0) -> tuple:
     values["notes"] = list(rep.notes)
     if rep.aux:
         values["aux"] = dict(rep.aux)
-    return values, "PASS" if rep.passes() else "FAIL"
+    return values, "PASS" if ok else "FAIL"
 
 
 def _render(args, rows, criterion: str | None = None) -> None:
@@ -172,7 +175,7 @@ def _render(args, rows, criterion: str | None = None) -> None:
 def cmd_zeros(args) -> int:
     ctx = NumericContext(args.precision_bits)
     store = (import_zeros(args.zeros_file, ctx) if args.zeros_file
-             else load_or_compute(args.count or args.zeros_count, ctx, args.cache_dir))
+             else load_or_compute(args.zeros_count, ctx, args.cache_dir))
     engine = engine_for(ctx)
     mp = ctx.mp
     worst = max(_split_map(lambda i: abs(engine.zeta(mp.mpc(0.5, store[i].tau))), len(store), mp))
@@ -277,7 +280,7 @@ def cmd_verify(args) -> int:
                          + " and ".join(f"--{name}" for name in required))
     t0 = time.perf_counter()
     rep, ok, criterion = verify(args, ctx)
-    _render(args, [_row(rep, ctx, args, t0)], criterion)
+    _render(args, [_row(rep, ctx, args, t0, ok)], criterion)
     if args.output_format == "text":
         print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -296,7 +299,7 @@ def cmd_scan(args) -> int:
                                           n_trivial=args.n_trivial, n_halfint=args.n_halfint)
                 t0 = time.perf_counter()
                 rep = sr.evaluate_sumrule(params, store, ctx)
-                rows.append(_row(rep, ctx, args, t0))
+                rows.append(_row(rep, ctx, args, t0, rep.passes()))
             except COMPUTATIONAL_ERRORS as exc:
                 msg = f"error: {exc}".replace(",", ";").replace("\n", " ")
                 rows.append(({"a": a, "x": x}, msg))
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="compute/refresh the zero store")
     _add_common(p)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", dest="zeros_count", type=int, default=None)
     p.add_argument("--export", dest="export_path", default=None)
     p.add_argument("--import", dest="zeros_file", default=None, help="the same as --zeros-file")
     p.set_defaults(func=cmd_zeros)

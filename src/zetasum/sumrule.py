@@ -190,38 +190,33 @@ class ClosureReport:
 # -- integrand and contour ----------------------------------------------------
 
 
-def _nearest_site_label(s, a, ctx, store=None) -> str:
-    mp = ctx.mp
-    cands = []
-    k = max(0, int(mp.nint(mp.re(s) - mp.mpf("0.5"))))
-    cands.append((abs(s - (k + mp.mpf("0.5"))), f"half_integer k={k}"))
-    q = 2 * s - 1
-    n_guess = a * (q * q - 1) / 2
-    n = max(1, int(mp.nint(mp.re(n_guess))))
-    loc = (1 + mp.sqrt((2 * n + a) / a)) / 2
-    cands.append((abs(s - loc), f"trivial_zero n={n}"))
-    if store is not None and len(store):
-        v = 2 * s - 1
-        z_guess = a * (1 - v * v)
-        tau_g = abs(mp.im(z_guess))
-        best = min(store, key=lambda r: abs(r.tau - tau_g))
-        for fam, rho in (("critical_zero", mp.mpc(0.5, best.tau)),
-                         ("critical_zero_conjugate", mp.mpc(0.5, -best.tau))):
-            vv = mp.sqrt(1 - rho / a)
-            cands.append((abs(s - (1 + vv) / 2), f"{fam} index={best.index}"))
-    cands.sort(key=lambda t: t[0])
-    return cands[0][1]
+def _pole_site(s, w, cos_vanished, mp, store) -> str:
+    """The catalog name of the integrand's pole at s, from the factor that
+    vanished there: cos(pi s) at a half-integer; else zeta(w), w = 4a s(1-s),
+    at a trivial zero w = -2n (near the real axis: every critical zero has
+    tau > 14) or at a critical zero w = 1/2 +- i tau, named by the stored tau
+    nearest |Im w|."""
+    if cos_vanished:
+        return f"half_integer k={int(mp.nint(mp.re(s) - 0.5))}"
+    if abs(mp.im(w)) < 1:
+        return f"trivial_zero n={int(mp.nint(-mp.re(w) / 2))}"
+    tau = abs(mp.im(w))
+    family = "critical_zero" if mp.im(w) > 0 else "critical_zero_conjugate"
+    if not store:
+        return f"{family} tau={mp.nstr(tau, 15)}"
+    return f"{family} index={min(store, key=lambda r: abs(r.tau - tau)).index}"
 
 
 def _integrand(s, a, x, ctx, engine, store=None):
     mp = ctx.mp
     u = s * (1 - s)
     c = mp.cos(mp.pi * s)
-    z = engine.zeta(4 * a * u)
+    w = 4 * a * u
+    z = engine.zeta(w)
     floor = 1000 * ctx.target_tol
     if abs(c) < floor or abs(z) < floor:
-        raise SingularityError(
-            f"integrand evaluated at a pole near {_nearest_site_label(s, a, ctx, store)}")
+        site = _pole_site(s, w, abs(c) < floor, mp, store)
+        raise SingularityError(f"integrand evaluated at a pole near {site}")
     return cpow(x, u, ctx) / (c * z)
 
 
@@ -466,8 +461,9 @@ def evaluate_sumrule(params: SumRuleParams, store: ZeroStore,
 
 
 def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
-                     n_zeros: int = 100, n_trivial: int = 40,
-                     n_halfint: int = 12) -> EvaluationReport:
+                     n_zeros: int = SumRuleParams.n_zeros,
+                     n_trivial: int = SumRuleParams.n_trivial,
+                     n_halfint: int = SumRuleParams.n_halfint) -> EvaluationReport:
     """The a = 1/2 specialization written over the imaginary parts tau:
 
         Re sum_tau tau^(-1/2) e^((i/2)(tau ln x + pi/2)) /
@@ -482,11 +478,10 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     summed in ascending zero order, so the sum is bit for bit the
     one-process one."""
     mp = ctx.mp
-    x = mp.mpf(x)
-    if not (0 < x < 1):
-        raise ValueError("x must lie in (0, 1) exclusive")
+    ref_params = SumRuleParams(a="0.5", x=x, n_zeros=n_zeros,
+                               n_trivial=n_trivial, n_halfint=n_halfint)
+    half, x = ref_params.bind(ctx)
     engine = engine_for(ctx)
-    half = mp.mpf("0.5")
     ln_x = mp.log(x)
     zeros = store.prefix(n_zeros)
     half_i, half_pi, one_plus_i = mp.mpc(0, half), mp.pi / 2, mp.mpc(1, 1)
@@ -516,9 +511,6 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     k_corr *= mp.sqrt(2) / mp.pi
     k_printed = -k_corr * cpow(x, mp.mpf(1) / 4, ctx)  # the rejected variant
     residual = lhs - (const + n_val + k_corr)
-
-    ref_params = SumRuleParams(a="0.5", x=x, n_zeros=n_zeros,
-                               n_trivial=n_trivial, n_halfint=n_halfint)
     ref = evaluate_sumrule(ref_params, store, ctx)
     aux = (
         ("rh_k_prefactor", ctx.nstr(abs(k_printed / k_corr))),

@@ -21,8 +21,10 @@ proves a sign, it is the sign of Z and so the one full precision gives, so
 every bracket, midpoint, Newton start and tau is what a scan at full
 precision alone yields.  A zero run reads every sign, theta and Z from one
 engine, engine_for(ctx).
-A store is only returned if the running count matches the smoothed
-zero-counting function round(theta(T)/pi + 1) within +-1 at every prefix.
+locate_zeros and import_zeros return a store only if the running count
+matches the smoothed zero-counting function round(theta(T)/pi + 1) within
++-1 at every prefix.  A cache load runs no count check: _load_cache checks
+the header, the checksum, the number of rows and each zeta' line.
 
 Each zero is refined on its own (an import first checks Z/Z' at its tau),
 so locate_zeros and import_zeros map the refinement over the zero indices
@@ -117,7 +119,7 @@ class ZeroStore:
         return self.records[idx]
 
     def prefix(self, n: int) -> "ZeroStore":
-        if n > len(self.records):
+        if not 1 <= n <= len(self.records):
             raise ValueError(f"store holds {len(self.records)} zeros, {n} requested")
         return ZeroStore(self.records[:n], self.source)
 
@@ -363,15 +365,9 @@ def import_zeros(path, ctx: NumericContext) -> ZeroStore:
 # -- cache -------------------------------------------------------------------
 
 
-def _cache_path(cache_dir, count: int, precision_bits: int) -> str:
-    return os.path.join(os.fspath(cache_dir), f"zeros_n{count}_p{precision_bits}.txt")
-
-
 def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
-    """The cached store at `path`, or None, with a warning unless the file is
-    absent, if it fails _read_zeros or does not hold this store."""
-    if not os.path.exists(path):
-        return None
+    """The cached store at `path`, or None, with a warning, if it fails
+    _read_zeros or does not hold this store."""
     try:
         header, rows = _read_zeros(path, ctx)
     except ZeroImportError as err:
@@ -390,22 +386,21 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
 
 def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStore:
     """locate_zeros with a text-file cache keyed by (count, precision_bits).
-    A located store already holds what its cache file holds (_certify), so a
-    run with no cache, a cold and a warm one print the same bytes."""
-    if cache_dir is None:
+    The cache files at this precision that hold at least `count` zeros are
+    tried smallest count first, and the first that _load_cache accepts serves
+    its prefix.  A located store already holds what its cache file holds
+    (_certify), so a run with no cache, a cold and a warm one print the same
+    bytes.  A count out of range goes straight to locate_zeros, which rejects it."""
+    if cache_dir is None or not 1 <= count <= MAX_COUNT:
         return locate_zeros(count, ctx)
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, count, ctx.precision_bits)
-    cached = _load_cache(path, count, ctx)
-    if cached is not None:
-        return cached
-    # a longer cached run at the same precision also serves any prefix
-    for name in sorted(os.listdir(cache_dir)):
-        bigger = re.fullmatch(rf"zeros_n(\d+)_p{ctx.precision_bits}\.txt", name)
-        if bigger and int(bigger[1]) > count:
-            big = _load_cache(os.path.join(cache_dir, name), int(bigger[1]), ctx)
-            if big is not None:
-                return big.prefix(count)
+    held = (re.fullmatch(rf"zeros_n(\d+)_p{ctx.precision_bits}\.txt", name)
+            for name in os.listdir(cache_dir))
+    for n, name in sorted((int(m[1]), m[0]) for m in held if m and int(m[1]) >= count):
+        cached = _load_cache(os.path.join(cache_dir, name), n, ctx)
+        if cached is not None:
+            return cached.prefix(count)
     store = locate_zeros(count, ctx)
-    export_zeros(store, path, ctx, include_zeta_prime=True)
+    export_zeros(store, os.path.join(cache_dir, f"zeros_n{count}_p{ctx.precision_bits}.txt"),
+                 ctx, include_zeta_prime=True)
     return store

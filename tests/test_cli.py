@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from zetasum import cli
 from zetasum.cli import main
 from zetasum.zeros import export_zeros
 
@@ -210,6 +211,25 @@ def test_verify_rh_form_cli(base_args, store30_96, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "rh_k_prefactor" in out
+
+
+def test_rh_form_csv_status_is_the_exit_verdict(base_args, store30_96, capsys, monkeypatch):
+    # the CSV status is the verdict the exit code gives: a cross-difference
+    # to the a = 1/2 sum rule above 1e-12 fails both, though the residual passes
+    monkeypatch.setattr(cli, "_rh_form_ok", lambda rep, ctx: False)
+    rc = main(["verify", "rh-form", "--x", "0.5", "--zeros", "10", "--n-trivial", "16",
+               "--n-halfint", "6", "--format", "csv"] + base_args)
+    _, row = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert row.endswith(",FAIL")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_zeros_count_out_of_range_exits_2(count, base_args, store30_96, capsys):
+    # --count is the zeros command's zeros_count: 0 is not "unset", and a
+    # cached file never serves an empty or negative prefix
+    assert main(["zeros", "--count", count] + base_args) == 2
+    assert "count must be in [1, 2000]" in capsys.readouterr().err
 
 
 def test_verify_guillera_cli(base_args, store30_96, capsys):

@@ -96,10 +96,20 @@ def test_integrand_path_decay_bound(ctx, engine):
         assert abs(val) <= bound * (1 + mp.mpf("1e-30"))
 
 
-def test_integrand_singularity_names_site(ctx):
-    with pytest.raises(sr.SingularityError) as err:
-        sr.integrand(ctx.mpf("0.5"), params(), ctx)
-    assert "half_integer k=0" in str(err.value)
+def test_integrand_singularity_names_site(store30_96, ctx96):
+    # at every site of every family the error names that site.  96 bits, the
+    # store's own precision: its taus are zeros to within its tolerance
+    families = set()
+    for a in ("0.5", "0.9", "5"):
+        p = params(a=a, n_zeros=5, n_trivial=4, n_halfint=3)
+        for site in sr.pole_catalog(p, store30_96, ctx96):
+            families.add(site.family)
+            key = {"half_integer": "k", "trivial_zero": "n"}.get(site.family, "index")
+            with pytest.raises(sr.SingularityError,
+                               match=rf"near {site.family} {key}={site.index}$"):
+                sr.integrand(site.location, p, ctx96, store30_96)
+    assert families == {"half_integer", "trivial_zero", "critical_zero",
+                        "critical_zero_conjugate"}
 
 
 @pytest.mark.parametrize("a,x,closed", [

@@ -55,8 +55,9 @@ def test_count_below_100(store30_96):
 def test_prefix(store30_96):
     p = store30_96.prefix(5)
     assert len(p) == 5 and p[4].tau == store30_96[4].tau
-    with pytest.raises(ValueError):
-        store30_96.prefix(31)
+    for n in (31, 0, -1):  # -1 would drop the last zero
+        with pytest.raises(ValueError):
+            store30_96.prefix(n)
 
 
 def test_export_import_roundtrip(store30_96, ctx96, tmp_path):
@@ -226,6 +227,24 @@ def test_prefix_served_from_longer_cache(store30_96, ctx96, cache_dir):
     store = load_or_compute(12, ctx96, cache_dir)
     assert len(store) == 12
     assert set(os.listdir(cache_dir)) == before
+
+
+@pytest.mark.filterwarnings("error")
+def test_cache_tries_the_smallest_file_that_holds_the_count(store30_96, ctx96, tmp_path,
+                                                            monkeypatch):
+    # zeros_n100 sorts before zeros_n30 as a string, but the smaller count is
+    # tried first: it serves the prefix, and the bad n100 file is never opened
+    d = tmp_path / "cache"
+    d.mkdir()
+    export_zeros(store30_96, d / "zeros_n30_p96.txt", ctx96, include_zeta_prime=True)
+    (d / "zeros_n100_p96.txt").write_text("not a zeros file\n")
+    opened, read = [], zeros_mod._read_zeros
+    monkeypatch.setattr(zeros_mod, "_read_zeros",
+                        lambda path, ctx: opened.append(os.path.basename(path)) or read(path, ctx))
+    store = load_or_compute(12, ctx96, d)
+    assert opened == ["zeros_n30_p96.txt"]
+    assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
+        (_raw(r.tau), _raw(r.zeta_prime)) for r in store30_96.prefix(12)]
 
 
 def test_import_rejects_table_missing_two_zeros(store30_96, ctx96, tmp_path):
