@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .arith import mangoldt_sieve
 from .numctx import DomainError, NumericContext
@@ -55,7 +56,7 @@ DEFAULTS = {
     "cache_dir": None, "zeros_file": None, "out": None, "output_format": "text",
 }
 
-# report attribute (also the JSON key), CSV column, text label
+# report attribute (also the JSON key), CSV column, text label; the two ints last
 FIELDS = (
     ("a", "a", "a"),
     ("x", "x", "x"),
@@ -122,21 +123,17 @@ def _store_for(args, ctx: NumericContext, count: int):
 # -- reports -------------------------------------------------------------------
 
 
-def _row(rep, ctx: NumericContext, args, t0, ok: bool) -> tuple:
-    """(values, PASS if ok else FAIL) of one report, ok the caller's verdict:
-    its FIELDS keyed by attribute, numbers as full-precision decimal strings,
-    wall_time_ms the milliseconds since perf_counter() read t0 with --timing,
-    else 0, then notes and aux."""
+def _row(rep, ctx: NumericContext, args, t0) -> tuple:
+    """(values, PASS if rep.passes() else FAIL) of one report: its FIELDS keyed
+    by attribute, numbers as full-precision decimal strings, wall_time_ms the
+    milliseconds since perf_counter() read t0 with --timing, else 0, then
+    notes and aux."""
     wall_ms = int((time.perf_counter() - t0) * 1000) if args.timing else 0
-    values = {}
-    for attr, _, _ in FIELDS[:-1]:
-        v = getattr(rep, attr)
-        values[attr] = v if isinstance(v, int) else ctx.nstr(v)
-    values["wall_time_ms"] = wall_ms
-    values["notes"] = list(rep.notes)
+    values = {attr: ctx.nstr(getattr(rep, attr)) for attr, _, _ in FIELDS[:-2]}
+    values.update(zeros_used=rep.zeros_used, wall_time_ms=wall_ms, notes=list(rep.notes))
     if rep.aux:
         values["aux"] = dict(rep.aux)
-    return values, "PASS" if ok else "FAIL"
+    return values, "PASS" if rep.passes() else "FAIL"
 
 
 def _render(args, rows, criterion: str | None = None) -> None:
@@ -190,24 +187,27 @@ def cmd_zeros(args) -> int:
     return 0
 
 
-def _worst_residue(sites, params, ctx: NumericContext, catalog, store):
-    """Largest relative deviation of a numeric residue from its derived value,
-    the sites mapped by _split_map."""
+def _worst_residue(sites, params, ctx: NumericContext, catalog, store) -> sr.EvaluationReport:
+    """The residue report: as residual the largest relative deviation of a
+    numeric residue from its derived value, the sites mapped by _split_map,
+    against a tail bound of 1e-13."""
+    a, x = params.bind(ctx)
+    mp = ctx.mp
+
     def deviation(i):
         site = sites[i]
         num = sr.numeric_residue(site, params, ctx, catalog, store=store)
         return abs(num - site.analytic_residue) / abs(site.analytic_residue)
 
-    return max([ctx.mp.mpf(0), *_split_map(deviation, len(sites), ctx.mp)])
+    worst = max([mp.mpf(0), *_split_map(deviation, len(sites), mp)])
+    return sr.EvaluationReport(
+        a=a, x=x, lhs_zero_sum=mp.mpf(0), rhs_const=mp.mpf(0), rhs_n_series=mp.mpf(0),
+        rhs_k_series=mp.mpf(0), residual=worst, tail_bound=mp.mpf("1e-13"),
+        zeros_used=params.n_zeros, notes=sr.CONVENTION_NOTES,
+        aux=(("sites_checked", str(len(sites))),))
 
 
-def _rh_form_ok(rep, ctx: NumericContext) -> bool:
-    """rh-form passes and its cross-differences to the a = 1/2 sum rule are <= 1e-12."""
-    cross = max(ctx.mpf(v) for k, v in rep.aux if k.startswith("cross_"))
-    return rep.passes() and cross <= ctx.mpf("1e-12")
-
-
-def _verify_integral(args, ctx) -> tuple:
+def _verify_integral(args, ctx) -> sr.EvaluationReport:
     params = sr.SumRuleParams(a=args.a, x=args.x, n_zeros=1, n_trivial=args.n_trivial,
                               n_halfint=args.n_halfint)
     a, x = params.bind(ctx)
@@ -215,75 +215,63 @@ def _verify_integral(args, ctx) -> tuple:
     value = sr.contour_integral(params, ctx)
     closed = sr.cpow(x, mp.mpf(1) / 4, ctx) / (2 * mp.pi * engine_for(ctx).zeta(a))
     residual = abs(value - closed)
-    rep = sr.EvaluationReport(
+    return sr.EvaluationReport(
         a=a, x=x, lhs_zero_sum=mp.re(value), rhs_const=closed, rhs_n_series=mp.mpf(0),
         rhs_k_series=mp.mpf(0), residual=residual, tail_bound=20 * ctx.target_tol, zeros_used=0,
         notes=("integral along the imaginary axis vs x^(1/4)/(2 pi zeta(a))",),
         aux=(("relative_error", ctx.nstr(residual / abs(closed))),))
-    return rep, rep.passes(), "|integral - closed form| <= 10 * (20*target_tol)"
 
 
-def _verify_residues(args, ctx) -> tuple:
+def _verify_residues(args, ctx) -> sr.EvaluationReport:
     params = sr.SumRuleParams(a=args.a, x=args.x, n_zeros=min(args.zeros_count, 10),
-                              n_trivial=min(args.n_trivial, 10),
-                              n_halfint=min(args.n_halfint, 4))
-    a, x = params.bind(ctx)
-    mp = ctx.mp
+                              n_trivial=min(args.n_trivial, 10), n_halfint=min(args.n_halfint, 4))
+    params.bind(ctx)  # a bad a or x exits before any zero is loaded or located
     store = _store_for(args, ctx, params.n_zeros)
     catalog = sr.pole_catalog(params, store, ctx)
-    worst = _worst_residue(catalog, params, ctx, catalog, store)
-    rep = sr.EvaluationReport(
-        a=a, x=x, lhs_zero_sum=mp.mpf(0), rhs_const=mp.mpf(0), rhs_n_series=mp.mpf(0),
-        rhs_k_series=mp.mpf(0), residual=worst, tail_bound=mp.mpf("1e-13"),
-        zeros_used=params.n_zeros, notes=sr.CONVENTION_NOTES,
-        aux=(("sites_checked", str(len(catalog))),))
-    return rep, worst <= mp.mpf("1e-12"), "max relative residue deviation <= 1e-12"
+    return _worst_residue(catalog, params, ctx, catalog, store)
 
 
-def _verify_sumrule(args, ctx) -> tuple:
+def _verify_sumrule(args, ctx) -> sr.EvaluationReport:
     params = sr.SumRuleParams(a=args.a, x=args.x, n_zeros=args.zeros_count,
                               n_trivial=args.n_trivial, n_halfint=args.n_halfint)
-    store = _store_for(args, ctx, args.zeros_count)
-    rep = sr.evaluate_sumrule(params, store, ctx)
-    return rep, rep.passes(), "|residual| <= 10 * tail_bound"
+    return sr.evaluate_sumrule(params, _store_for(args, ctx, args.zeros_count), ctx)
 
 
-def _verify_rh_form(args, ctx) -> tuple:
-    store = _store_for(args, ctx, args.zeros_count)
-    rep = sr.evaluate_rh_form(args.x, store, ctx, n_zeros=args.zeros_count,
-                              n_trivial=args.n_trivial, n_halfint=args.n_halfint)
-    return (rep, _rh_form_ok(rep, ctx),
-            "|residual| <= 10 * tail_bound and cross-diffs <= 1e-12")
+def _verify_rh_form(args, ctx) -> sr.EvaluationReport:
+    return sr.evaluate_rh_form(args.x, _store_for(args, ctx, args.zeros_count), ctx,
+                               n_zeros=args.zeros_count, n_trivial=args.n_trivial,
+                               n_halfint=args.n_halfint)
 
 
-def _verify_guillera(args, ctx) -> tuple:
-    store = _store_for(args, ctx, args.zeros_count)
-    rep = sr.evaluate_guillera(args.x, store, mangoldt_sieve(args.lambda_limit), ctx)
-    return rep, abs(rep.residual) <= ctx.mpf("1e-3"), "|corrected residual| <= 1e-3"
+def _verify_guillera(args, ctx) -> sr.EvaluationReport:
+    return sr.evaluate_guillera(args.x, _store_for(args, ctx, args.zeros_count),
+                                mangoldt_sieve(args.lambda_limit), ctx)
 
 
-# verify kind -> (settings it requires, function(args, ctx) -> (report, ok, criterion))
+# verify kind -> (settings it requires, function(args, ctx) -> report, criterion line)
 VERIFY = {
-    "integral": (("a", "x"), _verify_integral),
-    "residues": (("a", "x"), _verify_residues),
-    "sumrule": (("a", "x"), _verify_sumrule),
-    "rh-form": (("x",), _verify_rh_form),
-    "guillera": (("x",), _verify_guillera),
+    "integral": (("a", "x"), _verify_integral,
+                 "|integral - closed form| <= 10 * (20*target_tol)"),
+    "residues": (("a", "x"), _verify_residues, "max relative residue deviation <= 1e-12"),
+    "sumrule": (("a", "x"), _verify_sumrule, "|residual| <= 10 * tail_bound"),
+    "rh-form": (("x",), _verify_rh_form,
+                "|residual| <= 10 * tail_bound and cross-diffs <= 1e-12"),
+    "guillera": (("x",), _verify_guillera, "|corrected residual| <= 1e-3"),
 }
 
 
 def cmd_verify(args) -> int:
     ctx = NumericContext(args.precision_bits)
-    required, verify = VERIFY[args.kind]
+    required, verify, criterion = VERIFY[args.kind]
     if any(getattr(args, name) is None for name in required):
         raise ValueError(f"verify {args.kind} requires "
                          + " and ".join(f"--{name}" for name in required))
     t0 = time.perf_counter()
-    rep, ok, criterion = verify(args, ctx)
-    _render(args, [_row(rep, ctx, args, t0, ok)], criterion)
+    row = _row(verify(args, ctx), ctx, args, t0)
+    _render(args, [row], criterion)
     if args.output_format == "text":
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+        print(row[1])
+    return 0 if row[1] == "PASS" else 1
 
 
 def cmd_scan(args) -> int:
@@ -298,8 +286,7 @@ def cmd_scan(args) -> int:
                 params = sr.SumRuleParams(a=a, x=x, n_zeros=args.zeros_count,
                                           n_trivial=args.n_trivial, n_halfint=args.n_halfint)
                 t0 = time.perf_counter()
-                rep = sr.evaluate_sumrule(params, store, ctx)
-                rows.append(_row(rep, ctx, args, t0, rep.passes()))
+                rows.append(_row(sr.evaluate_sumrule(params, store, ctx), ctx, args, t0))
             except COMPUTATIONAL_ERRORS as exc:
                 msg = f"error: {exc}".replace(",", ";").replace("\n", " ")
                 rows.append(({"a": a, "x": x}, msg))
@@ -330,17 +317,17 @@ def _selftest_checks(args):
            abs(store[0].tau - mp.mpf("14.134725141734693790")) < mp.mpf("1e-15"))
     params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=6, n_trivial=12, n_halfint=6)
     catalog = sr.pole_catalog(params, store, ctx)
-    worst = _worst_residue(catalog[:8] + catalog[12:16] + catalog[19:23], params, ctx,
-                           catalog, store)
-    yield "residue arbitration (sampled sites) <= 1e-12", worst <= mp.mpf("1e-12")
+    sampled = catalog[:8] + catalog[12:16] + catalog[19:23]
+    yield ("residue arbitration (sampled sites) <= 1e-12",
+           _worst_residue(sampled, params, ctx, catalog, store).passes())
     closure = sr.verify_residue_theorem(params, store, ctx)
     yield "contour closure at (0.5, 0.5)", closure.passes() and closure.orientation == -1
     rep = sr.evaluate_sumrule(params, store, ctx)
     yield "sum rule at (0.5, 0.5)", rep.passes()
     flipped = rep.lhs_zero_sum - (rep.rhs_const + rep.rhs_n_series - rep.rhs_k_series)
-    yield "flipped k-series sign is rejected", abs(flipped) > 10 * rep.tail_bound
+    yield "flipped k-series sign is rejected", not replace(rep, residual=flipped).passes()
     rh = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=6, n_trivial=12, n_halfint=6)
-    yield "rh-form cross-evaluation <= 1e-12", _rh_form_ok(rh, ctx)
+    yield "rh-form cross-evaluation <= 1e-12", rh.passes()
     bases = dict(mangoldt_sieve(10**4).prime_powers())
     yield "Mangoldt sieve identities", (
         bases[8] == 2 and 6 not in bases

@@ -92,6 +92,22 @@ class OverlappingPoleError(RuntimeError):
     """No isolating circle exists around a catalog pole."""
 
 
+def _number(name: str, value, ctx: NumericContext):
+    """value as a context-precision real, or a ValueError naming the setting."""
+    try:
+        return ctx.mp.mpf(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} = {value!r} is not a number") from None
+
+
+def _bind_x(value, ctx: NumericContext):
+    """x as a context-precision real in (0, 1) exclusive."""
+    x = _number("x", value, ctx)
+    if not (0 < x < 1):
+        raise ValueError(f"x must lie in (0, 1) exclusive, got {float(x)}")
+    return x
+
+
 @dataclass(frozen=True)
 class SumRuleParams:
     """Free parameters and truncation orders.
@@ -109,15 +125,12 @@ class SumRuleParams:
 
     def bind(self, ctx: NumericContext):
         """Validate and return (a, x) as context-precision reals."""
-        mp = ctx.mp
-        a = mp.mpf(self.a)
-        x = mp.mpf(self.x)
+        a = _number("a", self.a, ctx)
         if not (0 < a <= A_MAX):
             raise ValueError(f"a must lie in (0, {A_MAX}], got {float(a)}")
         if a == 1:
             raise ValueError("a = 1 is the zeta pole")
-        if not (0 < x < 1):
-            raise ValueError(f"x must lie in (0, 1) exclusive, got {float(x)}")
+        x = _bind_x(self.x, ctx)
         if min(self.n_zeros, self.n_trivial, self.n_halfint) < 1:
             raise ValueError("truncation orders must be positive")
         return a, x
@@ -165,9 +178,11 @@ class EvaluationReport:
     zeros_used: int
     notes: tuple = ()
     aux: tuple = ()  # ((key, decimal-string), ...) extra diagnostics
+    limits: tuple = ()  # ((quantity, bound), ...) that must hold besides the tail rule
 
     def passes(self) -> bool:
-        return abs(self.residual) <= 10 * self.tail_bound
+        """The one verdict rule: |residual| <= 10 * tail_bound, and each limit holds."""
+        return abs(self.residual) <= 10 * self.tail_bound and all(q <= b for q, b in self.limits)
 
 
 @dataclass(frozen=True)
@@ -183,8 +198,8 @@ class ClosureReport:
     tail_bound: object
     sites: int
 
-    def passes(self) -> bool:
-        return self.residual <= 10 * self.tail_bound
+    limits = ()  # no bound besides the tail rule, so that passes is EvaluationReport's
+    passes = EvaluationReport.passes
 
 
 # -- integrand and contour ----------------------------------------------------
@@ -473,10 +488,10 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     variant of the k-series carries an extra x^(1/4); the residual uses the
     corrected k-series and the measured discrepancy factor is reported in
     aux as rh_k_prefactor.  Cross-differences against evaluate_sumrule at
-    a = 1/2 ride along in aux.  The zero terms are mapped by _split_map, as
-    zero_sum_lhs maps its own, and give only their real parts; they are
-    summed in ascending zero order, so the sum is bit for bit the
-    one-process one."""
+    a = 1/2 ride along in aux, and the largest must be <= 1e-12 (limits).
+    The zero terms are mapped by _split_map, as zero_sum_lhs maps its own,
+    and give only their real parts; they are summed in ascending zero
+    order, so the sum is bit for bit the one-process one."""
     mp = ctx.mp
     ref_params = SumRuleParams(a="0.5", x=x, n_zeros=n_zeros,
                                n_trivial=n_trivial, n_halfint=n_halfint)
@@ -512,20 +527,20 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     k_printed = -k_corr * cpow(x, mp.mpf(1) / 4, ctx)  # the rejected variant
     residual = lhs - (const + n_val + k_corr)
     ref = evaluate_sumrule(ref_params, store, ctx)
-    aux = (
-        ("rh_k_prefactor", ctx.nstr(abs(k_printed / k_corr))),
-        ("cross_lhs_diff", ctx.nstr(abs(lhs - ref.lhs_zero_sum))),
-        ("cross_const_diff", ctx.nstr(abs(const - ref.rhs_const))),
-        ("cross_n_diff", ctx.nstr(abs(n_val - ref.rhs_n_series))),
-        ("cross_k_diff", ctx.nstr(abs(k_corr - ref.rhs_k_series))),
-    )
+    cross = (("cross_lhs_diff", abs(lhs - ref.lhs_zero_sum)),
+             ("cross_const_diff", abs(const - ref.rhs_const)),
+             ("cross_n_diff", abs(n_val - ref.rhs_n_series)),
+             ("cross_k_diff", abs(k_corr - ref.rhs_k_series)))
+    aux = (("rh_k_prefactor", ctx.nstr(abs(k_printed / k_corr))),
+           *((key, ctx.nstr(diff)) for key, diff in cross))
     notes = CONVENTION_NOTES + (
         "rh-form k-series variant with an extra x^(1/4) prefactor rejected "
         "empirically; measured factor in aux.rh_k_prefactor",)
     return EvaluationReport(
         a=half, x=x, lhs_zero_sum=lhs, rhs_const=const, rhs_n_series=n_val,
         rhs_k_series=k_corr, residual=residual, tail_bound=ref.tail_bound,
-        zeros_used=n_zeros, notes=notes, aux=aux)
+        zeros_used=n_zeros, notes=notes, aux=aux,
+        limits=((max(diff for _, diff in cross), mp.mpf("1e-12")),))
 
 
 def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
@@ -543,11 +558,7 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
     residuals are reported.  The zero terms are mapped by _split_map and
     summed in ascending zero order, as zero_sum_lhs sums its own."""
     mp = ctx.mp
-    x = mp.mpf(x)
-    if not (0 < x < 1):
-        raise ValueError("x must lie in (0, 1) exclusive")
-    if abs(x - 1) <= 1e-6:
-        raise ValueError("x too close to the removable singularity of h")
+    x = _bind_x(x, ctx)
     engine = engine_for(ctx)
     ln_x, pi, zeros = mp.log(x), +mp.pi, store.records
 

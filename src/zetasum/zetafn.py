@@ -443,7 +443,8 @@ class ZetaEngine:
                 return (value, deriv) if want_deriv else value
             n *= 2
         raise PrecisionError(
-            f"Euler-Maclaurin remainder {float(rem):.3g} above tolerance at N={n//2}")
+            f"Euler-Maclaurin remainder {float(rem):.3g} above tolerance at N={n//2} "
+            f"for s = {self.ctx.mp.nstr(s, 15)}")
 
     def _log_table(self, n: int):
         """Rows (log k at prec+10 rounded down, log k as an mpf, exp(-log(k)/2)

@@ -82,3 +82,10 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+def next_up(v):
+    """The number one unit in the last place above v > 0 at v's own context
+    precision: the smallest mpf of that context greater than v."""
+    mp = v.context
+    return v + mp.mpf(2) ** (mp.mag(v) - mp.prec)

@@ -1,10 +1,13 @@
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import pytest
+from conftest import next_up
 
 from zetasum import cli
+from zetasum import sumrule as sr
 from zetasum.cli import main
 from zetasum.zeros import export_zeros
 
@@ -213,15 +216,101 @@ def test_verify_rh_form_cli(base_args, store30_96, capsys):
     assert "rh_k_prefactor" in out
 
 
-def test_rh_form_csv_status_is_the_exit_verdict(base_args, store30_96, capsys, monkeypatch):
-    # the CSV status is the verdict the exit code gives: a cross-difference
-    # to the a = 1/2 sum rule above 1e-12 fails both, though the residual passes
-    monkeypatch.setattr(cli, "_rh_form_ok", lambda rep, ctx: False)
-    rc = main(["verify", "rh-form", "--x", "0.5", "--zeros", "10", "--n-trivial", "16",
-               "--n-halfint", "6", "--format", "csv"] + base_args)
-    _, row = capsys.readouterr().out.splitlines()
+def test_rh_form_csv_status_is_the_exit_verdict(base_args, store30_96, ctx96, capsys,
+                                                monkeypatch):
+    # the CSV status and the text verdict are the verdict the exit code gives:
+    # an a = 1/2 reference whose n-series is off by 1e-9 puts one
+    # cross-difference above 1e-12, and only that fails the report
+    evaluate_sumrule = sr.evaluate_sumrule
+
+    def shifted(params, store, ctx):
+        ref = evaluate_sumrule(params, store, ctx)
+        return replace(ref, rhs_n_series=ref.rhs_n_series + ctx.mpf("1e-9"))
+
+    monkeypatch.setattr(sr, "evaluate_sumrule", shifted)
+    argv = ["verify", "rh-form", "--x", "0.5", "--zeros", "10", "--n-trivial", "16",
+            "--n-halfint", "6"] + base_args
+    rc = main(argv + ["--format", "csv"])
+    header, row = capsys.readouterr().out.splitlines()
     assert rc == 1
     assert row.endswith(",FAIL")
+    values = dict(zip(header.split(","), row.split(",")))
+    assert abs(ctx96.mpf(values["residual"])) <= 10 * ctx96.mpf(values["tail_bound"])
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("\nFAIL\n")
+    [cross_n] = [line.split(": ")[1] for line in out.splitlines()
+                 if line.startswith("aux cross_n_diff")]
+    assert abs(ctx96.mpf(cross_n) - ctx96.mpf("1e-9")) < ctx96.mpf("1e-20")
+
+
+# enough of each verify kind to build its report quickly
+VERIFY_ARGS = {
+    "integral": ["--a", "0.5", "--x", "0.5"],
+    "residues": ["--a", "0.5", "--x", "0.5", "--zeros", "2", "--n-trivial", "2",
+                 "--n-halfint", "1"],
+    "sumrule": ["--a", "0.5", "--x", "0.5", "--zeros", "10"],
+    "rh-form": ["--x", "0.5", "--zeros", "10", "--n-trivial", "16", "--n-halfint", "6"],
+    "guillera": ["--x", "0.5", "--zeros", "10", "--lambda-limit", "1000"],
+}
+
+
+@pytest.mark.parametrize("kind", tuple(cli.VERIFY))
+def test_every_verify_verdict_is_the_reports_passes(kind, base_args, store30_96, capsys,
+                                                     monkeypatch):
+    # the kind's report, then the same report at 10 tail bounds (and at its
+    # limit) and one ulp above: the exit code, the PASS/FAIL line and the CSV
+    # status follow passes() alone, under the kind's own criterion line
+    required, verify, criterion = cli.VERIFY[kind]
+    built = []
+
+    def stub(args, ctx):
+        if not built:
+            built.append(verify(args, ctx))
+        return edit(built[0])
+
+    monkeypatch.setitem(cli.VERIFY, kind, (required, stub, criterion))
+    argv = ["verify", kind, *VERIFY_ARGS[kind], *base_args]
+    cases = [
+        (lambda rep: replace(rep, residual=10 * rep.tail_bound), "PASS"),
+        (lambda rep: replace(rep, residual=-10 * rep.tail_bound), "PASS"),
+        (lambda rep: replace(rep, residual=next_up(10 * rep.tail_bound)), "FAIL"),
+        (lambda rep: replace(rep, residual=-next_up(10 * rep.tail_bound)), "FAIL"),
+    ]
+    if kind == "rh-form":
+        cases += [
+            (lambda rep: replace(rep, limits=((rep.limits[0][1],) * 2,)), "PASS"),
+            (lambda rep: replace(rep, limits=((next_up(rep.limits[0][1]),
+                                               rep.limits[0][1]),)), "FAIL"),
+        ]
+    for edit, status in cases:
+        assert main(argv) == (0 if status == "PASS" else 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == status
+        assert f"criterion        : {criterion}" in lines
+        assert main(argv + ["--format", "csv"]) == (0 if status == "PASS" else 1)
+        assert capsys.readouterr().out.endswith(f",{status}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "sumrule", "--a", "abc", "--x", "0.5"], "a = 'abc' is not a number"),
+    (["verify", "sumrule", "--a", "0.5", "--x", "abc"], "x = 'abc' is not a number"),
+    (["verify", "rh-form", "--x", "zz"], "x = 'zz' is not a number"),
+    (["verify", "guillera", "--x", "zz"], "x = 'zz' is not a number"),
+    (["verify", "guillera", "--x", "1.5"], "x must lie in (0, 1) exclusive, got 1.5"),
+])
+def test_a_bad_setting_is_named(argv, message, base_args, store30_96, capsys):
+    assert main(argv + ["--zeros", "10"] + base_args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_scan_row_with_a_bad_a_names_it(base_args, store30_96, capsys):
+    assert main(["scan", "--a-list", "0.5,abc", "--x-list", "0.5", "--zeros", "10",
+                 "--format", "csv"] + base_args) == 1
+    _, good, bad = capsys.readouterr().out.splitlines()
+    assert good.endswith(",PASS")
+    assert bad.split(",")[-1] == "error: a = 'abc' is not a number"
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from conftest import SPLITS, assert_no_child, one_cpu
+from conftest import SPLITS, assert_no_child, next_up, one_cpu
 
 from zetasum.arith import mangoldt_sieve
 from zetasum.numctx import NumericContext, cpow
@@ -57,6 +57,17 @@ def test_params_validation(ctx):
     with pytest.raises(ValueError):
         sr.SumRuleParams(a="0.5", x="0.5", n_zeros=0).bind(ctx)
     params().bind(ctx)
+
+
+@pytest.mark.parametrize("a,x,message", [
+    ("abc", "0.5", "a = 'abc' is not a number"),
+    (None, "0.5", "a = None is not a number"),
+    ("0.5", "1/3x", "x = '1/3x' is not a number"),
+])
+def test_params_name_a_value_that_is_not_a_number(ctx, a, x, message):
+    with pytest.raises(ValueError) as err:
+        params(a=a, x=x).bind(ctx)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("a", ["2", "0.6666666666666666666666666666666666"])
@@ -447,6 +458,29 @@ def test_rh_form_cross_evaluation(ctx, store):
     assert rep.passes()
 
 
+def test_rh_form_fails_on_its_cross_difference_alone(ctx, store, monkeypatch):
+    rep = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=20, n_trivial=24, n_halfint=8)
+    [(cross, limit)] = rep.limits
+    assert limit == ctx.mpf("1e-12")
+    assert ctx.nstr(cross) in [v for k, v in rep.aux if k.startswith("cross_")]
+    # at its limit the cross-difference passes, one ulp above it fails
+    assert dataclasses.replace(rep, limits=((limit, limit),)).passes()
+    assert not dataclasses.replace(rep, limits=((next_up(limit), limit),)).passes()
+    # an a = 1/2 reference whose n-series is off by 1e-11: the residual still
+    # passes, the largest cross-difference does not, and so the report fails
+    evaluate_sumrule = sr.evaluate_sumrule
+
+    def shifted(params, store, ctx):
+        ref = evaluate_sumrule(params, store, ctx)
+        return dataclasses.replace(ref, rhs_n_series=ref.rhs_n_series + ctx.mpf("1e-11"))
+
+    monkeypatch.setattr(sr, "evaluate_sumrule", shifted)
+    bad = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=20, n_trivial=24, n_halfint=8)
+    assert (bad.residual, bad.tail_bound) == (rep.residual, rep.tail_bound)
+    assert abs(bad.limits[0][0] - ctx.mpf("1e-11")) < ctx.mpf("1e-20")
+    assert not bad.passes()
+
+
 def test_rh_form_single_term_matches_specialization(ctx, store):
     mp = ctx.mp
     x = mp.mpf("0.5")
@@ -506,10 +540,54 @@ def test_guillera_float_series_matches_mpf(ctx192, store):
 
 
 def test_guillera_domain(ctx, store):
+    # one x rule: evaluate_guillera's message is the sum rule's, value and all
     from zetasum.arith import mangoldt_sieve
     table = mangoldt_sieve(100)
-    with pytest.raises(ValueError):
-        sr.evaluate_guillera("1.5", store, table, ctx)
+    for x, message in (("1.5", r"x must lie in \(0, 1\) exclusive, got 1\.5$"),
+                       ("0", r"x must lie in \(0, 1\) exclusive, got 0\.0$"),
+                       ("zz", r"x = 'zz' is not a number$")):
+        with pytest.raises(ValueError, match=message):
+            sr.evaluate_guillera(x, store, table, ctx)
+        with pytest.raises(ValueError, match=message):
+            params(x=x).bind(ctx)
+    # x within 1e-6 of 1 is h's own singular window
+    with pytest.raises(ValueError, match="individually singular"):
+        sr.evaluate_guillera("0.9999999", store, table, ctx)
+
+
+# -- the verdict rule ----------------------------------------------------------------
+
+
+def evaluation_report(residual, tail_bound):
+    zero = 0 * tail_bound
+    return sr.EvaluationReport(a=zero, x=zero, lhs_zero_sum=zero, rhs_const=zero,
+                               rhs_n_series=zero, rhs_k_series=zero, residual=residual,
+                               tail_bound=tail_bound, zeros_used=0)
+
+
+def closure_report(residual, tail_bound):
+    zero = 0 * tail_bound
+    return sr.ClosureReport(a=zero, x=zero, integral=zero, residue_sum=zero, orientation=-1,
+                            residual=residual, tail_bound=tail_bound, sites=0)
+
+
+@pytest.mark.parametrize("report", [evaluation_report, closure_report],
+                         ids=["evaluation", "closure"])
+@pytest.mark.parametrize("tail", ["1e-13", "1e-4", "0.375", "2.4e70"])
+def test_verdict_is_ten_tail_bounds(ctx, report, tail):
+    # |residual| = 10 * tail_bound passes, one ulp above fails; a closure's
+    # residual is a modulus, a sum rule's has a sign
+    tail_bound = ctx.mpf(tail)
+    bound = 10 * tail_bound
+    assert report(bound, tail_bound).passes()
+    assert not report(next_up(bound), tail_bound).passes()
+    if report is evaluation_report:
+        assert report(-bound, tail_bound).passes()
+        assert not report(-next_up(bound), tail_bound).passes()
+
+
+def test_closure_verdict_is_the_evaluation_verdict():
+    assert sr.ClosureReport.passes is sr.EvaluationReport.passes
 
 
 # -- closure -----------------------------------------------------------------------

@@ -174,8 +174,10 @@ def test_precision_error_when_escalation_disabled(monkeypatch):
     monkeypatch.setattr(zetafn, "MAX_ESCALATIONS", 0)
     eng = ZetaEngine(CTX)
     eng._n0, eng._m_cap = 10, 2
-    with pytest.raises(PrecisionError, match="at N=10$"):
+    with pytest.raises(PrecisionError, match=r"at N=10 for s = 0\.5$"):
         eng.zeta(CTX.mpf("0.5"))
+    with pytest.raises(PrecisionError, match=r"at N=\d+ for s = \(3\.0 \+ 40\.0j\)$"):
+        eng.zeta(CTX.mp.mpc(3, 40))
 
 
 def test_fused_pass_matches_separate_calls(monkeypatch):
