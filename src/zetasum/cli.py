@@ -114,9 +114,19 @@ def _settle(args) -> None:
             setattr(args, key, value)
 
 
+def _import(args, ctx: NumericContext, count: int | None = None):
+    """import_zeros of --zeros-file; an OSError on that file names the setting."""
+    try:
+        return import_zeros(args.zeros_file, ctx, count)
+    except OSError as exc:
+        if exc.filename != args.zeros_file:
+            raise
+        raise OSError(f"--zeros-file {args.zeros_file}: {exc.strerror}") from None
+
+
 def _store_for(args, ctx: NumericContext, count: int):
     if args.zeros_file:
-        return import_zeros(args.zeros_file, ctx).prefix(count)
+        return _import(args, ctx, count)
     return load_or_compute(count, ctx, args.cache_dir)
 
 
@@ -139,7 +149,8 @@ def _row(rep, ctx: NumericContext, args, t0) -> tuple:
 def _render(args, rows, criterion: str | None = None) -> None:
     """Write rows, each (values, status), in args.output_format to args.out or
     stdout: CSV lines, or for a verdict (one row and its criterion) a JSON object
-    or labelled lines, for a grid a JSON list or a table.  Missing values print empty."""
+    or labelled lines, for a grid a JSON list or a table, each error row's full
+    message under it.  Missing values print empty."""
     if args.output_format == "csv":
         lines = [",".join([col for _, col, _ in FIELDS] + ["status"])]
         lines += [",".join([str(values.get(attr, "")) for attr, _, _ in FIELDS] + [status])
@@ -152,6 +163,8 @@ def _render(args, rows, criterion: str | None = None) -> None:
         lines += [" | ".join(f"{str(v)[:12]:>12}"
                              for v in [values.get(c, "") for c in TABLE] + [status])
                   for values, status in rows]
+        lines += [f"a = {values['a']}, x = {values['x']}: {status}"
+                  for values, status in rows if status not in ("PASS", "FAIL")]
     else:
         values = rows[0][0]
         lines = [f"{label:<17}: {values[attr]}" for attr, _, label in FIELDS]
@@ -171,7 +184,7 @@ def _render(args, rows, criterion: str | None = None) -> None:
 
 def cmd_zeros(args) -> int:
     ctx = NumericContext(args.precision_bits)
-    store = (import_zeros(args.zeros_file, ctx) if args.zeros_file
+    store = (_import(args, ctx) if args.zeros_file
              else load_or_compute(args.zeros_count, ctx, args.cache_dir))
     engine = engine_for(ctx)
     mp = ctx.mp
@@ -234,16 +247,19 @@ def _verify_residues(args, ctx) -> sr.EvaluationReport:
 def _verify_sumrule(args, ctx) -> sr.EvaluationReport:
     params = sr.SumRuleParams(a=args.a, x=args.x, n_zeros=args.zeros_count,
                               n_trivial=args.n_trivial, n_halfint=args.n_halfint)
+    params.bind(ctx)  # a bad a or x exits before any zero is loaded or located
     return sr.evaluate_sumrule(params, _store_for(args, ctx, args.zeros_count), ctx)
 
 
 def _verify_rh_form(args, ctx) -> sr.EvaluationReport:
+    sr._bind_x(args.x, ctx)
     return sr.evaluate_rh_form(args.x, _store_for(args, ctx, args.zeros_count), ctx,
                                n_zeros=args.zeros_count, n_trivial=args.n_trivial,
                                n_halfint=args.n_halfint)
 
 
 def _verify_guillera(args, ctx) -> sr.EvaluationReport:
+    sr._bind_x(args.x, ctx)
     return sr.evaluate_guillera(args.x, _store_for(args, ctx, args.zeros_count),
                                 mangoldt_sieve(args.lambda_limit), ctx)
 

@@ -5,14 +5,27 @@ Zeros are found as sign changes of the Hardy Z function on a fixed scan
 grid (step 0.25 from t = 10, fallback 0.05).  Located and imported zeros
 take one refinement path, _certify: bisection of the sign-change bracket to
 width 1e-4 (it only reads signs), Newton on Z at full precision inside the
-bracket, then a full-precision sign change of Z across [tau - e, tau + e],
-e = 2^(10 - precision_bits), as the certificate; should that fail, a
-full-precision bisection down to e.  One fused zeta/zeta' pass gives the
-residual Z(tau) and the cached zeta'(1/2 + i tau).  The certificate is for
-the refined tau; _certify returns tau and zeta' as a zeros file holds them
-(rounded to the ctx.dps digits export_zeros writes, read back at working
-precision): it moves tau by half a unit in the last digit at most, which is
-under e/2 for every tau < 10^4, so for every zero up to MAX_COUNT.
+bracket, then a certificate that Z changes sign across [tau - e, tau + e],
+e = 2^(10 - precision_bits).  Each full-precision pass
+(ZetaEngine.hardy_z_and_derivs) gives Z, Z' and zeta'(1/2 + i tau) at once,
+and tau's pass is Newton's last one wherever Newton's last step leaves tau
+unchanged (one more pass where it moved tau).  That pass gives the residual
+Z(tau), the cached zeta'(1/2 + i tau) and the first of three certificate
+routes:
+  1. the Taylor certificate, _taylor_certifies: |Z(tau)| plus its error
+     bound plus e^2 M/2, M >= |Z''| near tau (_z2_bound), below e |Z'(tau)|
+     minus its error bound;
+  2. failing that, the full-precision signs of Z at tau - e and tau + e;
+  3. failing both, a full-precision bisection down to e, and one pass at
+     its midpoint.
+So a located zero costs its Newton passes (4 at 96 bits, 5 at 192 for the
+first zeros), and an imported one two: the import check at the tau read,
+which is Newton's first step, and the pass at the tau Newton moves to.
+The certificate is for the refined tau; _certify returns tau and zeta' as
+a zeros file holds them (rounded to the ctx.dps digits export_zeros writes,
+read back at working precision): it moves tau by half a unit in the last
+digit at most, which is under e/2 for every tau < 10^4, so for every zero
+up to MAX_COUNT.
 
 Every sign the scan and the bisections read comes from _signed_z: Z in
 double precision with a proven error bound (zetafn._hardy_z_float), used
@@ -45,6 +58,7 @@ cache load warns and recomputes instead.  Cache files also carry per-record
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import warnings
@@ -76,6 +90,10 @@ MAX_COUNT = 2000
 SIMPLICITY_FLOOR = 1e-15
 # bracket width at which Newton takes over from bisection
 NEWTON_WIDTH = "1e-4"
+# radius of the circles of the Cauchy estimate for |Z''| (_z2_bound), and
+# zeta(3/2) = 2.61237... rounded up
+CAUCHY_RADIUS = 0.375
+ZETA_3_2 = 2.6124
 
 
 class MissedZeroError(RuntimeError):
@@ -185,34 +203,84 @@ def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
     return lo, hi
 
 
-def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi):
+def _z2_bound(tau) -> float:
+    """M >= |Z''(t)| for |t - tau| <= 1/8, or inf for tau < 10.5.
+
+    Cauchy's estimate |Z''(t)| <= 2 max |Z(w)| / r^2 over the circle
+    |w - t| = r = CAUCHY_RADIUS, where Z(w) = e^(i theta(w)) zeta(1/2 + i w)
+    continues Z.  The circles lie in |Re w - tau| <= 1/2, |Im w| <= r, so
+    s = 1/2 + i w has 1/8 <= sigma <= 7/8 and t_lo <= Im s <= t_hi, with
+    t_lo, t_hi = tau -+ 1/2.  There:
+    - Rademacher (Math. Z. 72, 1959), with eta = 1/2: |zeta(s)| <=
+      3 |1 + s| / |1 - s| (|1 + s| / 2 pi)^((3/2 - sigma)/2) zeta(3/2), and
+      |1 + s| < t_hi + 2, |1 - s| >= t_lo, (3/2 - sigma)/2 <= 11/16;
+    - |e^(i theta(w))| = e^(-Im theta(w)) <= e^(r max |Re theta'|), as theta
+      is real on the real axis.  theta' = (psi(z1) + psi(z2))/4 - log(pi)/2
+      with z1,2 = 1/4 +- i w/2, Re z >= 1/4 - r/2 = 1/16 and t_lo/2 <= |z|
+      <= (t_hi + 1)/2; Binet's formula gives |Re psi(z) - log |z|| <=
+      1/(2|z|) + 1/(12 (Re z)^2).
+    The product is doubled to cover the rounding of this float estimate."""
+    t_lo, t_hi = float(tau) - 0.5, float(tau) + 0.5
+    if not t_lo >= 10:
+        return math.inf
+    r = CAUCHY_RADIUS
+    zeta_max = 3 * (t_hi + 2) / t_lo * ((t_hi + 2) / (2 * math.pi)) ** (11 / 16) * ZETA_3_2
+    psi_max = math.log((t_hi + 1) / 2) + 1 / t_lo + 1 / (12 * (1 / 4 - r / 2) ** 2)
+    phase_max = math.exp(r * (psi_max + math.log(math.pi)) / 2)
+    return 2 * (2 * zeta_max * phase_max / r ** 2)
+
+
+def _taylor_certifies(engine: ZetaEngine, tau, z, zd) -> bool:
+    """Whether Z changes sign across [tau - e, tau + e], proved from
+    z = Z(tau) and zd = Z'(tau) alone: Z(tau +- e) = Z(tau) +- e Z'(tau) +
+    (e^2/2) Z''(xi), so |Z(tau)| + d + e^2 M / 2 < e (|Z'(tau)| - d), with
+    M = _z2_bound(tau), gives Z(tau + e) the sign of Z'(tau) and Z(tau - e)
+    the other.  d = (tau + 4) 2^-(p + 12) bounds the error of z and zd: the
+    engine stops Euler-Maclaurin at a first omitted term below 2^-(p + 16),
+    Backlund's remainder is at most (t + 4)/3.5 times that term, zeta''s
+    differentiated remainder is taken as at most 2^4 times it (log N < 12),
+    and the rounding at p + 32 bits lies far below."""
+    mp = engine.ctx.mp
+    e = engine.ctx.target_tol
+    d = mp.ldexp(tau + 4, -(engine.ctx.precision_bits + 12))
+    return abs(z) + d + e * e * _z2_bound(tau) / 2 < e * (abs(zd) - d)
+
+
+def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     """(tau, zeta'(1/2 + i tau)), as a zeros file holds them, for the zero in
     the sign-change bracket [lo, hi], where z_lo and z_hi have the signs of
-    Z(lo) and Z(hi); the steps and the rounding are in the module docstring."""
+    Z(lo) and Z(hi).  start = (t, engine.hardy_z_and_derivs(t)) is a pass
+    already made, taken as Newton's first where Newton starts at t.  The
+    steps, the certificates and the rounding are in the module docstring."""
+    mp = engine.ctx.mp
     e = engine.ctx.target_tol
-    lo, hi = _bisect(engine, lo, hi, z_lo, z_hi, engine.ctx.mp.mpf(NEWTON_WIDTH))
+    lo, hi = _bisect(engine, lo, hi, z_lo, z_hi, mp.mpf(NEWTON_WIDTH))
     tau = (lo + hi) / 2
+    known = start if start is not None and start[0] == tau else None
     for _ in range(80):
-        z, zd = engine.hardy_z_with_deriv(tau)
+        at, (z, zd, zp) = tau, known[1] if known else engine.hardy_z_and_derivs(tau)
+        known = None
         if zd == 0:
             break
         delta = z / zd
         if not lo <= tau - delta <= hi:
-            break  # Newton left the bracket; the certificate below decides
+            break  # Newton left the bracket; the certificates below decide
         tau -= delta
         if abs(delta) < e / 4:
             break
-    if not engine.hardy_z(tau - e) * engine.hardy_z(tau + e) < 0:
+    if tau != at:
+        z, zd, zp = engine.hardy_z_and_derivs(tau)
+    if not (_taylor_certifies(engine, tau, z, zd)
+            or engine.hardy_z(tau - e) * engine.hardy_z(tau + e) < 0):
         lo, hi = _bisect(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi), e)
         tau = (lo + hi) / 2
-    z, zp = engine.hardy_z_and_zeta_deriv(tau)
+        z, _, zp = engine.hardy_z_and_derivs(tau)
     if abs(zp) < SIMPLICITY_FLOOR:
         raise MultipleZeroError(f"|zeta'(rho)| = {float(abs(zp)):.3g} at tau = {float(tau):.9f}")
     if not abs(z) < 1000 * e * abs(zp):
         raise MissedZeroError(
             f"residual {float(abs(z)):.3g} inconsistent with enclosure at tau = {float(tau):.9f}")
     re_zp, im_zp = _zp_fields(engine.ctx, zp)  # read back as _read_zeros reads them
-    mp = engine.ctx.mp
     return mp.mpf(engine.ctx.nstr(tau)), mp.mpc(mp.mpf(re_zp), mp.mpf(im_zp))
 
 
@@ -337,23 +405,31 @@ def _read_zeros(path, ctx: NumericContext):
     return header, rows
 
 
-def import_zeros(path, ctx: NumericContext) -> ZeroStore:
+def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroStore:
     """Read a zeros table (_read_zeros: every format check and the checksum
-    run before any zeta evaluation), reject any tau whose Newton correction
-    |Z/Z'| exceeds 0.05, and refine the rest to context precision by the
-    certification locate_zeros uses, from a bracket of four corrections."""
+    run over the whole file before any zeta evaluation), and refine its first
+    `count` zeros (all of them without a count): reject any tau whose Newton
+    correction |Z/Z'| exceeds 0.05, refine the rest to context precision by
+    the certification locate_zeros uses, from a bracket of four corrections,
+    and count-check them.  The pass that gives the correction is Newton's
+    first step where Newton starts at the tau read."""
     _, rows = _read_zeros(path, ctx)
+    if count is not None:
+        if not 1 <= count <= len(rows):
+            raise ValueError(f"store holds {len(rows)} zeros, {count} requested")
+        rows = rows[:count]
     engine = engine_for(ctx)
 
     def refine(i):
         line_no, t0, _ = rows[i]
-        z, zd = engine.hardy_z_with_deriv(t0)
+        check = engine.hardy_z_and_derivs(t0)
+        z, zd, _ = check
         newton = abs(z / zd) if zd != 0 else ctx.mp.inf
         if newton > 0.05:
             raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = {float(newton):.3g}")
         step = newton * 4 + ctx.mp.mpf("1e-7")
         lo, hi = t0 - step, t0 + step
-        return _certify(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi))
+        return _certify(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi), (t0, check))
 
     records = _records(_split_map(refine, len(rows), ctx.mp))
     bad = _check_counts(engine, [r.tau for r in records])

@@ -647,19 +647,16 @@ class ZetaEngine:
 
     def hardy_z_with_deriv(self, t):
         """(Z(t), Z'(t)) from one Euler-Maclaurin pass for zeta and zeta'."""
-        mp = self.ctx.mp
-        t = mp.mpf(t)
-        z, zeta, zeta_d, phase = self._hardy(t, with_deriv=True)
-        return z, -mp.im(phase * (self._theta_deriv(t) * zeta + zeta_d))
+        return self._hardy(t, with_deriv=True)[:2]
 
-    def hardy_z_and_zeta_deriv(self, t):
-        """(Z(t), zeta'(1/2 + i t)) from one Euler-Maclaurin pass: the residual
-        and the weight of a zero record."""
-        z, _, zeta_d, _ = self._hardy(t, with_deriv=True)
-        return z, zeta_d
+    def hardy_z_and_derivs(self, t):
+        """(Z(t), Z'(t), zeta'(1/2 + i t)) from one Euler-Maclaurin pass: a
+        Newton step on Z, the Taylor certificate and the weight of a zero."""
+        return self._hardy(t, with_deriv=True)
 
     def _hardy(self, t, with_deriv: bool):
-        """(Z(t), zeta(s), zeta'(s) or None, e^(i theta(t))) at s = 1/2 + i t."""
+        """(Z(t), Z'(t), zeta'(s)) at s = 1/2 + i t; the last two are None
+        without with_deriv."""
         mp = self.ctx.mp
         t = mp.mpf(t)
         if not t > 0:
@@ -671,7 +668,9 @@ class ZetaEngine:
         if abs(mp.im(w)) >= 1000 * self.ctx.target_tol * max(1, abs(w)):
             raise InternalConsistencyError(
                 f"Hardy Z imaginary part {float(mp.im(w)):.3g} at t={float(t):.6f}")
-        return mp.re(w), z, zd, phase
+        if not with_deriv:
+            return mp.re(w), None, None
+        return mp.re(w), -mp.im(phase * (self._theta_deriv(t) * z + zd)), zd
 
 
 @functools.cache

@@ -4,6 +4,7 @@ import pytest
 
 from zetasum.numctx import NumericContext
 from zetasum.zeros import load_or_compute
+from zetasum.zetafn import ZetaEngine
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +67,22 @@ def one_cpu(monkeypatch):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def hardy_passes(monkeypatch):
+    """The (t, with_deriv) of every full-precision pass of Z, in call order;
+    every split evaluates in process, so each pass is seen."""
+    one_cpu(monkeypatch)
+    passes = []
+    hardy = ZetaEngine._hardy
+
+    def counting(self, t, with_deriv):
+        passes.append((t, with_deriv))
+        return hardy(self, t, with_deriv)
+
+    monkeypatch.setattr(ZetaEngine, "_hardy", counting)
+    return passes
 
 
 @pytest.fixture()

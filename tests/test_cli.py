@@ -343,3 +343,45 @@ def test_selftest_cli(base_args, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("argv,setting", [
+    (["sumrule", "--a", "abc", "--x", "0.5"], "a = 'abc'"),
+    (["rh-form", "--x", "zz"], "x = 'zz'"),
+    (["guillera", "--x", "1.5"], "x must lie in (0, 1)"),
+])
+def test_bad_a_or_x_exits_before_any_zero_is_loaded(argv, setting, tmp_path, capsys,
+                                                    monkeypatch):
+    def no_zeros(*args):
+        raise AssertionError("a zero store was asked for")
+
+    monkeypatch.setattr(cli, "load_or_compute", no_zeros)
+    cache = tmp_path / "cache"
+    argv = ["verify"] + argv + ["--zeros", "3", "--precision", "96", "--cache-dir", str(cache)]
+    assert main(argv) == 2
+    assert setting in capsys.readouterr().err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("command", [["verify", "sumrule", "--a", "0.5", "--x", "0.5"],
+                                     ["zeros"]], ids=["verify", "zeros"])
+@pytest.mark.parametrize("kind,reason", [("directory", "Is a directory"),
+                                         ("missing", "No such file or directory")])
+def test_unreadable_zeros_file_names_the_setting(command, kind, reason, tmp_path, capsys):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    assert main(command + ["--precision", "96", "--zeros-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --zeros-file {path}: {reason}\n"
+    assert captured.out == ""
+
+
+def test_zeros_file_refines_only_the_zeros_prefix(store30_96, ctx96, hardy_passes, tmp_path,
+                                                  capsys):
+    # a 3-zero verify against a 30-zero file refines 3 zeros, two passes each
+    path = tmp_path / "zeros.txt"
+    export_zeros(store30_96, path, ctx96)
+    assert main(["verify", "sumrule", "--a", "0.5", "--x", "0.5", "--zeros", "3",
+                 "--precision", "96", "--zeros-file", str(path)]) == 0
+    assert len(hardy_passes) == 2 * 3

@@ -1,11 +1,13 @@
+import math
 import os
 
+import mpmath
 import pytest
 from conftest import SPLITS, assert_no_child, one_cpu
 
 from zetasum import zeros as zeros_mod
 from zetasum.numctx import NumericContext
-from zetasum.zetafn import ZetaEngine, _raw
+from zetasum.zetafn import ZetaEngine, _raw, _split_map
 from zetasum.zeros import (ZeroImportError, ZeroStore, export_zeros, import_zeros,
                            load_or_compute, locate_zeros)
 
@@ -129,11 +131,38 @@ def test_import_low_precision_then_refine(store30_96, ctx96, tmp_path, decimals)
     assert again.read_bytes() == expected.read_bytes()
 
 
+def test_prefix_import_refines_the_prefix_only(store30_96, ctx96, hardy_passes, tmp_path):
+    # the format and the checksum are checked over the whole file, but only
+    # the first `count` zeros are refined (two passes each) and count-checked
+    path = tmp_path / "zeros.txt"
+    export_zeros(store30_96.prefix(12), path, ctx96)
+    full = import_zeros(path, ctx96)
+    del hardy_passes[:]
+    prefix = import_zeros(path, ctx96, count=3)
+    assert len(hardy_passes) == 2 * 3
+    assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in prefix] == [
+        (_raw(r.tau), _raw(r.zeta_prime)) for r in full.prefix(3)]
+    for count in (0, 13):
+        with pytest.raises(ValueError, match=f"12 zeros, {count} requested"):
+            import_zeros(path, ctx96, count=count)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1][:-1] + ("1" if lines[-1][-1] != "1" else "2")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ZeroImportError, match="checksum"):
+        import_zeros(path, ctx96, count=3)
+
+
 def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monkeypatch):
-    # with Z' = 0 Newton stops at once, the certificate at the midpoint of the
-    # 1e-4 bracket fails, and the bracket is bisected at full precision to e;
-    # store30_96 holds the same zeros refined by Newton
-    monkeypatch.setattr(ZetaEngine, "hardy_z_with_deriv", lambda self, t: (0, 0))
+    # with Z' = 0 Newton stops at once, neither certificate holds at the
+    # midpoint of the 1e-4 bracket, and the bracket is bisected at full
+    # precision to e; store30_96 holds the same zeros refined by Newton
+    derivs = ZetaEngine.hardy_z_and_derivs
+
+    def flat(self, t):
+        z, _, zp = derivs(self, t)
+        return z, 0, zp
+
+    monkeypatch.setattr(ZetaEngine, "hardy_z_and_derivs", flat)
     store = locate_zeros(3, ctx96)
     engine = ZetaEngine(ctx96)
     e = ctx96.target_tol
@@ -141,6 +170,91 @@ def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monke
         assert fallback.tau != newton.tau
         assert abs(fallback.tau - newton.tau) <= e
         assert engine.hardy_z(fallback.tau - e) * engine.hardy_z(fallback.tau + e) < 0
+
+
+@pytest.mark.parametrize("bits,newton", [(96, 4), (192, 5)])
+def test_full_precision_passes_per_zero(bits, newton, hardy_passes, tmp_path):
+    # a located zero takes its Newton passes alone: the last gives the Taylor
+    # certificate and the weight.  An imported one takes two: the check at
+    # the tau read, which is Newton's first step, and the pass at the tau
+    # Newton moved to
+    ctx = NumericContext(bits)
+    located = locate_zeros(8, ctx)
+    assert hardy_passes == [(t, True) for t, _ in hardy_passes]
+    assert len(hardy_passes) == newton * 8
+    path = tmp_path / "zeros.txt"
+    export_zeros(located, path, ctx)
+    del hardy_passes[:]
+    import_zeros(path, ctx)
+    assert [t for t, _ in hardy_passes[::2]] == [r.tau for r in located]
+    assert hardy_passes == [(t, True) for t, _ in hardy_passes]
+    assert len(hardy_passes) == 2 * 8
+
+
+@pytest.mark.parametrize("taylor", [True, False])
+def test_each_certificate_gives_the_same_zeros(taylor, store30_96, ctx96, hardy_passes,
+                                               monkeypatch):
+    # the Taylor certificate decides every zero from the last Newton pass;
+    # with an infinite bound on |Z''| it never decides, and the two-point
+    # check at tau +- e certifies the same tau
+    if not taylor:
+        monkeypatch.setattr(zeros_mod, "_z2_bound", lambda tau: math.inf)
+    store = locate_zeros(8, ctx96)
+    e = ctx96.target_tol
+    two_point = [t for t, with_deriv in hardy_passes if not with_deriv]
+    assert len(two_point) == (0 if taylor else 2 * 8)
+    assert all(abs(hi - lo - 2 * e) < e / 2**20
+               for lo, hi in zip(two_point[::2], two_point[1::2]))
+    assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
+        (_raw(r.tau), _raw(r.zeta_prime)) for r in store30_96.prefix(8)]
+
+
+@pytest.mark.parametrize("name,offsets", [
+    ("store30_96", (-2, -1.25, -1, -0.5, 0, 0.5, 1, 1.25, 2)),
+    ("store500_192", (0,)),
+], ids=["store30_96", "store500_192"])
+def test_taylor_certificate_never_accepts_where_the_two_point_check_rejects(name, offsets,
+                                                                            request):
+    # at every stored tau, and at 96 bits next to it, in steps of e: the
+    # Taylor certificate accepts every stored tau, and none that the two
+    # full-precision signs at tau +- e reject
+    store = request.getfixturevalue(name)
+    ctx = request.getfixturevalue("ctx" + name.split("_")[1])
+    engine = ZetaEngine(ctx)
+    e = ctx.target_tol
+    taus = [r.tau + k * e for r in store for k in offsets]
+
+    def taylor_and_two_point(i):
+        z, zd, _ = engine.hardy_z_and_derivs(taus[i])
+        two_point = engine.hardy_z(taus[i] - e) * engine.hardy_z(taus[i] + e) < 0
+        return int(zeros_mod._taylor_certifies(engine, taus[i], z, zd)), int(two_point)
+
+    verdicts = _split_map(taylor_and_two_point, len(taus), ctx.mp)
+    assert all(two_point for taylor, two_point in verdicts if taylor)
+    assert [taylor for (taylor, _), k in zip(verdicts, offsets * len(store)) if k == 0] == [
+        1] * len(store)
+    if len(offsets) > 1:  # the offsets reach points that both reject
+        assert sum(taylor for taylor, _ in verdicts) < len(taus)
+
+
+def test_z2_bound_holds(ctx96):
+    # M against mpmath's |Z''| at the first zero, inside the scan's start and
+    # across [10, 1400]; below 10.5 there is no bound
+    mp = ctx96.mp
+    for t in ("10.5", "14.134725", "17.3", "100", "377.7", "811.18", "1000", "1399.9"):
+        assert abs(mpmath.siegelz(mpmath.mpf(t), derivative=2)) < zeros_mod._z2_bound(
+            mp.mpf(t)) < 1e7, t
+    assert zeros_mod._z2_bound(mp.mpf("10.4")) == math.inf
+
+
+def test_taylor_certificate_counts_the_evaluation_error(ctx96):
+    # |Z(tau)| must clear e |Z'(tau)| by twice the error bound d of the pass
+    engine = ZetaEngine(ctx96)
+    tau, e = ctx96.mpf(100), ctx96.target_tol
+    d = ctx96.mp.ldexp(tau + 4, -(ctx96.precision_bits + 12))
+    for z, zd in ((e - 3 * d, 1), (3 * d - e, -1)):
+        assert zeros_mod._taylor_certifies(engine, tau, z, zd)
+        assert not zeros_mod._taylor_certifies(engine, tau, z + d * zd * 5 / 2, zd)
 
 
 def test_cache_cold_then_warm(ctx96, tmp_path):
