@@ -148,12 +148,14 @@ def _row(rep, ctx: NumericContext, args, t0) -> tuple:
 
 def _render(args, rows, criterion: str | None = None) -> None:
     """Write rows, each (values, status), in args.output_format to args.out or
-    stdout: CSV lines, or for a verdict (one row and its criterion) a JSON object
-    or labelled lines, for a grid a JSON list or a table, each error row's full
-    message under it.  Missing values print empty."""
+    stdout: CSV lines (a comma in a status printed as ';'), or for a verdict
+    (one row and its criterion) a JSON object or labelled lines, for a grid a
+    JSON list or a table, each error row's full message under it.  Missing
+    values print empty."""
     if args.output_format == "csv":
         lines = [",".join([col for _, col, _ in FIELDS] + ["status"])]
-        lines += [",".join([str(values.get(attr, "")) for attr, _, _ in FIELDS] + [status])
+        lines += [",".join([str(values.get(attr, "")) for attr, _, _ in FIELDS]
+                           + [status.replace(",", ";")])
                   for values, status in rows]
     elif args.output_format == "json":
         doc = [{**values, "status": status} for values, status in rows]
@@ -304,8 +306,7 @@ def cmd_scan(args) -> int:
                 t0 = time.perf_counter()
                 rows.append(_row(sr.evaluate_sumrule(params, store, ctx), ctx, args, t0))
             except COMPUTATIONAL_ERRORS as exc:
-                msg = f"error: {exc}".replace(",", ";").replace("\n", " ")
-                rows.append(({"a": a, "x": x}, msg))
+                rows.append(({"a": a, "x": x}, f"error: {exc}".replace("\n", " ")))
     _render(args, rows)
     return 0 if all(status == "PASS" for _, status in rows) else 1
 

@@ -313,6 +313,18 @@ def test_scan_row_with_a_bad_a_names_it(base_args, store30_96, capsys):
     assert bad.split(",")[-1] == "error: a = 'abc' is not a number"
 
 
+@pytest.mark.parametrize("fmt,line", [
+    ("text", "a = 0.5, x = 1.5: error: x must lie in (0, 1) exclusive, got 1.5"),
+    ("csv", "0.5,1.5,,,,,,,,,error: x must lie in (0; 1) exclusive; got 1.5"),
+    ("json", '    "status": "error: x must lie in (0, 1) exclusive, got 1.5"'),
+])
+def test_scan_error_message_with_a_comma(fmt, line, base_args, store30_96, capsys):
+    # only the CSV field turns a comma of the message into ';'
+    assert main(["scan", "--a-list", "0.5", "--x-list", "1.5", "--zeros", "10",
+                 "--format", fmt] + base_args) == 1
+    assert line in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_zeros_count_out_of_range_exits_2(count, base_args, store30_96, capsys):
     # --count is the zeros command's zeros_count: 0 is not "unset", and a

@@ -153,7 +153,7 @@ def test_prefix_import_refines_the_prefix_only(store30_96, ctx96, hardy_passes, 
 
 
 def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monkeypatch):
-    # with Z' = 0 Newton stops at once, neither certificate holds at the
+    # with Z' = 0 Newton stops at once, the Taylor certificate fails at the
     # midpoint of the 1e-4 bracket, and the bracket is bisected at full
     # precision to e; store30_96 holds the same zeros refined by Newton
     derivs = ZetaEngine.hardy_z_and_derivs
@@ -191,20 +191,19 @@ def test_full_precision_passes_per_zero(bits, newton, hardy_passes, tmp_path):
     assert len(hardy_passes) == 2 * 8
 
 
-@pytest.mark.parametrize("taylor", [True, False])
-def test_each_certificate_gives_the_same_zeros(taylor, store30_96, ctx96, hardy_passes,
-                                               monkeypatch):
-    # the Taylor certificate decides every zero from the last Newton pass;
-    # with an infinite bound on |Z''| it never decides, and the two-point
-    # check at tau +- e certifies the same tau
-    if not taylor:
-        monkeypatch.setattr(zeros_mod, "_z2_bound", lambda tau: math.inf)
+def test_taylor_certificate_decides_every_zero(store30_96, ctx96, monkeypatch):
+    # the last Newton pass certifies each zero, so no zero is bisected to e
+    one_cpu(monkeypatch)
+    verdicts = []
+    taylor = zeros_mod._taylor_certifies
+
+    def recorded(*args):
+        verdicts.append(taylor(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(zeros_mod, "_taylor_certifies", recorded)
     store = locate_zeros(8, ctx96)
-    e = ctx96.target_tol
-    two_point = [t for t, with_deriv in hardy_passes if not with_deriv]
-    assert len(two_point) == (0 if taylor else 2 * 8)
-    assert all(abs(hi - lo - 2 * e) < e / 2**20
-               for lo, hi in zip(two_point[::2], two_point[1::2]))
+    assert verdicts == [True] * 8
     assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
         (_raw(r.tau), _raw(r.zeta_prime)) for r in store30_96.prefix(8)]
 
