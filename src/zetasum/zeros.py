@@ -47,10 +47,13 @@ is the in-process one.
 File format (import/export and cache): UTF-8 text, one decimal tau per line
 in ascending order, '#' comment lines allowed, export header
 "# precision_bits=<n> checksum=<hex>".  Import and cache loads share one
-reader, _read_zeros, which rejects an unparseable, non-positive or
+reader, _parse_zeros, which rejects an unparseable, non-positive or
 non-ascending tau and a checksum mismatch before any zeta evaluation; a
 cache load warns and recomputes instead.  Cache files also carry per-record
-"# zp <re> <im>" lines so warm loads skip all zeta evaluations.
+"# zp <re> <im>" lines so warm loads skip all zeta evaluations.  A process
+keeps each cache store it accepted, with the sha256 of the file's bytes,
+and serves it again while the file hashes the same, so repeated warm calls
+in one process parse the file once.
 """
 
 from __future__ import annotations
@@ -238,11 +241,13 @@ def _taylor_certifies(engine: ZetaEngine, tau, z, zd) -> bool:
     z = Z(tau) and zd = Z'(tau) alone: Z(tau +- e) = Z(tau) +- e Z'(tau) +
     (e^2/2) Z''(xi), so |Z(tau)| + d + e^2 M / 2 < e (|Z'(tau)| - d), with
     M = _z2_bound(tau), gives Z(tau + e) the sign of Z'(tau) and Z(tau - e)
-    the other.  d = (tau + 4) 2^-(p + 12) bounds the error of z and zd: the
-    engine stops Euler-Maclaurin at a first omitted term below 2^-(p + 16),
-    Backlund's remainder is at most (t + 4)/3.5 times that term, zeta''s
-    differentiated remainder is taken as at most 2^4 times it (log N < 12),
-    and the rounding at p + 32 bits lies far below."""
+    the other.  d = (tau + 4) 2^-(p + 12) bounds the error of z = Re and
+    zd = -Im of e^(i theta) times zeta and zeta' (the exact Z' has no theta'
+    term, since e^(i theta) zeta is real): the engine stops Euler-Maclaurin
+    at a first omitted term below 2^-(p + 16), Backlund's remainder is at
+    most (t + 4)/3.5 times that term, zeta''s differentiated remainder is
+    taken as at most 2^4 times it (log N < 12), and the phase, the products
+    and every other rounding at p + 32 bits lie far below."""
     mp = engine.ctx.mp
     e = engine.ctx.target_tol
     d = mp.ldexp(tau + 4, -(engine.ctx.precision_bits + 12))
@@ -288,7 +293,7 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     if not abs(z) < 1000 * e * abs(zp):
         raise MissedZeroError(
             f"residual {float(abs(z)):.3g} inconsistent with enclosure at tau = {float(tau):.9f}")
-    re_zp, im_zp = _zp_fields(engine.ctx, zp)  # read back as _read_zeros reads them
+    re_zp, im_zp = _zp_fields(engine.ctx, zp)  # read back as _parse_zeros reads them
     return mp.mpf(engine.ctx.nstr(tau)), mp.mpc(mp.mpf(re_zp), mp.mpf(im_zp))
 
 
@@ -366,15 +371,13 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _read_zeros(path, ctx: NumericContext):
-    """(header fields, [(line_no, tau, zeta' or None)]) of a zeros file, each
-    value read at context precision, zeta' from the "# zp" line after tau.
-    Raises ZeroImportError for a file without zeros, an unparseable record,
-    a non-positive or non-ascending tau, or a payload that no longer matches
-    the header's checksum (when the header carries one).  Nothing here
-    evaluates zeta."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+def _parse_zeros(text: str, ctx: NumericContext):
+    """(header fields, [(line_no, tau, zeta' or None)]) of a zeros file's
+    text, each value read at context precision, zeta' from the "# zp" line
+    after tau.  Raises ZeroImportError for a file without zeros, an
+    unparseable record, a non-positive or non-ascending tau, or a payload
+    that no longer matches the header's checksum (when the header carries
+    one).  Nothing here evaluates zeta."""
     header, lines, payload = {}, [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -414,14 +417,15 @@ def _read_zeros(path, ctx: NumericContext):
 
 
 def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroStore:
-    """Read a zeros table (_read_zeros: every format check and the checksum
+    """Read a zeros table (_parse_zeros: every format check and the checksum
     run over the whole file before any zeta evaluation), and refine its first
     `count` zeros (all of them without a count): reject any tau whose Newton
     correction |Z/Z'| exceeds 0.05, refine the rest to context precision by
     the certification locate_zeros uses, from a bracket of four corrections,
     and count-check them.  The pass that gives the correction is Newton's
     first step where Newton starts at the tau read."""
-    _, rows = _read_zeros(path, ctx)
+    with open(path, "r", encoding="utf-8") as f:
+        _, rows = _parse_zeros(f.read(), ctx)
     if count is not None:
         rows = _prefix(rows, count)
     engine = engine_for(ctx)
@@ -447,11 +451,26 @@ def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroSto
 # -- cache -------------------------------------------------------------------
 
 
+# (path, precision_bits) -> (sha256 of the file's bytes, count, the store
+# _load_cache accepted from them): a process parses a cache file once, and
+# again only after its bytes change, whatever its size and mtime say
+_loaded = {}
+
+
 def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
     """The cached store at `path`, or None, with a warning, if it fails
-    _read_zeros or does not hold this store."""
+    _parse_zeros or does not hold this store.  A store accepted is kept
+    (_loaded) and served while the file's bytes hash the same; a file that
+    fails is read, and warns, on every load."""
+    with open(path, "rb") as f:
+        data = f.read()
+    key = os.fspath(path), ctx.precision_bits
+    digest = hashlib.sha256(data).digest()
+    held = _loaded.get(key)
+    if held is not None and held[:2] == (digest, count):
+        return held[2]
     try:
-        header, rows = _read_zeros(path, ctx)
+        header, rows = _parse_zeros(data.decode("utf-8"), ctx)
     except ZeroImportError as err:
         warnings.warn(f"zeros cache {path}: {err}, recomputing")
         return None
@@ -463,7 +482,9 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
         if zp is None:
             warnings.warn(f"zeros cache {path}: missing zeta' at line {line_no}, recomputing")
             return None
-    return ZeroStore(_records(row[1:] for row in rows), "computed")
+    store = ZeroStore(_records(row[1:] for row in rows), "computed")
+    _loaded[key] = digest, count, store
+    return store
 
 
 def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStore:

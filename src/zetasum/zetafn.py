@@ -38,10 +38,15 @@ process).
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
 one pass over the same powers k^-s, with the same N, escalations and
-Bernoulli stop.  Each engine keeps a table of log k (and, for Re s = 1/2,
-|k^-s| = exp(-log(k)/2)), so a complex power costs one cos/sin and two
-multiplications.  The table rounds as mpmath 1.3's mpc_pow does, so every
-value is bit for bit what separate passes over mp.power(k, -s) give.
+Bernoulli stop.  On the critical line Z = e^(i theta) zeta is real, so
+Z' = -Im(e^(i theta) zeta') exactly: the theta' zeta term of the product
+rule only multiplies Im(e^(i theta) zeta) = 0, and no pass evaluates theta'
+(a complex digamma).  Each engine keeps a table of log k (and, for
+Re s = 1/2, |k^-s| = exp(-log(k)/2)), so a complex power costs one cos/sin
+and two multiplications.  The table rounds as mpmath 1.3's mpc_pow does,
+and the sum runs on raw mpmath tuples through the functions mpmath's
+operators call (_em_once), so every value is bit for bit what separate
+passes over mp.power(k, -s) with mpf/mpc arithmetic give.
 
 Bernoulli numbers are exact rationals built from the integer tangent
 numbers (_bernoulli).  All functions are pure.  An engine's state is the
@@ -73,8 +78,11 @@ import signal
 import threading
 from fractions import Fraction
 
-from mpmath.libmp import (MPZ, from_int, mpf_cos_sin, mpf_exp, mpf_log, mpf_mul, mpf_neg,
-                          mpf_shift, round_down, round_nearest)
+from mpmath.libmp import (MPZ, finf, fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf,
+                          mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_pow, mpc_sub,
+                          mpc_sub_mpf, mpf_abs, mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_gt,
+                          mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_rdiv_int,
+                          mpf_shift, mpf_sub, round_down, round_nearest)
 
 from .numctx import NumericContext
 
@@ -306,6 +314,15 @@ class InternalConsistencyError(RuntimeError):
 REFLECTION_THRESHOLD = 0.5
 # doublings of the Euler-Maclaurin cutoff N before PrecisionError
 MAX_ESCALATIONS = 6
+# The libmp functions mpmath 1.3's operators call, for a complex and for a
+# real Euler-Maclaurin sum: z + w, z - w, z * w; z + x, z - x, z * x, z / x
+# for a real x; 1 / z, |z|, and x ** w for a real x > 0 (mp.power).  Each
+# takes (operands..., prec, rnd).
+_MPC_OPS = (mpc_add, mpc_sub, mpc_mul, mpc_add_mpf, mpc_sub_mpf, mpc_mul_mpf, mpc_div_mpf,
+            functools.partial(mpc_mpf_div, fone), mpc_abs,
+            lambda x, w, prec, rnd: mpc_pow((x, fzero), w, prec, rnd))
+_MPF_OPS = (mpf_add, mpf_sub, mpf_mul, mpf_add, mpf_sub, mpf_mul, mpf_div,
+            functools.partial(mpf_rdiv_int, 1), mpf_abs, mpf_pow)
 
 
 def _bernoulli(m: int):
@@ -447,87 +464,101 @@ class ZetaEngine:
             f"for s = {self.ctx.mp.nstr(s, 15)}")
 
     def _log_table(self, n: int):
-        """Rows (log k at prec+10 rounded down, log k as an mpf, exp(-log(k)/2)
-        at prec+4) indexed by k, extended to k < n on demand.  A longer table
-        replaces the old one whole, so a shared engine never shows a partial row."""
+        """Rows (log k at prec+10 rounded down, log k at prec, exp(-log(k)/2)
+        at prec+4), raw _mpf_ tuples indexed by k, extended to k < n on
+        demand.  A longer table replaces the old one whole, so a shared engine
+        never shows a partial row."""
         table = self._logk
         if len(table) < n:
-            mp = self.ctx.mp
-            prec = mp.prec
+            prec = self.ctx.mp.prec
             rows = []
             for k in range(len(table), n):
                 log_pow = mpf_log(from_int(k), prec + 10, round_down)
-                rows.append((log_pow, mp.make_mpf(mpf_log(from_int(k), prec, round_nearest)),
+                rows.append((log_pow, mpf_log(from_int(k), prec, round_nearest),
                              mpf_exp(mpf_neg(mpf_shift(log_pow, -1)), prec + 4, round_nearest)))
             table = self._logk = table + tuple(rows)
         return table
 
-    def _powers(self, s, n: int):
-        """(k^-s, log k) for k = 2..n-1.  k^-s is bit for bit mp.power(k, -s):
-        for complex s it repeats mpmath 1.3's mpc_pow (log and product at
-        prec+10 rounded down, exp and cos/sin at prec+4, the context rounding
-        to nearest) with log k from the table, and on Re s = 1/2 also |k^-s|."""
-        mp = self.ctx.mp
-        table = self._log_table(n)
-        if mp.im(s) == 0:  # mp.power takes its real-exponent route
-            for k in range(2, n):
-                yield mp.power(k, -s), table[k][1]
-            return
-        prec = mp.prec
-        neg_re, neg_im = (-s)._mpc_
-        on_line = mp.re(s) == 0.5
-        for k in range(2, n):
-            log_pow, log_k, half_mag = table[k]
-            mag = half_mag if on_line else mpf_exp(
-                mpf_mul(log_pow, neg_re, prec + 10, round_down), prec + 4, round_nearest)
-            c, sn = mpf_cos_sin(mpf_mul(log_pow, neg_im, prec + 10, round_down),
-                                prec + 4, round_nearest)
-            yield (mp.make_mpc((mpf_mul(mag, c, prec, round_nearest),
-                                mpf_mul(mag, sn, prec, round_nearest))), log_k)
-
     def _em_once(self, s, n, want_deriv):
         """One pass at cutoff n: (zeta(s), zeta'(s) or None, first omitted
         Bernoulli term).  zeta' = -sum log k * k^-s + the differentiated tail,
-        over the same powers and the same Bernoulli stop as zeta."""
+        over the same powers and the same Bernoulli stop as zeta.
+
+        The power sum and the Bernoulli corrections run on raw _mpc_ (or, for
+        a real s, _mpf_) tuples, through the libmp functions that mpmath 1.3's
+        operators call for the same expressions (_MPC_OPS, _MPF_OPS), at the
+        context's precision and rounding; so every value is bit for bit what
+        the sum over mpc or mpf objects gives.  k^-s is mp.power(k, -s): off
+        the real axis it repeats mpc_pow (log and product at prec+10 rounded
+        down, exp and cos/sin at prec+4, the context rounding to nearest) with
+        log k from the table, and on Re s = 1/2 also |k^-s|."""
         mp = self.ctx.mp
-        tol = self._stop_tol
-        total = mp.mpf(1)
-        deriv = mp.mpf(0) if want_deriv else None
-        for p, log_k in self._powers(s, n):
-            total += p
+        prec, rnd = mp._prec_rounding
+        cplx = hasattr(s, "_mpc_")
+        add, sub, mul, add_x, sub_x, mul_x, div_x, recip, size, power = (
+            _MPC_OPS if cplx else _MPF_OPS)
+        raw = (lambda v: v._mpc_) if cplx else (lambda v: v._mpf_)
+        s_raw, neg_s = raw(s), raw(-s)
+        table = self._log_table(n)
+        if cplx and neg_s[1] != fzero:
+            neg_re, neg_im = neg_s
+            on_line = mp.re(s) == 0.5
+
+            def k_pow(k, log_pow, half_mag):
+                mag = half_mag if on_line else mpf_exp(
+                    mpf_mul(log_pow, neg_re, prec + 10, round_down), prec + 4, round_nearest)
+                c, sn = mpf_cos_sin(mpf_mul(log_pow, neg_im, prec + 10, round_down),
+                                    prec + 4, round_nearest)
+                return mpf_mul(mag, c, prec, round_nearest), mpf_mul(mag, sn, prec, round_nearest)
+        else:
+            def k_pow(k, log_pow, half_mag):
+                return power(from_int(k), neg_s, prec, rnd)
+
+        total = (fone, fzero) if cplx else fone
+        deriv = (fzero, fzero) if cplx else fzero
+        for k in range(2, n):
+            log_pow, log_k, half_mag = table[k]
+            p = k_pow(k, log_pow, half_mag)
+            total = add(total, p, prec, rnd)
             if want_deriv:
-                deriv -= log_k * p
+                deriv = sub(deriv, mul_x(p, log_k, prec, rnd), prec, rnd)
         ln_n = mp.log(n)
         n1s = mp.power(n, 1 - s)
         ns = mp.power(n, -s)
-        total += n1s / (s - 1) + ns / 2
+        total = add(total, raw(n1s / (s - 1) + ns / 2), prec, rnd)
         if want_deriv:
-            deriv += -ln_n * n1s / (s - 1) - n1s / (s - 1) ** 2
-            deriv += -ln_n * ns / 2
+            deriv = add(deriv, raw(-ln_n * n1s / (s - 1) - n1s / (s - 1) ** 2), prec, rnd)
+            deriv = add(deriv, raw(-ln_n * ns / 2), prec, rnd)
+            rf_logd, ln_raw = recip(s_raw, prec, rnd), ln_n._mpf_
 
         # Bernoulli corrections; rf = s(s+1)...(s+2j-2), npow = N^(-s-2j+1),
         # rf_logd = d/ds log rf = sum 1/(s+i) for the derivative
-        rf = s
-        rf_logd = 1 / s if want_deriv else None
-        npow = ns / n
-        j = 0
-        prev_mag = mp.inf
-        while True:
-            j += 1
-            c = self._coef[j - 1]
-            term = c * rf * npow
-            mag = abs(term)
+        rf = s_raw
+        npow = raw(ns / n)
+        nn = from_int(n * n)
+        tol = self._stop_tol._mpf_
+        prev_mag = finf
+        for j, c in enumerate(self._coef, start=1):
+            term = mul(mul_x(rf, c._mpf_, prec, rnd), npow, prec, rnd)
+            mag = size(term, prec, rnd)
             # stop below tolerance, or where the corrections stop converging at this N
-            if mag < tol or j > self._m_cap or mag > prev_mag * 4:
-                return total, deriv, mag
-            total += term
+            if (mpf_lt(mag, tol) or j > self._m_cap
+                    or mpf_gt(mag, mpf_mul_int(prev_mag, 4, prec, rnd))):
+                break
+            total = add(total, term, prec, rnd)
             if want_deriv:
-                deriv += term * (rf_logd - ln_n)
+                deriv = add(deriv, mul(term, sub_x(rf_logd, ln_raw, prec, rnd), prec, rnd),
+                            prec, rnd)
             prev_mag = mag
-            rf = rf * (s + (2 * j - 1)) * (s + 2 * j)
+            lo = add_x(s_raw, from_int(2 * j - 1), prec, rnd)
+            hi = add_x(s_raw, from_int(2 * j), prec, rnd)
+            rf = mul(mul(rf, lo, prec, rnd), hi, prec, rnd)
             if want_deriv:
-                rf_logd = rf_logd + 1 / (s + (2 * j - 1)) + 1 / (s + 2 * j)
-            npow = npow / (n * n)
+                rf_logd = add(add(rf_logd, recip(lo, prec, rnd), prec, rnd), recip(hi, prec, rnd),
+                              prec, rnd)
+            npow = div_x(npow, nn, prec, rnd)
+        make = mp.make_mpc if cplx else mp.make_mpf
+        return make(total), make(deriv) if want_deriv else None, mp.make_mpf(mag)
 
     # -- public operations ----------------------------------------------------
 
@@ -637,26 +668,25 @@ class ZetaEngine:
             raise ValueError("theta is evaluated for t > 0")
         return mp.im(mp.loggamma(mp.mpf(1) / 4 + mp.mpc(0, 1) * t / 2)) - t / 2 * mp.log(mp.pi)
 
-    def _theta_deriv(self, t):
-        mp = self.ctx.mp
-        return mp.re(mp.digamma(mp.mpf(1) / 4 + mp.mpc(0, 1) * t / 2)) / 2 - mp.log(mp.pi) / 2
-
     def hardy_z(self, t):
         """Z(t) = e^(i theta(t)) zeta(1/2 + i t); asserts the product is real."""
         return self._hardy(t, with_deriv=False)[0]
 
     def hardy_z_with_deriv(self, t):
-        """(Z(t), Z'(t)) from one Euler-Maclaurin pass for zeta and zeta'."""
+        """(Z(t), Z'(t)) from one Euler-Maclaurin pass for zeta and zeta',
+        with Z' = -Im(e^(i theta(t)) zeta'(1/2 + i t))."""
         return self._hardy(t, with_deriv=True)[:2]
 
     def hardy_z_and_derivs(self, t):
-        """(Z(t), Z'(t), zeta'(1/2 + i t)) from one Euler-Maclaurin pass: a
-        Newton step on Z, the Taylor certificate and the weight of a zero."""
+        """(Z(t), Z'(t), zeta'(1/2 + i t)) from one Euler-Maclaurin pass, with
+        Z' = -Im(e^(i theta(t)) zeta'(1/2 + i t)): a Newton step on Z, the
+        Taylor certificate and the weight of a zero."""
         return self._hardy(t, with_deriv=True)
 
     def _hardy(self, t, with_deriv: bool):
         """(Z(t), Z'(t), zeta'(s)) at s = 1/2 + i t; the last two are None
-        without with_deriv."""
+        without with_deriv.  Z' = -Im(e^(i theta) (theta' zeta + zeta')), and
+        e^(i theta) zeta = Z is real, so Z' = -Im(e^(i theta) zeta')."""
         mp = self.ctx.mp
         t = mp.mpf(t)
         if not t > 0:
@@ -670,7 +700,7 @@ class ZetaEngine:
                 f"Hardy Z imaginary part {float(mp.im(w)):.3g} at t={float(t):.6f}")
         if not with_deriv:
             return mp.re(w), None, None
-        return mp.re(w), -mp.im(phase * (self._theta_deriv(t) * z + zd)), zd
+        return mp.re(w), -mp.im(phase * zd), zd
 
 
 @functools.cache

@@ -246,6 +246,30 @@ def test_z2_bound_holds(ctx96):
     assert zeros_mod._z2_bound(mp.mpf("10.4")) == math.inf
 
 
+@pytest.mark.parametrize("name", ["store30_96", "store40_192"])
+def test_pass_within_the_certificate_error_bound(name, request):
+    # Z and Z' of a full-precision pass against mpmath's siegelz at 64 bits
+    # more, over a grid and at tau +- 10^-k next to stored zeros: both lie
+    # within the d that _taylor_certifies charges.  Z' is -Im(e^(i theta)
+    # zeta'), so no pass evaluates digamma (theta')
+    store = request.getfixturevalue(name)
+    ctx = request.getfixturevalue("ctx" + name.split("_")[1])
+    mp, p = ctx.mp, ctx.precision_bits
+    request.getfixturevalue("monkeypatch").setattr(
+        mp, "digamma", lambda *args: pytest.fail("a critical-line pass called digamma"))
+    engine = ZetaEngine(ctx)
+    points = [mp.mpf(t) for t in ("10.5", "14.2", "31.77", "100.3", "377.7", "811.18", "1399.9")]
+    for rec in store.records[::6]:
+        points += [rec.tau + sign * mp.mpf(10) ** -k for k in (3, 6, 12, 24) for sign in (-1, 1)]
+    for t in points:
+        z, zd, _ = engine.hardy_z_and_derivs(t)
+        d = mp.ldexp(t + 4, -(p + 12))
+        with mpmath.workprec(p + 64):
+            tt = mpmath.mpf(t)
+            for got, want in ((z, mpmath.siegelz(tt)), (zd, mpmath.siegelz(tt, derivative=1))):
+                assert abs(mpmath.mpf(got) - want) <= d, (t, got, want)
+
+
 def test_taylor_certificate_counts_the_evaluation_error(ctx96):
     # |Z(tau)| must clear e |Z'(tau)| by twice the error bound d of the pass
     engine = ZetaEngine(ctx96)
@@ -310,6 +334,43 @@ def test_cache_corruption_triggers_recompute(ctx96, tmp_path):
     assert len(store) == 4
 
 
+def test_cache_load_parses_a_file_once_until_its_bytes_change(ctx96, tmp_path, monkeypatch):
+    d = tmp_path / "cache"
+    stored = load_or_compute(4, ctx96, d)
+    (path,) = [os.path.join(d, f) for f in os.listdir(d)]
+    parsed, parse = [], zeros_mod._parse_zeros
+    monkeypatch.setattr(zeros_mod, "_parse_zeros",
+                        lambda text, ctx: parsed.append(text) or parse(text, ctx))
+    first = load_or_compute(4, ctx96, d)
+    assert load_or_compute(3, ctx96, d) == first.prefix(3)
+    assert len(parsed) == 1 and [r.tau for r in first] == [r.tau for r in stored]
+    # rewritten in place with the same size and mtime: only the bytes tell
+    before = os.stat(path)
+    lines = open(path).read().splitlines()
+    last = lines[1][-1]
+    lines[1] = lines[1][:-1] + ("1" if last == "0" else "0")
+    lines[0] = (f"# precision_bits=96 checksum="
+                f"{zeros_mod._checksum([line for line in lines[1:] if line])}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    second = load_or_compute(4, ctx96, d)
+    assert len(parsed) == 2
+    assert second[0].tau == ctx96.mpf(lines[1]) != first[0].tau
+    assert [r.tau for r in second[1:]] == [r.tau for r in first[1:]]
+
+
+def test_corrupt_cache_file_warns_on_every_load(store30_96, ctx96, tmp_path):
+    path = tmp_path / "zeros_n4_p96.txt"
+    export_zeros(store30_96.prefix(4), path, ctx96, include_zeta_prime=True)
+    path.write_text(path.read_text().replace("checksum=", "checksum=dead"))
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="checksum"):
+            assert zeros_mod._load_cache(path, 4, ctx96) is None
+
+
 def test_cache_load_rejects_swapped_records(store30_96, ctx96, tmp_path):
     # a cache file with a valid checksum but taus out of order fails the same
     # checks as an import, so it is recomputed rather than served
@@ -351,9 +412,9 @@ def test_cache_tries_the_smallest_file_that_holds_the_count(store30_96, ctx96, t
     d.mkdir()
     export_zeros(store30_96, d / "zeros_n30_p96.txt", ctx96, include_zeta_prime=True)
     (d / "zeros_n100_p96.txt").write_text("not a zeros file\n")
-    opened, read = [], zeros_mod._read_zeros
-    monkeypatch.setattr(zeros_mod, "_read_zeros",
-                        lambda path, ctx: opened.append(os.path.basename(path)) or read(path, ctx))
+    opened, load = [], zeros_mod._load_cache
+    monkeypatch.setattr(zeros_mod, "_load_cache", lambda path, count, ctx: opened.append(
+        os.path.basename(path)) or load(path, count, ctx))
     store = load_or_compute(12, ctx96, d)
     assert opened == ["zeros_n30_p96.txt"]
     assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [

@@ -160,6 +160,107 @@ def test_doubling_stability():
         assert ENG._em_once(s, n0, want_deriv=False)[:2] == (v1, None)
 
 
+def em_once_objects(eng, s, n, want_deriv):
+    """The object-level Euler-Maclaurin pass that ZetaEngine._em_once's raw
+    loop replaced, with k^-s as mp.power(k, -s) and log k as mp.log(k):
+    (zeta(s), zeta'(s) or None, first omitted Bernoulli term, the rule that
+    stopped it).  The raw loop must return its first three bit for bit."""
+    mp = eng.ctx.mp
+    tol = eng._stop_tol
+    total = mp.mpf(1)
+    deriv = mp.mpf(0) if want_deriv else None
+    for k in range(2, n):
+        p = mp.power(k, -s)
+        total += p
+        if want_deriv:
+            deriv -= mp.log(k) * p
+    ln_n = mp.log(n)
+    n1s = mp.power(n, 1 - s)
+    ns = mp.power(n, -s)
+    total += n1s / (s - 1) + ns / 2
+    if want_deriv:
+        deriv += -ln_n * n1s / (s - 1) - n1s / (s - 1) ** 2
+        deriv += -ln_n * ns / 2
+    rf = s
+    rf_logd = 1 / s if want_deriv else None
+    npow = ns / n
+    j = 0
+    prev_mag = mp.inf
+    while True:
+        j += 1
+        term = eng._coef[j - 1] * rf * npow
+        mag = abs(term)
+        if mag < tol:
+            return total, deriv, mag, "tol"
+        if j > eng._m_cap:
+            return total, deriv, mag, "m_cap"
+        if mag > prev_mag * 4:
+            return total, deriv, mag, "4 x previous"
+        total += term
+        if want_deriv:
+            deriv += term * (rf_logd - ln_n)
+        prev_mag = mag
+        rf = rf * (s + (2 * j - 1)) * (s + 2 * j)
+        if want_deriv:
+            rf_logd = rf_logd + 1 / (s + (2 * j - 1)) + 1 / (s + 2 * j)
+        npow = npow / (n * n)
+
+
+def em_calls(eng, evaluate):
+    """The (s, n) of every _em_once call that evaluate() makes on eng."""
+    calls = []
+    em_once = eng._em_once
+
+    def recording(s, n, want_deriv):
+        calls.append((s, n))
+        return em_once(s, n, want_deriv)
+
+    eng._em_once = recording
+    try:
+        evaluate()
+    finally:
+        del eng._em_once
+    return calls
+
+
+def bits(values):
+    return [None if v is None else (type(v).__name__, zetafn._raw(v)) for v in values]
+
+
+@pytest.mark.parametrize("prec", [96, 192])
+def test_raw_em_loop_equals_the_object_loop(prec):
+    ctx = NumericContext(prec)
+    mp = ctx.mp
+    eng = ZetaEngine(ctx)
+    a = mp.mpf("0.5")
+    contour = [mp.mpc(0, t) for t in ("-3.7", "-0.45", "1.2")]  # s = i t
+    residue = [mp.mpc("-0.5", 0) + mp.mpf("0.01") * mp.expjpi(mp.mpf(j) / 4)
+               for j in (0, 1, 3, 4)]  # the circle around the half-integer pole s = -1/2
+    calls = []
+    for t in ("14.13", "60", "400"):
+        calls += em_calls(eng, lambda: eng.zeta(mp.mpc(0.5, mp.mpf(t))))
+    for s in contour + residue:
+        calls += em_calls(eng, lambda: eng.zeta(4 * a * s * (1 - s)))
+    for x in ("0.3", "1.5"):
+        calls += em_calls(eng, lambda: eng.zeta(mp.mpf(x)))
+    for m in (3, 5, 41):
+        calls += em_calls(eng, lambda: eng._zeta_odd(m))
+    calls += em_calls(eng, lambda: eng.zeta_reflect_log(mp.mpf("-1.5")))
+    calls += em_calls(eng, lambda: eng.zeta_reflect_log(mp.mpf("-3.3")))
+    assert {type(s).__name__ for s, _ in calls} == {"mpf", "mpc"}
+    assert any(mp.im(s) == 0 for s, _ in calls if type(s).__name__ == "mpc")  # a real w as an mpc
+    # n <= 3, and cutoffs too small for the Bernoulli stop
+    calls += [(mp.mpc(0.5, 20), 1), (mp.mpc(0.5, 20), 3), (mp.mpf(3), 2),
+              (mp.mpc(0.5, mp.mpf(400)), 4), (mp.mpf("1.5"), 22 * prec // 192)]
+    stops = set()
+    for s, n in calls:
+        for want_deriv in (False, True):
+            *want, stop = em_once_objects(eng, s, n, want_deriv)
+            assert bits(eng._em_once(s, n, want_deriv)) == bits(want), (s, n, want_deriv)
+            stops.add(stop)
+    assert stops == {"tol", "m_cap", "4 x previous"}
+
+
 def test_engine_for_one_per_context():
     eng = engine_for(NumericContext(192))
     assert engine_for(CTX) is eng and eng.ctx == CTX
