@@ -192,7 +192,7 @@ def cmd_zeros(args) -> int:
     mp = ctx.mp
     worst = max(_split_map(lambda i: abs(engine.zeta(mp.mpc(0.5, store[i].tau))), len(store), mp))
     expected = _expected_count(engine, store[-1].tau)
-    print(f"zeros          : {len(store)} ({store.source})")
+    print(f"zeros          : {len(store)} ({'imported' if args.zeros_file else 'computed'})")
     print(f"tau range      : [{mp.nstr(store[0].tau, 15)}, {mp.nstr(store[-1].tau, 15)}]")
     print(f"count check    : {len(store)} found vs {expected} expected (|diff| <= 1)")
     print(f"max |zeta(rho)|: {mp.nstr(worst, 4)}")

@@ -219,7 +219,7 @@ def _pole_site(s, w, cos_vanished, mp, store) -> str:
     family = "critical_zero" if mp.im(w) > 0 else "critical_zero_conjugate"
     if not store:
         return f"{family} tau={mp.nstr(tau, 15)}"
-    return f"{family} index={min(store, key=lambda r: abs(r.tau - tau)).index}"
+    return f"{family} index={1 + min(range(len(store)), key=lambda i: abs(store[i].tau - tau))}"
 
 
 def _integrand(s, a, x, ctx, engine, store=None):
@@ -317,14 +317,14 @@ def pole_catalog(params: SumRuleParams, store: ZeroStore, ctx: NumericContext,
     for k in range(0, params.n_halfint + 1):
         loc = mp.mpf(k) + mp.mpf("0.5")
         sites.append(PoleSite("half_integer", k, loc, _residue_half_integer(k, a, x, ctx, engine)))
-    for rec in zeros:
+    for index, rec in enumerate(zeros, start=1):
         rho = mp.mpc(0.5, rec.tau)
         v = mp.sqrt(1 - rho / a)
-        sites.append(PoleSite("critical_zero", rec.index, (1 + v) / 2,
+        sites.append(PoleSite("critical_zero", index, (1 + v) / 2,
                               _residue_critical(rho, rec.zeta_prime, a, x, ctx)))
         rho_c = mp.conj(rho)
         vc = mp.sqrt(1 - rho_c / a)
-        sites.append(PoleSite("critical_zero_conjugate", rec.index, (1 + vc) / 2,
+        sites.append(PoleSite("critical_zero_conjugate", index, (1 + vc) / 2,
                               _residue_critical(rho_c, mp.conj(rec.zeta_prime), a, x, ctx)))
     return sites
 
@@ -392,7 +392,7 @@ def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     def term(i):
         rec = zeros[i]
         if abs(rec.zeta_prime) < SIMPLICITY_FLOOR:
-            raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at index {rec.index}")
+            raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at index {i + 1}")
         rho = mp.mpc(0.5, rec.tau)
         w = mp.sqrt(rho - a)
         t = -mp.exp((rho - a) / four_a * ln_x) / (

@@ -1,13 +1,14 @@
 """Locate, exchange, and cache the low nontrivial zeros of zeta on the
 critical line.
 
-Zeros are found as sign changes of the Hardy Z function on a fixed scan
-grid (step 0.25 from t = 10, fallback 0.05).  Located and imported zeros
+Zeros are found as sign changes of the Hardy Z function on one scan grid
+from t = 10, whose step at t is 1/SCAN_CELLS of the mean zero spacing
+2 pi / log(t / 2 pi).  Located and imported zeros
 take one refinement path, _certify: bisection of the sign-change bracket to
 width 1e-4 (it only reads signs), Newton on Z at full precision inside the
 bracket, then a certificate that Z changes sign across [tau - e, tau + e],
 e = 2^(10 - precision_bits).  Each full-precision pass
-(ZetaEngine.hardy_z_and_derivs) gives Z, Z' and zeta'(1/2 + i tau) at once,
+(ZetaEngine.hardy_z_with_deriv) gives Z, Z' and zeta'(1/2 + i tau) at once,
 and tau's pass is Newton's last one wherever Newton's last step leaves tau
 unchanged (one more pass where it moved tau).  That pass gives the residual
 Z(tau), the cached zeta'(1/2 + i tau) and the certificate, _taylor_certifies:
@@ -32,9 +33,12 @@ proves a sign, it is the sign of Z and so the one full precision gives, so
 every bracket, midpoint, Newton start and tau is what a scan at full
 precision alone yields.  A zero run reads every sign, theta and Z from one
 engine, engine_for(ctx).
-locate_zeros and import_zeros return a store only if the running count
-matches the smoothed zero-counting function round(theta(T)/pi + 1) within
-+-1 at every prefix.  A cache load runs no count check: _load_cache checks
+locate_zeros and import_zeros return a store only if the running count of
+the refined zeros matches the smoothed zero-counting function
+round(theta(T)/pi + 1) within +-1 at every prefix; that window accepts a
+list with one zero missing, or with two where the gap between them is short
+(zeros #922 and #923), so for located zeros it is the grid, not the count,
+that finds every zero.  A cache load runs no count check: _load_cache checks
 the header, the checksum, the number of rows and each zeta' line.
 
 Each zero is refined on its own (an import first checks Z/Z' at its tau),
@@ -81,12 +85,11 @@ __all__ = [
 ]
 
 SCAN_START = 10.0
-SCAN_STEP = 0.25
-# The coarse grid misses two zeros that share one cell: zeros #922 and #923
-# (tau ~ 1329.04 and 1329.21) both lie in [1329.00, 1329.25], where Z is
-# positive at both ends.  The count check sees the pair missing, and the fine
-# rescan recovers it, for every count from 922 up to MAX_COUNT.
-SCAN_STEP_FINE = 0.05
+# Scan cells per mean zero spacing.  Verified up to MAX_COUNT against
+# mpmath.nzeros (test_scan_finds_every_zero_up_to_max_count): the 2000th
+# bracket ends at T = 2515.3 and nzeros(T) = 2000.  The closest pair below,
+# zeros #1496 and #1497, lies 0.089 of a mean spacing apart; 8 cells miss it.
+SCAN_CELLS = 20
 MAX_COUNT = 2000
 SIMPLICITY_FLOOR = 1e-15
 # bracket width at which Newton takes over from bisection
@@ -98,7 +101,7 @@ ZETA_3_2 = 2.6124
 
 
 class MissedZeroError(RuntimeError):
-    """Zero count disagrees with the counting function even after a fine rescan."""
+    """A zero missed or not enclosed: a count, sign-change or residual check failed."""
 
 
 class MultipleZeroError(RuntimeError):
@@ -116,9 +119,9 @@ class ZeroImportError(ValueError):
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """One critical-line zero rho = 1/2 + i tau with cached zeta'(rho)."""
+    """One critical-line zero rho = 1/2 + i tau with cached zeta'(rho); its
+    index is its position in the store, from 1."""
 
-    index: int
     tau: object
     zeta_prime: object
 
@@ -126,7 +129,6 @@ class ZeroRecord:
 @dataclass(frozen=True)
 class ZeroStore:
     records: tuple
-    source: str  # "computed" or "imported"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -138,7 +140,7 @@ class ZeroStore:
         return self.records[idx]
 
     def prefix(self, n: int) -> "ZeroStore":
-        return ZeroStore(_prefix(self.records, n), self.source)
+        return ZeroStore(_prefix(self.records, n))
 
 
 def _prefix(items, n: int):
@@ -170,16 +172,17 @@ def _signed_z(engine: ZetaEngine, t):
     return value if abs(value) > bound else engine.hardy_z(t)
 
 
-def _scan_brackets(engine: ZetaEngine, count: int, step):
+def _scan_brackets(engine: ZetaEngine, count: int):
     """Sign-change brackets (lo, hi, Z(lo), Z(hi)) of Z on the scan grid until
-    `count` are found; a grid point where Z vanishes is its own bracket."""
+    `count` are found; a grid point where Z vanishes is its own bracket.  The
+    step at t is 2 pi / (SCAN_CELLS log(t / 2 pi)), and every grid point is a
+    double, so the grid is the same at every precision."""
     mp = engine.ctx.mp
-    step = mp.mpf(step)
     t = mp.mpf(SCAN_START)
     z_prev = _signed_z(engine, t)
     brackets = []
     while len(brackets) < count:
-        t_next = t + step
+        t_next = mp.mpf(float(t) + 2 * math.pi / (SCAN_CELLS * math.log(float(t) / (2 * math.pi))))
         z_next = _signed_z(engine, t_next)
         if z_prev == 0:
             brackets.append((t, t, z_prev, z_prev))
@@ -257,7 +260,7 @@ def _taylor_certifies(engine: ZetaEngine, tau, z, zd) -> bool:
 def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     """(tau, zeta'(1/2 + i tau)), as a zeros file holds them, for the zero in
     the sign-change bracket [lo, hi], where z_lo and z_hi have the signs of
-    Z(lo) and Z(hi).  start = (t, engine.hardy_z_and_derivs(t)) is a pass
+    Z(lo) and Z(hi).  start = (t, engine.hardy_z_with_deriv(t)) is a pass
     already made.  The steps, the certificate and the rounding are in the
     module docstring."""
     mp = engine.ctx.mp
@@ -265,10 +268,10 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     last = start
 
     def derivs(t):
-        """engine.hardy_z_and_derivs(t), or the last pass where it was at t."""
+        """engine.hardy_z_with_deriv(t), or the last pass where it was at t."""
         nonlocal last
         if last is None or last[0] != t:
-            last = (t, engine.hardy_z_and_derivs(t))
+            last = (t, engine.hardy_z_with_deriv(t))
         return last[1]
 
     lo, hi = _bisect(engine, lo, hi, z_lo, z_hi, mp.mpf(NEWTON_WIDTH))
@@ -297,9 +300,20 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     return mp.mpf(engine.ctx.nstr(tau)), mp.mpc(mp.mpf(re_zp), mp.mpf(im_zp))
 
 
-def _records(refined) -> tuple:
-    """ZeroRecords, numbered from 1, of (tau, zeta') pairs."""
-    return tuple(ZeroRecord(i, tau, zp) for i, (tau, zp) in enumerate(refined, start=1))
+def _store(pairs) -> ZeroStore:
+    """The ZeroStore of (tau, zeta') pairs."""
+    return ZeroStore(tuple(ZeroRecord(tau, zp) for tau, zp in pairs))
+
+
+def _counted(engine: ZetaEngine, store: ZeroStore) -> ZeroStore:
+    """The store, if every prefix passes _check_counts; else MissedZeroError
+    naming the first failing prefix and the interval it ends with."""
+    bad = _check_counts(engine, [r.tau for r in store])
+    if bad is not None:
+        lo = float(store[bad - 2].tau) if bad >= 2 else SCAN_START
+        raise MissedZeroError(f"count check fails at prefix {bad}; suspect interval "
+                              f"({lo:.4f}, {float(store[bad - 1].tau):.4f})")
+    return store
 
 
 def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
@@ -307,26 +321,12 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}]")
     engine = engine_for(ctx)
-    for step in (SCAN_STEP, SCAN_STEP_FINE):
-        brackets = _scan_brackets(engine, count, step)
-        taus_rough = [(lo + hi) / 2 for lo, hi, _, _ in brackets]
-        bad = _check_counts(engine, taus_rough)
-        if bad is None:
-            break
-    else:
-        lo = float(taus_rough[bad - 2]) if bad >= 2 else SCAN_START
-        hi = float(taus_rough[bad - 1])
-        raise MissedZeroError(
-            f"count check fails at prefix {bad}; suspect interval ({lo:.4f}, {hi:.4f})")
+    brackets = _scan_brackets(engine, count)
 
     def refine(i):
         return _certify(engine, *brackets[i])
 
-    records = _records(_split_map(refine, len(brackets), ctx.mp))
-    bad = _check_counts(engine, [r.tau for r in records])
-    if bad is not None:
-        raise MissedZeroError(f"count check fails at prefix {bad} after refinement")
-    return ZeroStore(records, "computed")
+    return _counted(engine, _store(_split_map(refine, len(brackets), ctx.mp)))
 
 
 # -- text format -------------------------------------------------------------
@@ -432,7 +432,7 @@ def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroSto
 
     def refine(i):
         line_no, t0, _ = rows[i]
-        check = engine.hardy_z_and_derivs(t0)
+        check = engine.hardy_z_with_deriv(t0)
         z, zd, _ = check
         newton = abs(z / zd) if zd != 0 else ctx.mp.inf
         if newton > 0.05:
@@ -441,11 +441,7 @@ def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroSto
         lo, hi = t0 - step, t0 + step
         return _certify(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi), (t0, check))
 
-    records = _records(_split_map(refine, len(rows), ctx.mp))
-    bad = _check_counts(engine, [r.tau for r in records])
-    if bad is not None:
-        raise MissedZeroError(f"imported table fails the count check at prefix {bad}")
-    return ZeroStore(records, "imported")
+    return _counted(engine, _store(_split_map(refine, len(rows), ctx.mp)))
 
 
 # -- cache -------------------------------------------------------------------
@@ -482,7 +478,7 @@ def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
         if zp is None:
             warnings.warn(f"zeros cache {path}: missing zeta' at line {line_no}, recomputing")
             return None
-    store = ZeroStore(_records(row[1:] for row in rows), "computed")
+    store = _store(row[1:] for row in rows)
     _loaded[key] = digest, count, store
     return store
 

@@ -673,11 +673,6 @@ class ZetaEngine:
         return self._hardy(t, with_deriv=False)[0]
 
     def hardy_z_with_deriv(self, t):
-        """(Z(t), Z'(t)) from one Euler-Maclaurin pass for zeta and zeta',
-        with Z' = -Im(e^(i theta(t)) zeta'(1/2 + i t))."""
-        return self._hardy(t, with_deriv=True)[:2]
-
-    def hardy_z_and_derivs(self, t):
         """(Z(t), Z'(t), zeta'(1/2 + i t)) from one Euler-Maclaurin pass, with
         Z' = -Im(e^(i theta(t)) zeta'(1/2 + i t)): a Newton step on Z, the
         Taylor certificate and the weight of a zero."""

@@ -272,8 +272,8 @@ def test_zero_sum_tail_honesty(ctx, store):
 
 
 def test_zero_sum_simplicity_guard(ctx, store):
-    bad = ZeroRecord(1, store[0].tau, ctx.mp.mpc("1e-16", 0))
-    fake = ZeroStore((bad,) + store.records[1:], "computed")
+    bad = ZeroRecord(store[0].tau, ctx.mp.mpc("1e-16", 0))
+    fake = ZeroStore((bad,) + store.records[1:])
     with pytest.raises(MultipleZeroError):
         sr.zero_sum_lhs(params(n_zeros=3), fake, ctx)
 
@@ -333,9 +333,9 @@ def test_split_zero_sum_raises_the_first_bad_zeros_error(ctx192, store500_192, m
                                                          forks, bad):
     count = 80
     floor = ctx192.mp.mpc("1e-16", 0)
-    records = tuple(ZeroRecord(r.index, r.tau, floor)
+    records = tuple(ZeroRecord(r.tau, floor)
                     if i in bad else r for i, r in enumerate(store500_192.records[:count]))
-    fake = ZeroStore(records, "computed")
+    fake = ZeroStore(records)
     p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=count)
 
     def message():

@@ -15,6 +15,8 @@ import sys
 import types
 from pathlib import Path
 
+from zetasum.numctx import NumericContext
+from zetasum.zeros import export_zeros, import_zeros, locate_zeros
 from zetasum.zetafn import ZetaEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +38,25 @@ def test_every_trace_target_exists():
             assert callable(getattr(module, name, None)), f"zetasum.{layer}.{name}"
     for meth in spans.ENGINE_METHODS:
         assert meth in ZetaEngine.__dict__, f"ZetaEngine.{meth}"
+
+
+def test_every_refinement_pass_is_a_traced_call(hardy_passes, monkeypatch, tmp_path):
+    # each full-precision pass of Z is a call of a method in Z_EVALS, so the
+    # traced run's Z counts see every pass of a zero run
+    calls = []
+    for name in load_spans().Z_EVALS:
+        meth = name.split(".", 1)[1]
+
+        def counted(self, *args, _meth=getattr(ZetaEngine, meth)):
+            calls.append(self)
+            return _meth(self, *args)
+
+        monkeypatch.setattr(ZetaEngine, meth, counted)
+    ctx = NumericContext(96)
+    path = tmp_path / "zeros.txt"
+    export_zeros(locate_zeros(3, ctx), path, ctx)
+    import_zeros(path, ctx)
+    assert len(calls) == len(hardy_passes) > 0
 
 
 def test_benchmark_spec_matches_code():

@@ -156,13 +156,13 @@ def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monke
     # with Z' = 0 Newton stops at once, the Taylor certificate fails at the
     # midpoint of the 1e-4 bracket, and the bracket is bisected at full
     # precision to e; store30_96 holds the same zeros refined by Newton
-    derivs = ZetaEngine.hardy_z_and_derivs
+    derivs = ZetaEngine.hardy_z_with_deriv
 
     def flat(self, t):
         z, _, zp = derivs(self, t)
         return z, 0, zp
 
-    monkeypatch.setattr(ZetaEngine, "hardy_z_and_derivs", flat)
+    monkeypatch.setattr(ZetaEngine, "hardy_z_with_deriv", flat)
     store = locate_zeros(3, ctx96)
     engine = ZetaEngine(ctx96)
     e = ctx96.target_tol
@@ -224,7 +224,7 @@ def test_taylor_certificate_never_accepts_where_the_two_point_check_rejects(name
     taus = [r.tau + k * e for r in store for k in offsets]
 
     def taylor_and_two_point(i):
-        z, zd, _ = engine.hardy_z_and_derivs(taus[i])
+        z, zd, _ = engine.hardy_z_with_deriv(taus[i])
         two_point = engine.hardy_z(taus[i] - e) * engine.hardy_z(taus[i] + e) < 0
         return int(zeros_mod._taylor_certifies(engine, taus[i], z, zd)), int(two_point)
 
@@ -262,7 +262,7 @@ def test_pass_within_the_certificate_error_bound(name, request):
     for rec in store.records[::6]:
         points += [rec.tau + sign * mp.mpf(10) ** -k for k in (3, 6, 12, 24) for sign in (-1, 1)]
     for t in points:
-        z, zd, _ = engine.hardy_z_and_derivs(t)
+        z, zd, _ = engine.hardy_z_with_deriv(t)
         d = mp.ldexp(t + 4, -(p + 12))
         with mpmath.workprec(p + 64):
             tt = mpmath.mpf(t)
@@ -284,7 +284,6 @@ def test_cache_cold_then_warm(ctx96, tmp_path):
     d = tmp_path / "cache"
     cold = load_or_compute(6, ctx96, d)
     warm = load_or_compute(6, ctx96, d)
-    assert warm.source == "computed"
     for a, b in zip(cold, warm):
         assert abs(a.tau - b.tau) <= ctx96.target_tol
         assert abs(a.zeta_prime - b.zeta_prime) < ctx96.mpf("1e-20")
@@ -319,8 +318,8 @@ def test_rounded_tau_keeps_the_sign_change_certificate(name, request):
     ctx = request.getfixturevalue("ctx" + name.split("_")[1])
     engine = ZetaEngine(ctx)
     e = ctx.target_tol
-    for rec in store:
-        assert engine.hardy_z(rec.tau - e) * engine.hardy_z(rec.tau + e) < 0, rec.index
+    for index, rec in enumerate(store, start=1):
+        assert engine.hardy_z(rec.tau - e) * engine.hardy_z(rec.tau + e) < 0, index
 
 
 def test_cache_corruption_triggers_recompute(ctx96, tmp_path):
@@ -378,7 +377,7 @@ def test_cache_load_rejects_swapped_records(store30_96, ctx96, tmp_path):
     records[2], records[3] = records[3], records[2]
     d = tmp_path / "cache"
     d.mkdir()
-    export_zeros(ZeroStore(tuple(records), "computed"), d / "zeros_n6_p96.txt", ctx96,
+    export_zeros(ZeroStore(tuple(records)), d / "zeros_n6_p96.txt", ctx96,
                  include_zeta_prime=True)
     with pytest.warns(UserWarning, match="non-monotone"):
         store = load_or_compute(6, ctx96, d)
@@ -422,8 +421,9 @@ def test_cache_tries_the_smallest_file_that_holds_the_count(store30_96, ctx96, t
 
 
 def test_import_rejects_table_missing_two_zeros(store30_96, ctx96, tmp_path):
-    # the +-1 count window tolerates one absent zero (scan misses come in
-    # pairs, which it does catch); a table missing two fails the check
+    # the +-1 count window tolerates one absent zero; this table, missing the
+    # first two, fails the check (two missing zeros with a short gap between
+    # them pass it: test_count_check_rejects_two_missing_zeros_near_1329)
     from zetasum.zeros import MissedZeroError
     mp = ctx96.mp
     path = tmp_path / "shifted.txt"
@@ -446,6 +446,33 @@ def test_import_rejects_headerless_table_missing_one_zero(store30_96, ctx96, tmp
     except MissedZeroError:
         return
     raise AssertionError(f"import_zeros returned {len(store)} records without zero #13")
+
+
+@pytest.fixture(scope="module")
+def scan64():
+    """A 64-bit engine and the scan brackets of the first MAX_COUNT zeros."""
+    engine = ZetaEngine(NumericContext(64))
+    return engine, zeros_mod._scan_brackets(engine, zeros_mod.MAX_COUNT)
+
+
+def test_scan_finds_every_zero_up_to_max_count(scan64):
+    # each bracket holds an odd number of zeros, and no zero lies below the
+    # scan's start; so where mpmath counts as many zeros up to the last
+    # bracket's end as there are brackets, each holds one and none lies
+    # between them.  The grid does not depend on the precision
+    _, brackets = scan64
+    assert mpmath.nzeros(brackets[-1][1]) == len(brackets) == zeros_mod.MAX_COUNT
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="zeros #922 and #923 lie 0.16 apart, so without both the running "
+                          "count stays within +-1 of the smoothed count at every prefix; a "
+                          "certified count (Turing's method) would reject the list")
+def test_count_check_rejects_two_missing_zeros_near_1329(scan64):
+    engine, brackets = scan64
+    taus = [(lo + hi) / 2 for lo, hi, _, _ in brackets[:925]]
+    del taus[921:923]
+    assert zeros_mod._check_counts(engine, taus) is not None
 
 
 def test_export_mode_follows_umask(store30_96, ctx96, tmp_path):
