@@ -32,6 +32,12 @@ report's notes):
 Parameters a with 2n = a(4k^2 - 1) solvable in positive integers are
 rejected: there the trivial-zero and half-integer pole families merge into
 double poles and the printed series terms are individually singular.
+
+The x-independent factors of the series (each zero's denominator, the n-series
+logs, the k-series' reflected zeta, zeta(a) and the resonance check) are held
+(_held) for the last two values of a, so a repeated a costs only its x-dependent
+terms; a failed build holds nothing.  evaluate_rh_form holds its own zero table
+and never reads these, so its cross check can still fail.
 """
 
 from __future__ import annotations
@@ -374,79 +380,112 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
 
 # -- series -------------------------------------------------------------------
 
+# slot (series, a) -> (key, rows) for the last two values of a per series; the
+# key is the precision and what else the rows depend on (module docstring)
+_held = {}
+
+
+def _held_rows(slot, key, build):
+    """The rows build() gives, built once while slot holds key."""
+    held = _held.pop(slot, None)
+    rows = held[1] if held and held[0] == key else build()
+    _held[slot] = key, rows
+    for old in [s for s in _held if s[0] == slot[0]][:-2]:
+        del _held[old]
+    return rows
+
+
+def _zero_map(slot, zeros, ctx, factor, term):
+    """[term(i, factor(i)) for each zero i] by one _split_map; each mpc factor is
+    held (_held_rows, under the zeros' records) as its raw tuple, a third smaller.
+    A miss maps (term, factor) pairs and keeps the factors, a hit maps term alone."""
+    mp, n, pairs = ctx.mp, len(zeros), []
+
+    def pair(i):
+        f = factor(i)
+        return term(i, f), f
+
+    def build():
+        pairs.extend(_split_map(pair, n, mp))
+        return [f._mpc_ for _, f in pairs]
+
+    rows = _held_rows(slot, (ctx.precision_bits, zeros.records), build)
+    return [v for v, _ in pairs] or _split_map(lambda i: term(i, mp.make_mpc(rows[i])), n, mp)
+
 
 def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     """(value, tail_bound): Re sum over upper zeros of the stable sinh form
-    -x^((rho-a)/4a) / (sqrt(rho-a) sinh((pi/2) sqrt((rho-a)/a)) zeta'(rho)),
-    summed in ascending zero order; tail = 3 |last term|.  The terms are
-    mapped by zetafn._split_map (a forked child takes every other one), each
-    giving only its real part and the last one also its modulus, so the value
-    is bit for bit the one-process sum and an exception the first failing
-    zero's."""
+    -x^((rho-a)/4a) / D_rho, D_rho = sqrt(rho-a) sinh((pi/2) sqrt((rho-a)/a))
+    zeta'(rho), summed in ascending zero order; tail = 3 |last term|.  The
+    real parts are mapped by _zero_map (a forked child takes every other
+    zero), which holds each D_rho for the next call at this a, so the value is
+    bit for bit the one-process sum and an exception the first failing zero's."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     zeros = store.prefix(params.n_zeros)
     last = len(zeros) - 1
     ln_x, four_a, root_a, half_pi = mp.log(x), 4 * a, mp.sqrt(a), mp.pi / 2
 
-    def term(i):
+    def denominator(i):
         rec = zeros[i]
         if abs(rec.zeta_prime) < SIMPLICITY_FLOOR:
             raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at index {i + 1}")
-        rho = mp.mpc(0.5, rec.tau)
-        w = mp.sqrt(rho - a)
-        t = -mp.exp((rho - a) / four_a * ln_x) / (
-            w * mp.sinh(half_pi * w / root_a) * rec.zeta_prime)
+        w = mp.sqrt(mp.mpc(0.5, rec.tau) - a)
+        return w * mp.sinh(half_pi * w / root_a) * rec.zeta_prime
+
+    def term(i, d):
+        t = -mp.exp((mp.mpc(0.5, zeros[i].tau) - a) / four_a * ln_x) / d
         return (mp.re(t), abs(t)) if i == last else mp.re(t)
 
-    *reals, (last_re, last_abs) = _split_map(term, len(zeros), mp)
+    *reals, (last_re, last_abs) = _zero_map(("zero sum", a), zeros, ctx, denominator, term)
     return sum(reals, mp.zero) + last_re, 3 * last_abs
 
 
 def trivial_series(params: SumRuleParams, ctx: NumericContext):
     """(value, tail_bound): sum_n (-1)^(n+1) (2 pi)^(2n) x^(-(2n+a)/4a) /
     (sqrt(2n+a) sin((pi/2) sqrt((2n+a)/a)) zeta(2n+1) (2n)!), assembled in
-    log space ((2n)! against (2 pi)^(2n) x^(-n/2a)); tail = 2 |last term|."""
+    log space ((2n)! against (2 pi)^(2n) x^(-n/2a)); tail = 2 |last term|.
+    The resonance check and each term's x-independent logs are held (_held)."""
     a, x = params.bind(ctx)
-    params.check_resonance(ctx)
     mp = ctx.mp
     engine = engine_for(ctx)
-    ln_x = mp.log(x)
-    ln_2pi = mp.log(2 * mp.pi)
-    total = mp.mpf(0)
-    last = None
-    for n in range(1, params.n_trivial + 1):
-        q = mp.sqrt((2 * n + a) / a)
-        sq = mp.sinpi(q / 2)
-        log_mag = (2 * n * ln_2pi - (2 * n + a) / (4 * a) * ln_x
-                   - mp.loggamma(2 * n + 1) - mp.log(engine._zeta_odd(2 * n + 1))
-                   - mp.log(abs(sq)) - mp.log(2 * n + a) / 2)
-        sign = (1 if n % 2 == 1 else -1) * (1 if sq > 0 else -1)
-        last = sign * mp.exp(log_mag)
-        total += last
-    return total, 2 * abs(last)
+    ln_x, ln_2pi = mp.log(x), mp.log(2 * mp.pi)
+
+    def row(n):
+        sq = mp.sinpi(mp.sqrt((2 * n + a) / a) / 2)
+        return (2 * n * ln_2pi, (2 * n + a) / (4 * a), mp.loggamma(2 * n + 1),
+                mp.log(engine._zeta_odd(2 * n + 1)), mp.log(abs(sq)), mp.log(2 * n + a) / 2,
+                (1 if n % 2 == 1 else -1) * (1 if sq > 0 else -1))
+
+    # the resonance check (None), then the rows
+    rows = _held_rows(("n-series", a), (ctx.precision_bits, params.n_trivial, params.n_halfint),
+                      lambda: params.check_resonance(ctx)
+                      or [row(n) for n in range(1, params.n_trivial + 1)])
+    terms = [sign * mp.exp(lead - c * ln_x - g - z - s - h) for lead, c, g, z, s, h, sign in rows]
+    return sum(terms, mp.zero), 2 * abs(terms[-1])
 
 
 def half_integer_series(params: SumRuleParams, ctx: NumericContext):
     """(value, tail_bound): (2 sqrt(a)/pi) sum_k (-1)^k x^(-k^2) / zeta(a(1-4k^2)),
     with 1/zeta at the large negative arguments taken from the log-space
-    reflection; tail = 2 |last term|."""
+    reflection, its (log |zeta|, sign) pairs held (_held); tail = 2 |last term|."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     engine = engine_for(ctx)
     ln_x = mp.log(x)
     pref = 2 * mp.sqrt(a) / mp.pi
-    total = mp.mpf(0)
-    last = None
-    for k in range(1, params.n_halfint + 1):
+
+    def row(k):
         log_abs, sign = engine.zeta_reflect_log(a * (1 - 4 * k * k))
         if sign == 0:
             raise ResonantParameterError(
                 f"a(1-4k^2) is a trivial zero at k = {k}; series term is singular")
-        k_sign = 1 if k % 2 == 0 else -1
-        last = pref * k_sign * sign * mp.exp(-k * k * ln_x - log_abs)
-        total += last
-    return total, 2 * abs(last)
+        return -k * k, log_abs, (1 if k % 2 == 0 else -1) * sign
+
+    rows = _held_rows(("k-series", a), (ctx.precision_bits, params.n_halfint),
+                      lambda: [row(k) for k in range(1, params.n_halfint + 1)])
+    terms = [pref * sign * mp.exp(m * ln_x - log_abs) for m, log_abs, sign in rows]
+    return sum(terms, mp.zero), 2 * abs(terms[-1])
 
 
 # -- evaluators ----------------------------------------------------------------
@@ -456,9 +495,10 @@ def evaluate_sumrule(params: SumRuleParams, store: ZeroStore,
                      ctx: NumericContext) -> EvaluationReport:
     """Both sides of the series identity; residual = lhs - (const + n + k)."""
     a, x = params.bind(ctx)
-    params.check_resonance(ctx)
     mp = ctx.mp
-    z_a = engine_for(ctx).zeta(a)
+    # the resonance check (None), then zeta(a)
+    z_a = _held_rows(("zeta(a)", a), (ctx.precision_bits, params.n_trivial, params.n_halfint),
+                     lambda: params.check_resonance(ctx) or engine_for(ctx).zeta(a))
     if abs(z_a) < 1000 * ctx.target_tol:
         raise InternalConsistencyError(f"zeta(a) vanished at a = {float(a)}")
     lhs, tail_z = zero_sum_lhs(params, store, ctx)
@@ -489,9 +529,9 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     corrected k-series and the measured discrepancy factor is reported in
     aux as rh_k_prefactor.  Cross-differences against evaluate_sumrule at
     a = 1/2 ride along in aux, and the largest must be <= 1e-12 (limits).
-    The zero terms are mapped by _split_map, as zero_sum_lhs maps its own,
-    and give only their real parts; they are summed in ascending zero
-    order, so the sum is bit for bit the one-process one."""
+    The zero terms are mapped by _zero_map, as zero_sum_lhs maps its own,
+    with each sin(pi sqrt(tau)/(1+i)) zeta'(rho) held in this function's own
+    table, and summed in ascending zero order: bit for bit the one-process sum."""
     mp = ctx.mp
     ref_params = SumRuleParams(a="0.5", x=x, n_zeros=n_zeros,
                                n_trivial=n_trivial, n_halfint=n_halfint)
@@ -501,14 +541,14 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     zeros = store.prefix(n_zeros)
     half_i, half_pi, one_plus_i = mp.mpc(0, half), mp.pi / 2, mp.mpc(1, 1)
 
-    def term(i):
-        rec = zeros[i]
-        root = mp.sqrt(rec.tau)
-        num = mp.exp(half_i * (rec.tau * ln_x + half_pi)) / root
-        den = mp.sin(mp.pi * root / one_plus_i) * rec.zeta_prime
-        return mp.re(num / den)
+    def denominator(i):
+        return mp.sin(mp.pi * mp.sqrt(zeros[i].tau) / one_plus_i) * zeros[i].zeta_prime
 
-    lhs = sum(_split_map(term, len(zeros), mp), mp.zero)
+    def term(i, den):
+        tau = zeros[i].tau
+        return mp.re(mp.exp(half_i * (tau * ln_x + half_pi)) / mp.sqrt(tau) / den)
+
+    lhs = sum(_zero_map(("rh-form", half), zeros, ctx, denominator, term), mp.zero)
     const = 1 / (mp.pi * mp.sqrt(2) * engine.zeta(half))
     n_val = mp.mpf(0)
     for n in range(1, n_trivial + 1):

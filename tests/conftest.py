@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from zetasum import sumrule
 from zetasum.numctx import NumericContext
 from zetasum.zeros import load_or_compute
 from zetasum.zetafn import ZetaEngine
@@ -67,6 +68,16 @@ def one_cpu(monkeypatch):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def held_tables():
+    """sumrule's held x-independent tables (sumrule._held), empty when the
+    test starts and emptied when it ends, so no table a test alters or builds
+    reaches another test."""
+    sumrule._held.clear()
+    yield sumrule._held
+    sumrule._held.clear()
 
 
 @pytest.fixture()

@@ -113,14 +113,30 @@ def test_split_zero_sums_print_the_one_process_bytes(cache_dir, store500_192, mo
     assert len(forks) == forked
 
 
+SCAN_3X3 = ["scan", "--a-list", "0.45,0.5,0.6", "--x-list", "0.25,0.5,0.75",
+            "--zeros", "10", "--n-trivial", "16", "--n-halfint", "6",
+            "--precision", "96", "--format", "csv"]
+
+
 def test_scan_csv_bytes(cache_dir, store30_96, tmp_path):
     out = tmp_path / "scan.csv"
-    args = ["scan", "--a-list", "0.45,0.5,0.6", "--x-list", "0.25,0.5,0.75",
-            "--zeros", "10", "--n-trivial", "16", "--n-halfint", "6",
-            "--precision", "96", "--cache-dir", cache_dir, "--format", "csv",
-            "--out", str(out)]
-    assert main(args) == 0
+    assert main(SCAN_3X3 + ["--cache-dir", cache_dir, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "scan_3x3_p96.csv").read_bytes()
+
+
+def test_scan_csv_bytes_from_held_tables(cache_dir, store30_96, tmp_path, monkeypatch,
+                                         held_tables):
+    # the first point of each a builds its tables and the next two read them;
+    # from no table, from the last scan's tables and on one CPU alike, the
+    # scan prints the bytes the program printed before it held any table
+    out = tmp_path / "scan.csv"
+    for step in ("no table", "last scan's tables", "one CPU"):
+        if step == "one CPU":
+            held_tables.clear()
+            one_cpu(monkeypatch)
+        assert main(SCAN_3X3 + ["--cache-dir", cache_dir, "--out", str(out)]) == 0, step
+        assert out.read_bytes() == (DATA / "scan_3x3_p96.csv").read_bytes(), step
+        assert held_tables
 
 
 def test_zeros_export_bytes(store30_96, ctx96, tmp_path):

@@ -40,3 +40,40 @@ def test_closure_sweep_mixed_orientations_fail_cleanly(store30_96, cache_dir, ca
     assert sweep.main(["--pairs", "0.5:0.5,5:0.25", "--cache-dir", cache_dir] + SMALL) == 1
     out = capsys.readouterr().out
     assert "FAIL: closure orientation differs across parameter pairs" in out
+
+
+RUN_STDOUT = ('[bench] ignored\n{"correct": true, "attempted": 24, "failed": 0, "metrics": '
+              '{"setup_s": {"value": 0.05, "unit": "s"}, "peak_rss_mb": {"value": 36.5, '
+              '"unit": "MB"}, "round_s": {"value": 1.8, "unit": "s"}}}\n')
+RUN_STDERR = ("[bench] verify-warm breakdown: verify_sumrule_s=0.1\n"
+              "[bench] verify-warm: 3 rounds in 10.4 s; operations took 6.300 s raw, "
+              "5.400 s normalised (host speed 0.857 of the reference)\n")
+
+
+def test_bench_pairs_parses_a_run():
+    pairs = load_script("bench_pairs")
+    run = pairs.parse_run(RUN_STDOUT, RUN_STDERR)
+    assert run == {"metrics": {"setup_s": 0.05, "peak_rss_mb": 36.5, "round_s": 1.8},
+                   "correct": True, "attempted": 24, "failed": 0, "raw_s": 2.1}
+
+
+def test_bench_pairs_statistics_and_order():
+    pairs = load_script("bench_pairs")
+    assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
+    assert pairs.wins([2, 2, 2], [1, 3, 1]) == 2
+    assert pairs.wins([2, 2, 2], [1, 3, 1], better="higher") == 1
+    assert [pairs.first_in_pair(i) for i in (1, 2, 3)] == ["parent", "change", "parent"]
+
+    def run(round_s, failed=0):
+        return {"metrics": {"round_s": round_s}, "correct": True, "attempted": 8,
+                "failed": failed, "raw_s": round_s * 2}
+
+    lines = pairs.report([run(2.0), run(2.2, failed=2)], [run(1.0), run(2.4)],
+                         {"round_s": "lower"})
+    # statistics.quantiles' default (exclusive) method, as benchmark/README.md uses
+    assert lines[0] == ("round_s: parent 1.95/2.1/2.25  change 0.65/1.7/2.75  (-19.0%, change "
+                        "lower in 1/2 pairs, parent spread 0.3)")
+    assert lines[1].startswith("raw_s: parent 3.9/4.2/4.5")
+    assert lines[2:] == ["parent: failed/attempted 2/16, correct True",
+                         "change: failed/attempted 0/16, correct True"]

@@ -4,6 +4,7 @@ import pytest
 from conftest import SPLITS, assert_no_child, next_up, one_cpu
 
 from zetasum.arith import mangoldt_sieve
+from zetasum.cli import main
 from zetasum.numctx import NumericContext, cpow
 from zetasum.zetafn import _raw, engine_for
 from zetasum.zeros import MultipleZeroError, ZeroRecord, ZeroStore
@@ -353,7 +354,7 @@ def test_split_zero_sum_raises_the_first_bad_zeros_error(ctx192, store500_192, m
 
 
 @pytest.mark.parametrize("bits", [96, 192])
-def test_zeta_at_odd_integers_is_computed_once(bits, monkeypatch):
+def test_zeta_at_odd_integers_is_computed_once(bits, monkeypatch, held_tables):
     ctx_b = NumericContext(bits)
     mp = ctx_b.mp
     engine = engine_for(ctx_b)
@@ -369,6 +370,7 @@ def test_zeta_at_odd_integers_is_computed_once(bits, monkeypatch):
         return em(s, want_deriv)
 
     monkeypatch.setattr(engine, "_em", counting_em)
+    held_tables.clear()  # so the n-series reads zeta(2n+1) again, from the engine's table
     assert _raw(sr.trivial_series(p, ctx_b)) == _raw(first)
     assert em_calls == []
 
@@ -663,3 +665,137 @@ def test_closure_raises_the_first_failing_sites_error(ctx, store, monkeypatch, f
     assert split == alone == "residue fails at %s %d" % bad_sites[0]
     assert len(forks) == SPLITS
     assert_no_child()
+
+
+# -- held x-independent tables -------------------------------------------------
+
+
+def report_bits(rep):
+    """Every field of a report, each number as its raw mpmath tuple."""
+    def bits(v):
+        if isinstance(v, tuple):
+            return tuple(bits(u) for u in v)
+        return _raw(v) if hasattr(v, "_mpf_") or hasattr(v, "_mpc_") else v
+
+    return {f.name: bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+
+
+@pytest.mark.parametrize("bits", [96, 192])
+def test_held_tables_give_the_bits_of_a_fresh_call(bits, store500_192, monkeypatch, forks,
+                                                   held_tables):
+    # two values of a alternating, at 100 -> 500 -> 100 zeros: misses, hits
+    # and rebuilt tables, each call against the same call with no table held,
+    # and the whole sequence again on one CPU
+    ctx_b = NumericContext(bits)
+    calls = [sr.SumRuleParams(a=a, x=x, n_zeros=n) for n in (100, 500, 100)
+             for a, x in (("0.6", "0.4"), ("0.9", "0.4"), ("0.6", "0.75"), ("0.9", "0.25"))]
+
+    def run(fresh):
+        reports = []
+        for p in calls:
+            if fresh:
+                held_tables.clear()
+            reports.append(report_bits(sr.evaluate_sumrule(p, store500_192, ctx_b)))
+        for x in ("0.4", "0.75", "0.4"):
+            if fresh:
+                held_tables.clear()
+            reports.append(report_bits(sr.evaluate_rh_form(x, store500_192, ctx_b, n_zeros=500)))
+        return reports
+
+    held = run(fresh=False)
+    assert len(forks) == (len(calls) + 2 * 3) * SPLITS  # one split per zero sum, hit or miss
+    assert_no_child()
+    assert run(fresh=True) == held
+    held_tables.clear()
+    one_cpu(monkeypatch)
+    assert run(fresh=False) == held
+
+
+def test_a_repeated_a_computes_only_its_x_dependent_terms(ctx192, store500_192, monkeypatch,
+                                                          held_tables):
+    one_cpu(monkeypatch)
+    mp = ctx192.mp
+    sr.evaluate_sumrule(sr.SumRuleParams(a="0.6", x="0.4", n_zeros=500), store500_192, ctx192)
+    sr.evaluate_rh_form("0.4", store500_192, ctx192, n_zeros=500)
+    engine = engine_for(ctx192)
+    calls = []
+    for name in ("sinh", "sin", "loggamma"):
+        monkeypatch.setattr(mp, name, lambda *args, _f=getattr(mp, name), _n=name:
+                            calls.append(_n) or _f(*args))
+    for name in ("zeta", "zeta_reflect_log"):
+        monkeypatch.setattr(engine, name, lambda *args, _f=getattr(engine, name), _n=name:
+                            calls.append(_n) or _f(*args))
+    monkeypatch.setattr(sr.SumRuleParams, "check_resonance",
+                        lambda self, ctx: calls.append("check_resonance"))
+    sr.evaluate_sumrule(sr.SumRuleParams(a="0.6", x="0.75", n_zeros=500), store500_192, ctx192)
+    assert calls == []
+    # rh-form evaluates its own constant, n-series and k-series afresh, and
+    # reads its zero table
+    sr.evaluate_rh_form("0.75", store500_192, ctx192, n_zeros=500)
+    assert {"zeta", "zeta_reflect_log"} <= set(calls) and not {"sin", "sinh"} & set(calls)
+
+
+def test_the_cross_check_fails_on_a_scaled_held_table(ctx, store, held_tables):
+    mp = ctx.mp
+    half, scale = ctx.mpf("0.5"), 1 + ctx.mpf("1e-9")
+
+    def rh_form():
+        rep = sr.evaluate_rh_form("0.75", store, ctx, n_zeros=20, n_trivial=24, n_halfint=8)
+        return rep, {k: ctx.mpf(v) for k, v in rep.aux if k.startswith("cross_")}
+
+    good, cross = rh_form()
+    assert good.passes() and max(cross.values()) < ctx.mpf("1e-12")
+    key, dens = held_tables["zero sum", half]
+    held_tables["zero sum", half] = key, [(mp.make_mpc(d) * scale)._mpc_ for d in dens]
+    bad, cross = rh_form()
+    assert cross["cross_lhs_diff"] > ctx.mpf("1e-12") and not bad.passes()
+    # rh-form's own zero sum reads its own table, not the scaled one
+    assert _raw(bad.lhs_zero_sum) == _raw(good.lhs_zero_sum)
+    held_tables["zero sum", half] = key, dens
+    key, rows = held_tables["k-series", half]
+    held_tables["k-series", half] = key, [(m, log_abs - mp.log(scale), sign)
+                                          for m, log_abs, sign in rows]
+    bad, cross = rh_form()
+    assert cross["cross_k_diff"] > ctx.mpf("1e-12") and not bad.passes()
+    assert cross["cross_lhs_diff"] < ctx.mpf("1e-12")
+    assert _raw(bad.rhs_k_series) == _raw(good.rhs_k_series)
+
+
+def test_a_failure_is_never_held(ctx192, store500_192, held_tables):
+    records = store500_192.records[:80]
+    fake = ZeroStore(tuple(ZeroRecord(r.tau, ctx192.mp.mpc("1e-16", 0)) if i == 70 else r
+                           for i, r in enumerate(records)))
+    p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=80)
+    a, _ = p.bind(ctx192)
+    sr.evaluate_sumrule(p, ZeroStore(records), ctx192)  # the good store's tables, at this a
+    for _ in range(2):
+        with pytest.raises(MultipleZeroError, match="at index 71$"):
+            sr.evaluate_sumrule(p, fake, ctx192)
+        assert ("zero sum", a) not in held_tables  # nothing held for the failed sum
+    # a resonant a raises on every call, also next to a held neighbour's tables
+    near = sr.SumRuleParams(a="2.5", x="0.4", n_zeros=80)
+    resonant = sr.SumRuleParams(a="2", x="0.4", n_zeros=80)
+    for _ in range(2):
+        sr.evaluate_sumrule(near, store500_192, ctx192)
+        for evaluate in (lambda p: sr.evaluate_sumrule(p, store500_192, ctx192),
+                         lambda p: sr.trivial_series(p, ctx192),
+                         lambda p: sr.half_integer_series(p, ctx192)):
+            with pytest.raises(sr.ResonantParameterError):
+                evaluate(resonant)
+    assert not [slot for slot in held_tables if slot[1] == 2]
+
+
+def test_the_held_tables_stay_bounded(cache_dir, store30_96, capsys, held_tables):
+    common = ["--zeros", "10", "--precision", "96", "--cache-dir", cache_dir]
+    assert main(["scan", "--a-list", "0.45,0.6,0.9", "--x-list", "0.25,0.5,0.75",
+                 "--format", "csv"] + common) == 0
+    for x in ("0.4", "0.6"):
+        main(["verify", "sumrule", "--a", "0.7", "--x", x] + common)
+        main(["verify", "rh-form", "--x", x] + common)
+    capsys.readouterr()
+    # two values of a for each of the four sum-rule tables, the caller's and
+    # rh-form's a = 1/2, and rh-form's own one: nine tables at most
+    series = [name for name, _ in held_tables]
+    assert len(held_tables) <= 9
+    assert all(series.count(name) <= 2 for name in series) and series.count("rh-form") == 1
+    assert {float(a) for name, a in held_tables if name != "rh-form"} == {0.7, 0.5}
