@@ -13,11 +13,21 @@ script prints each end-to-end metric's q1/median/q3 (statistics.quantiles,
 n=4), the pairs the change won (its value better, in the direction
 BENCHMARK.json gives), failed/attempted operations, whether every run was
 correct, and the raw operation seconds per round, read from the run's
-"[bench] ... s raw" line.  It writes no file.
+"[bench] ... s raw" line.
+
+With --label L it also writes BENCH_L.json in the current directory: both
+trees' commits (git rev-parse HEAD, or null outside a git checkout), the
+host's CPU count and Python version, and per workload the settings, each
+metric's q1/median/q3 per side with the pairs the change won, failed/
+attempted and whether every run was correct per side, and every run's
+metrics and raw seconds per round.  A file that holds the same two commits
+keeps its other workloads, so one label can collect the three workloads.
 """
 
 import argparse
 import json
+import os
+import platform
 import re
 import statistics
 import subprocess
@@ -59,26 +69,64 @@ def first_in_pair(i: int) -> str:
     return "parent" if i % 2 == 1 else "change"
 
 
-def report(parent: list, change: list, better: dict) -> list:
-    """The summary lines for two lists of parse_run results, pair by pair."""
-    lines = []
-    names = list(parent[0]["metrics"]) + ["raw_s"]
-    for name in names:
+def summary(parent: list, change: list, better: dict) -> dict:
+    """Per metric (and raw_s) and side, the q1/median/q3 of two lists of
+    parse_run results, the pairs the change won, and per side failed/attempted
+    and whether every run was correct: the numbers report prints."""
+    out = {"metrics": {}}
+    for name in list(parent[0]["metrics"]) + ["raw_s"]:
         def values(runs, name=name):
             return [r["raw_s"] if name == "raw_s" else r["metrics"][name] for r in runs]
 
-        p, c = values(parent), values(change)
-        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
         direction = better.get(name, "lower")
-        lines.append(f"{name}: parent {p1:.4g}/{pm:.4g}/{p3:.4g}  change {c1:.4g}/{cm:.4g}/"
-                     f"{c3:.4g}  ({100 * (cm / pm - 1):+.1f}%, change {direction} in "
-                     f"{wins(p, c, direction)}/{len(p)} pairs, parent spread {p3 - p1:.4g})")
+        out["metrics"][name] = {"better": direction, "change_won": wins(
+            values(parent), values(change), direction), "pairs": len(parent)}
+        for side, runs in (("parent", parent), ("change", change)):
+            out["metrics"][name][side] = dict(zip(("q1", "median", "q3"), quartiles(values(runs))))
     for side, runs in (("parent", parent), ("change", change)):
-        failed = sum(r["failed"] for r in runs)
-        attempted = sum(r["attempted"] for r in runs)
-        lines.append(f"{side}: failed/attempted {failed}/{attempted}, "
-                     f"correct {all(r['correct'] for r in runs)}")
+        out[side] = {"failed": sum(r["failed"] for r in runs),
+                     "attempted": sum(r["attempted"] for r in runs),
+                     "correct": all(r["correct"] for r in runs)}
+    return out
+
+
+def report(parent: list, change: list, better: dict) -> list:
+    """The summary lines for two lists of parse_run results, pair by pair."""
+    numbers = summary(parent, change, better)
+    lines = []
+    for name, m in numbers["metrics"].items():
+        (p1, pm, p3), (c1, cm, c3) = m["parent"].values(), m["change"].values()
+        lines.append(f"{name}: parent {p1:.4g}/{pm:.4g}/{p3:.4g}  change {c1:.4g}/{cm:.4g}/"
+                     f"{c3:.4g}  ({100 * (cm / pm - 1):+.1f}%, change {m['better']} in "
+                     f"{m['change_won']}/{m['pairs']} pairs, parent spread {p3 - p1:.4g})")
+    for side in ("parent", "change"):
+        lines.append(f"{side}: failed/attempted {numbers[side]['failed']}/"
+                     f"{numbers[side]['attempted']}, correct {numbers[side]['correct']}")
     return lines
+
+
+def commit(root: Path):
+    """The tree's git HEAD, or None where root is not a git checkout."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def write_bench(path: Path, commits: dict, workload: str, settings: dict, runs: dict,
+                better: dict) -> dict:
+    """Write (or update) the BENCH file at path with one workload's pairs, and
+    return its contents.  An existing file with other commits is replaced."""
+    doc = {}
+    if path.exists():
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if doc.get("commits") != commits:
+            doc = {}
+    doc.setdefault("commits", commits)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    doc["host"] = {"cpus": cpus, "python": platform.python_version()}
+    doc.setdefault("workloads", {})[workload] = {
+        **settings, **summary(runs["parent"], runs["change"], better), "runs": runs}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return doc
 
 
 def run_tree(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -97,6 +145,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--seed0", type=int, default=1)
+    ap.add_argument("--label", default=None, help="also write BENCH_<label>.json")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -113,6 +162,12 @@ def main(argv=None) -> int:
     print(f"{args.workload}, {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}"
           " (q1/median/q3)")
     print("\n".join(report(runs["parent"], runs["change"], better)))
+    if args.label:
+        settings = {"pairs": args.pairs, "seconds": args.seconds,
+                    "seeds": [args.seed0, args.seed0 + args.pairs - 1]}
+        write_bench(Path(f"BENCH_{args.label}.json"),
+                    {"parent": commit(args.parent), "change": commit(args.change)},
+                    args.workload, settings, runs, better)
     return 0
 
 

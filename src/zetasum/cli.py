@@ -32,8 +32,8 @@ from .arith import mangoldt_sieve
 from .numctx import DomainError, NumericContext
 from .zetafn import (InternalConsistencyError, PrecisionError, ZetaPoleError, _split_map,
                      engine_for)
-from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError, _expected_count,
-                    export_zeros, import_zeros, load_or_compute)
+from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError, _check_bracket,
+                    _scan_brackets, export_zeros, import_zeros, load_or_compute)
 from . import sumrule as sr
 
 __all__ = ["main"]
@@ -191,10 +191,15 @@ def cmd_zeros(args) -> int:
     engine = engine_for(ctx)
     mp = ctx.mp
     worst = max(_split_map(lambda i: abs(engine.zeta(mp.mpc(0.5, store[i].tau))), len(store), mp))
-    expected = _expected_count(engine, store[-1].tau)
+    # a store served from the cache was never matched with the scan: match it here
+    brackets, gram = _scan_brackets(engine, len(store))
+    for i, rec in enumerate(store):
+        _check_bracket(brackets, i, rec.tau, f"zero #{i + 1}")
     print(f"zeros          : {len(store)} ({'imported' if args.zeros_file else 'computed'})")
     print(f"tau range      : [{mp.nstr(store[0].tau, 15)}, {mp.nstr(store[-1].tau, 15)}]")
-    print(f"count check    : {len(store)} found vs {expected} expected (|diff| <= 1)")
+    n0 = len(brackets) - 1
+    print(f"count check    : each zero in its own scan bracket; N(g_{n0}) = {n0 + 1} by "
+          f"Turing's method, g_{n0} = {gram:.10g}")
     print(f"max |zeta(rho)|: {mp.nstr(worst, 4)}")
     if args.export_path:
         export_zeros(store, args.export_path, ctx)

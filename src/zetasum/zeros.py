@@ -1,13 +1,26 @@
 """Locate, exchange, and cache the low nontrivial zeros of zeta on the
 critical line.
 
-Zeros are found as sign changes of the Hardy Z function on one scan grid
-from t = 10, whose step at t is 1/SCAN_CELLS of the mean zero spacing
-2 pi / log(t / 2 pi).  Located and imported zeros
-take one refinement path, _certify: bisection of the sign-change bracket to
-width 1e-4 (it only reads signs), Newton on Z at full precision inside the
-bracket, then a certificate that Z changes sign across [tau - e, tau + e],
-e = 2^(10 - precision_bits).  Each full-precision pass
+One scan, _scan_brackets, finds the zeros and certifies their count.  It
+walks the Gram points g_n, theta(g_n) = n pi, from t = 10 (for g_-1 = 9.67).
+A Gram block runs from one good g_n, (-1)^n Z(g_n) > 0, to the next, and by
+Rosser's rule it holds a zero per Gram interval: a block whose points show
+fewer sign changes has every interval halved until they show as many
+(GRAM_HALVINGS times at most; then it is a MissedZeroError naming it).
+Past `count` zeros and 168 pi, at a good g_n0, Turing's method as Brent
+states it (Math. Comp. 33, 1979, Theorem 3.2, with Lehman's bound on the
+integral of S(t), which holds from 168 pi; Trudgian, Math. Comp. 80, 2011,
+has sharper constants) gives N(g_n0) <= n0 + 1 when the next K >= 0.0061
+log^2 g_p + 0.08 log g_p blocks, up to g_p, follow Rosser's rule too.  The
+scan walks them, reads the signs again at g_n0 ... g_p computed at working
+precision, and needs exactly n0 + 1 brackets below g_n0: one zero in each,
+and none outside.  A process keeps its last eight scans, one per (engine,
+count), so a locate and an import of the same count scan once.
+
+Located and imported zeros take one refinement path, _certify: bisection of
+the sign-change bracket to width 1e-4 (it only reads signs), Newton on Z at
+full precision inside the bracket, then a certificate that Z changes sign
+across [tau - e, tau + e], e = 2^(10 - precision_bits).  Each full-precision pass
 (ZetaEngine.hardy_z_with_deriv) gives Z, Z' and zeta'(1/2 + i tau) at once,
 and tau's pass is Newton's last one wherever Newton's last step leaves tau
 unchanged (one more pass where it moved tau).  That pass gives the residual
@@ -33,13 +46,11 @@ proves a sign, it is the sign of Z and so the one full precision gives, so
 every bracket, midpoint, Newton start and tau is what a scan at full
 precision alone yields.  A zero run reads every sign, theta and Z from one
 engine, engine_for(ctx).
-locate_zeros and import_zeros return a store only if the running count of
-the refined zeros matches the smoothed zero-counting function
-round(theta(T)/pi + 1) within +-1 at every prefix; that window accepts a
-list with one zero missing, or with two where the gap between them is short
-(zeros #922 and #923), so for located zeros it is the grid, not the count,
-that finds every zero.  A cache load runs no count check: _load_cache checks
-the header, the checksum, the number of rows and each zeta' line.
+locate_zeros refines the first `count` brackets, and import_zeros requires
+the tau refined from row i to lie in bracket i, so a table with a zero
+missing fails at the first row past the gap.  A cache load runs no count
+check: _load_cache checks the header, the checksum, the number of rows and
+each zeta' line.
 
 Each zero is refined on its own (an import first checks Z/Z' at its tau),
 so locate_zeros and import_zeros map the refinement over the zero indices
@@ -62,6 +73,7 @@ in one process parse the file once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -84,12 +96,13 @@ __all__ = [
     "load_or_compute",
 ]
 
+# the scan's first point, which stands in for the Gram point g_-1 = 9.67 (no zero
+# lies below 14): Z(10) < 0, so it is good
 SCAN_START = 10.0
-# Scan cells per mean zero spacing.  Verified up to MAX_COUNT against
-# mpmath.nzeros (test_scan_finds_every_zero_up_to_max_count): the 2000th
-# bracket ends at T = 2515.3 and nzeros(T) = 2000.  The closest pair below,
-# zeros #1496 and #1497, lies 0.089 of a mean spacing apart; 8 cells miss it.
-SCAN_CELLS = 20
+# halvings of a Gram block's intervals before a block short of sign changes is a
+# missed zero.  Up to the 2000th zero the scan needs 3: the closest pair there,
+# zeros #1496 and #1497, lies 0.089 of a mean spacing apart
+GRAM_HALVINGS = 8
 MAX_COUNT = 2000
 SIMPLICITY_FLOOR = 1e-15
 # bracket width at which Newton takes over from bisection
@@ -150,20 +163,6 @@ def _prefix(items, n: int):
     return items[:n]
 
 
-def _expected_count(engine: ZetaEngine, tau):
-    """Smoothed counting function round(theta(T)/pi + 1)."""
-    mp = engine.ctx.mp
-    return int(mp.nint(engine.riemann_siegel_theta(tau) / mp.pi + 1))
-
-
-def _check_counts(engine: ZetaEngine, taus) -> int | None:
-    """Index of the first prefix violating the +-1 count window, else None."""
-    for k, tau in enumerate(taus, start=1):
-        if abs(k - _expected_count(engine, tau)) > 1:
-            return k
-    return None
-
-
 def _signed_z(engine: ZetaEngine, t):
     """A number with the sign of Z(t): the double-precision Z where its error
     bound proves the sign, else engine.hardy_z(t).  Either way the sign is
@@ -172,24 +171,80 @@ def _signed_z(engine: ZetaEngine, t):
     return value if abs(value) > bound else engine.hardy_z(t)
 
 
+def _theta_float(t: float) -> float:
+    """theta(t) in double precision, from its asymptotic series."""
+    return (t / 2 * math.log(t / (2 * math.pi)) - t / 2 - math.pi / 8 + 1 / (48 * t)
+            + 7 / (5760 * t ** 3) + 31 / (80640 * t ** 5))
+
+
+def _gram(theta, n_pi, t, tol):
+    """The Gram point where theta = n_pi (theta(g_n) = n pi), by Newton from t
+    until a step is at most tol.  theta' is taken as log(t / 2 pi) / 2 -
+    1 / (48 t^2), which is within a relative 10^-7 of it for t > 17."""
+    step = 2 * tol
+    while abs(step) > tol:
+        slope = math.log(float(t) / (2 * math.pi)) / 2 - 1 / (48 * float(t) ** 2)
+        step = (theta(t) - n_pi) / slope
+        t -= step
+    return t
+
+
+def _gram_block(engine: ZetaEngine, points, n: int) -> list:
+    """The brackets (lo, hi, Z(lo), Z(hi)) of Z's sign changes between the
+    points [(t, Z(t))] of the Gram block that ends at g_n; a point where Z
+    vanishes is its own bracket.  While they are fewer than the block's Gram
+    intervals, every interval is halved, GRAM_HALVINGS times at most, and
+    then MissedZeroError names the block."""
+    mp, intervals = engine.ctx.mp, len(points) - 1
+    for level in range(GRAM_HALVINGS + 1):
+        if level:
+            mids = [(a + b) / 2 for (a, _), (b, _) in zip(points, points[1:])]
+            points = [p for pair in zip(points, [(m, _signed_z(engine, m)) for m in mids])
+                      for p in pair] + points[-1:]
+        found = [(mp.mpf(a), mp.mpf(a if za == 0 else b), za, za if za == 0 else zb)
+                 for (a, za), (b, zb) in zip(points, points[1:]) if za == 0 or za * zb < 0]
+        if len(found) >= intervals:
+            return found
+    raise MissedZeroError(f"Gram block [g_{n - intervals}, g_{n}] = [{points[0][0]:.6f}, "
+                          f"{points[-1][0]:.6f}] shows {len(found)} sign changes of Z for "
+                          f"{intervals} Gram intervals")
+
+
+@functools.lru_cache(maxsize=8)
 def _scan_brackets(engine: ZetaEngine, count: int):
-    """Sign-change brackets (lo, hi, Z(lo), Z(hi)) of Z on the scan grid until
-    `count` are found; a grid point where Z vanishes is its own bracket.  The
-    step at t is 2 pi / (SCAN_CELLS log(t / 2 pi)), and every grid point is a
-    double, so the grid is the same at every precision."""
+    """(brackets, g_n0): the sign-change brackets (lo, hi, Z(lo), Z(hi)) of the
+    n0 + 1 >= count zeros below g_n0, one in each, and g_n0 as a double
+    (module docstring).  Every point read below g_n0 is a double, so the
+    brackets are the same at every precision."""
     mp = engine.ctx.mp
-    t = mp.mpf(SCAN_START)
-    z_prev = _signed_z(engine, t)
-    brackets = []
-    while len(brackets) < count:
-        t_next = mp.mpf(float(t) + 2 * math.pi / (SCAN_CELLS * math.log(float(t) / (2 * math.pi))))
-        z_next = _signed_z(engine, t_next)
-        if z_prev == 0:
-            brackets.append((t, t, z_prev, z_prev))
-        elif z_prev * z_next < 0:
-            brackets.append((t, t_next, z_prev, z_next))
-        t, z_prev = t_next, z_next
-    return brackets
+    n, t, z = -1, SCAN_START, _signed_z(engine, SCAN_START)
+    block, brackets, grams, n0, blocks = [(t, z)], [], [], None, 0
+    # past g_n0, Brent's bound on the blocks up to g_p = t
+    while n0 is None or blocks < 0.0061 * math.log(t) ** 2 + 0.08 * math.log(t):
+        n += 1
+        t = _gram(_theta_float, n * math.pi, t, 1e-9)
+        z = _signed_z(engine, t)
+        block.append((t, z))
+        grams.append((n, t, z))
+        if not (-1) ** n * z > 0:
+            continue  # the block runs on to the next good Gram point
+        brackets += _gram_block(engine, block, n)
+        block = [(t, z)]
+        if n0 is not None:
+            blocks += 1
+        elif len(brackets) >= count and t >= 168 * math.pi:  # where Lehman's bound holds
+            n0, below, grams = n, len(brackets), [(n, t, z)]
+    # g_n lies some 1e-13 from its double, far closer than any other point
+    # read, so with the sign the scan read there, the counts hold for g_n
+    for k, g, zk in grams:
+        gk = _gram(engine.riemann_siegel_theta, k * mp.pi, mp.mpf(g), engine.ctx.target_tol)
+        if not zk * _signed_z(engine, gk) > 0:
+            raise MissedZeroError(f"Gram point g_{k} = {g:.6f}: Z at working precision does not "
+                                  f"have the sign the scan read")
+    if below != n0 + 1:
+        raise MissedZeroError(f"{below} sign changes of Z below g_{n0} = {grams[0][1]:.6f}, "
+                              f"where Turing's method allows {n0 + 1}")
+    return tuple(brackets[:below]), grams[0][1]
 
 
 def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
@@ -300,20 +355,18 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     return mp.mpf(engine.ctx.nstr(tau)), mp.mpc(mp.mpf(re_zp), mp.mpf(im_zp))
 
 
+def _check_bracket(brackets, i: int, tau, where: str) -> None:
+    """MissedZeroError, naming `where` and the bracket, unless tau lies in
+    brackets[i], the scan's bracket of zero #i + 1."""
+    lo, hi = brackets[i][:2]
+    if not lo <= tau <= hi:
+        raise MissedZeroError(f"{where}: tau = {float(tau):.6f} is not in bracket {i + 1} of the "
+                              f"scan, [{float(lo):.6f}, {float(hi):.6f}]")
+
+
 def _store(pairs) -> ZeroStore:
     """The ZeroStore of (tau, zeta') pairs."""
     return ZeroStore(tuple(ZeroRecord(tau, zp) for tau, zp in pairs))
-
-
-def _counted(engine: ZetaEngine, store: ZeroStore) -> ZeroStore:
-    """The store, if every prefix passes _check_counts; else MissedZeroError
-    naming the first failing prefix and the interval it ends with."""
-    bad = _check_counts(engine, [r.tau for r in store])
-    if bad is not None:
-        lo = float(store[bad - 2].tau) if bad >= 2 else SCAN_START
-        raise MissedZeroError(f"count check fails at prefix {bad}; suspect interval "
-                              f"({lo:.4f}, {float(store[bad - 1].tau):.4f})")
-    return store
 
 
 def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
@@ -321,12 +374,12 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     if not 1 <= count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}]")
     engine = engine_for(ctx)
-    brackets = _scan_brackets(engine, count)
+    brackets = _scan_brackets(engine, count)[0]
 
     def refine(i):
         return _certify(engine, *brackets[i])
 
-    return _counted(engine, _store(_split_map(refine, len(brackets), ctx.mp)))
+    return _store(_split_map(refine, count, ctx.mp))
 
 
 # -- text format -------------------------------------------------------------
@@ -422,13 +475,15 @@ def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroSto
     `count` zeros (all of them without a count): reject any tau whose Newton
     correction |Z/Z'| exceeds 0.05, refine the rest to context precision by
     the certification locate_zeros uses, from a bracket of four corrections,
-    and count-check them.  The pass that gives the correction is Newton's
-    first step where Newton starts at the tau read."""
+    and require the tau of row i in the scan's bracket of zero #i + 1.  The
+    pass that gives the correction is Newton's first step where Newton starts
+    at the tau read."""
     with open(path, "r", encoding="utf-8") as f:
         _, rows = _parse_zeros(f.read(), ctx)
     if count is not None:
         rows = _prefix(rows, count)
     engine = engine_for(ctx)
+    brackets = _scan_brackets(engine, len(rows))[0]
 
     def refine(i):
         line_no, t0, _ = rows[i]
@@ -439,9 +494,12 @@ def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroSto
             raise ZeroImportError(line_no, f"residual check failed: |Z/Z'| = {float(newton):.3g}")
         step = newton * 4 + ctx.mp.mpf("1e-7")
         lo, hi = t0 - step, t0 + step
-        return _certify(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi), (t0, check))
+        tau, zp = _certify(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi),
+                           (t0, check))
+        _check_bracket(brackets, i, tau, f"line {line_no}")
+        return tau, zp
 
-    return _counted(engine, _store(_split_map(refine, len(rows), ctx.mp)))
+    return _store(_split_map(refine, len(rows), ctx.mp))
 
 
 # -- cache -------------------------------------------------------------------

@@ -9,7 +9,7 @@ from conftest import next_up
 from zetasum import cli
 from zetasum import sumrule as sr
 from zetasum.cli import main
-from zetasum.zeros import export_zeros
+from zetasum.zeros import ZeroStore, export_zeros
 
 
 @pytest.fixture()
@@ -127,6 +127,26 @@ def test_zeros_zeros_file_imports_the_file(base_args, store30_96, ctx96, tmp_pat
     export_zeros(store30_96.prefix(3), path, ctx96)
     assert main(["zeros", "--zeros-file", str(path), "--count", "5"] + base_args) == 0
     assert capsys.readouterr().out.startswith("zeros          : 3 (imported)\n")
+
+
+def test_zeros_prints_the_certified_count(base_args, store30_96, capsys):
+    assert main(["zeros", "--count", "30"] + base_args) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "count check    : each zero in its own scan bracket; N(g_289) = 290 by Turing's method, "
+        "g_289 = 529.1150317")
+
+
+def test_zeros_rejects_a_cached_store_with_a_gap(store30_96, ctx96, tmp_path, capsys):
+    # a cache file without zero #13, under a checksum that matches: the cache
+    # load serves it, and the zeros command matches it with the scan
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    gap = store30_96.records[:12] + store30_96.records[13:]
+    export_zeros(ZeroStore(gap), cache / "zeros_n29_p96.txt", ctx96,
+                 include_zeta_prime=True)
+    assert main(["zeros", "--count", "29", "--precision", "96", "--cache-dir", str(cache)]) == 2
+    assert capsys.readouterr().err == ("error: zero #13: tau = 60.831779 is not in bracket 13 of "
+                                       "the scan, [57.545165, 60.351812]\n")
 
 
 def test_zeros_import_corrupt_exits_2(base_args, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -77,3 +78,32 @@ def test_bench_pairs_statistics_and_order():
     assert lines[1].startswith("raw_s: parent 3.9/4.2/4.5")
     assert lines[2:] == ["parent: failed/attempted 2/16, correct True",
                          "change: failed/attempted 0/16, correct True"]
+
+
+def test_bench_pairs_writes_the_bench_file(tmp_path):
+    # the file holds the numbers report prints, every run as parsed, and a
+    # second workload under the same commits joins the first
+    pairs = load_script("bench_pairs")
+    run = pairs.parse_run(RUN_STDOUT, RUN_STDERR)
+    slower = {**run, "metrics": {**run["metrics"], "round_s": 2.0}, "raw_s": 2.5}
+    runs = {"parent": [run, run], "change": [slower, run]}
+    better = {"setup_s": "lower", "peak_rss_mb": "lower", "round_s": "lower"}
+    path, commits = tmp_path / "BENCH_x.json", {"parent": "aaa", "change": "bbb"}
+    settings = {"pairs": 2, "seconds": 10, "seeds": [1, 2]}
+    pairs.write_bench(path, commits, "verify-warm", settings, runs, better)
+    doc = pairs.write_bench(path, commits, "closure", settings, runs, better)
+    assert doc == json.loads(path.read_text())
+    assert doc["commits"] == commits and sorted(doc["workloads"]) == ["closure", "verify-warm"]
+    warm = doc["workloads"]["verify-warm"]
+    assert warm["runs"] == runs and warm["seeds"] == [1, 2] and warm["pairs"] == 2
+    assert warm["metrics"]["round_s"] == {
+        "better": "lower", "change_won": 0, "pairs": 2,
+        "parent": {"q1": 1.8, "median": 1.8, "q3": 1.8},
+        "change": {"q1": 1.75, "median": 1.9, "q3": 2.05}}
+    assert warm["metrics"]["raw_s"]["change"]["median"] == 2.3
+    assert warm["parent"] == {"failed": 0, "attempted": 48, "correct": True}
+    assert doc["host"]["cpus"] >= 1
+    # other commits start a new file
+    other = pairs.write_bench(path, {"parent": "ccc", "change": "bbb"}, "closure", settings,
+                              runs, better)
+    assert list(other["workloads"]) == ["closure"]

@@ -133,7 +133,8 @@ def test_import_low_precision_then_refine(store30_96, ctx96, tmp_path, decimals)
 
 def test_prefix_import_refines_the_prefix_only(store30_96, ctx96, hardy_passes, tmp_path):
     # the format and the checksum are checked over the whole file, but only
-    # the first `count` zeros are refined (two passes each) and count-checked
+    # the first `count` zeros are refined (two passes each) and matched with
+    # the brackets of the scan
     path = tmp_path / "zeros.txt"
     export_zeros(store30_96.prefix(12), path, ctx96)
     full = import_zeros(path, ctx96)
@@ -421,9 +422,7 @@ def test_cache_tries_the_smallest_file_that_holds_the_count(store30_96, ctx96, t
 
 
 def test_import_rejects_table_missing_two_zeros(store30_96, ctx96, tmp_path):
-    # the +-1 count window tolerates one absent zero; this table, missing the
-    # first two, fails the check (two missing zeros with a short gap between
-    # them pass it: test_count_check_rejects_two_missing_zeros_near_1329)
+    # this table, missing the first two zeros, fails the check
     from zetasum.zeros import MissedZeroError
     mp = ctx96.mp
     path = tmp_path / "shifted.txt"
@@ -432,47 +431,94 @@ def test_import_rejects_table_missing_two_zeros(store30_96, ctx96, tmp_path):
         import_zeros(path, ctx96)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the +-1 window of the smoothed count accepts one missing zero; "
-                          "a certified count (Turing's method) would reject the table")
 def test_import_rejects_headerless_table_missing_one_zero(store30_96, ctx96, tmp_path):
+    # line 13 holds zero #14, which the scan's bracket of zero #13 does not hold
     from zetasum.zeros import MissedZeroError
     mp = ctx96.mp
     path = tmp_path / "gap.txt"
     path.write_text("".join(mp.nstr(r.tau, 25) + "\n"
                             for i, r in enumerate(store30_96, start=1) if i != 13))
-    try:
-        store = import_zeros(path, ctx96)
-    except MissedZeroError:
-        return
-    raise AssertionError(f"import_zeros returned {len(store)} records without zero #13")
+    with pytest.raises(MissedZeroError,
+                       match=r"^line 13: tau = 60\.8317\d+ is not in bracket 13 "):
+        import_zeros(path, ctx96)
 
 
 @pytest.fixture(scope="module")
 def scan64():
-    """A 64-bit engine and the scan brackets of the first MAX_COUNT zeros."""
+    """A 64-bit engine, the scan's brackets of every zero below its Gram point
+    g_n0 (MAX_COUNT of them at least) and g_n0."""
     engine = ZetaEngine(NumericContext(64))
-    return engine, zeros_mod._scan_brackets(engine, zeros_mod.MAX_COUNT)
+    return (engine, *zeros_mod._scan_brackets(engine, zeros_mod.MAX_COUNT))
+
+
+@pytest.fixture()
+def fresh_scan():
+    """No scan kept (zeros._scan_brackets) when the test starts or after it
+    ends, so the test's locate_zeros scans, and no scan it alters is kept."""
+    zeros_mod._scan_brackets.cache_clear()
+    yield
+    zeros_mod._scan_brackets.cache_clear()
 
 
 def test_scan_finds_every_zero_up_to_max_count(scan64):
-    # each bracket holds an odd number of zeros, and no zero lies below the
-    # scan's start; so where mpmath counts as many zeros up to the last
-    # bracket's end as there are brackets, each holds one and none lies
-    # between them.  The grid does not depend on the precision
-    _, brackets = scan64
-    assert mpmath.nzeros(brackets[-1][1]) == len(brackets) == zeros_mod.MAX_COUNT
+    # an outside check of the scan and of Turing's certificate: mpmath counts
+    # as many zeros up to the MAX_COUNT-th bracket's end, and up to g_n0, as
+    # there are brackets.  The points below g_n0 do not depend on the precision
+    _, brackets, gram = scan64
+    assert mpmath.nzeros(brackets[zeros_mod.MAX_COUNT - 1][1]) == zeros_mod.MAX_COUNT
+    assert mpmath.nzeros(gram) == len(brackets) >= zeros_mod.MAX_COUNT
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="zeros #922 and #923 lie 0.16 apart, so without both the running "
-                          "count stays within +-1 of the smoothed count at every prefix; a "
-                          "certified count (Turing's method) would reject the list")
-def test_count_check_rejects_two_missing_zeros_near_1329(scan64):
-    engine, brackets = scan64
-    taus = [(lo + hi) / 2 for lo, hi, _, _ in brackets[:925]]
-    del taus[921:923]
-    assert zeros_mod._check_counts(engine, taus) is not None
+def test_count_check_rejects_two_missing_zeros_near_1329(scan64, tmp_path):
+    # zeros #922 and #923 lie 0.16 apart.  A headerless table of zeros #1-#925
+    # without both, each bisected from its bracket to 1e-6, fails at line 922,
+    # which holds zero #924
+    from zetasum.zeros import MissedZeroError
+    engine, brackets, _ = scan64
+    rows = [sum(zeros_mod._bisect(engine, *b, 1e-6)) / 2 for b in brackets[:925]]
+    del rows[921:923]
+    path = tmp_path / "gap.txt"
+    path.write_text("".join(engine.ctx.mp.nstr(t, 12) + "\n" for t in rows))
+    with pytest.raises(MissedZeroError,
+                       match=r"^line 922: tau = 1330\.4299\d+ is not in bracket 922 "):
+        import_zeros(path, engine.ctx)
+
+
+def test_certificate_fails_on_a_hidden_sign_change(ctx96, monkeypatch, fresh_scan):
+    # Z read with its sign flipped above zero #126 (279.2292509...): its sign
+    # change is hidden, and the Gram block around it, g_125 being bad then,
+    # shows none of its two however often it is halved
+    from zetasum.zeros import MissedZeroError
+    signed_z = zeros_mod._signed_z
+    above = ctx96.mpf("279.22925")
+    monkeypatch.setattr(zeros_mod, "_signed_z", lambda engine, t: (
+        -signed_z(engine, t) if t > above else signed_z(engine, t)))
+    with pytest.raises(MissedZeroError, match=r"^Gram block \[g_124, g_126\] = \[279\.147575, "
+                                              r"282\.454721\] shows 0 sign changes of Z for 2 "):
+        locate_zeros(10, ctx96)
+
+
+@pytest.mark.parametrize("past,message", [
+    (0, r"^293 sign changes of Z below g_290 = 530\.531866, where Turing's method allows 291$"),
+    (1, r"^Gram point g_290 = 530\.531866: Z at working precision does not have the sign"),
+], ids=["g_n0", "inside-the-K-blocks"])
+def test_certificate_fails_on_a_flipped_gram_point(past, message, ctx96, monkeypatch,
+                                                   fresh_scan):
+    # the scan reads the double g_n with the wrong sign.  At g_n0 = g_289 the
+    # block around it then shows four sign changes, two too many; at g_290,
+    # inside the one Gram block Turing's method needs past g_n0, the block
+    # shows its two, but the sign read again at g_290 itself is the true one
+    from zetasum.zeros import MissedZeroError
+    brackets, gram = zeros_mod._scan_brackets(zeros_mod.engine_for(ctx96), 10)
+    assert (len(brackets), round(float(gram), 6)) == (290, 529.115032)
+    zeros_mod._scan_brackets.cache_clear()
+    flipped = float(mpmath.grampoint(289 + past))
+    signed_z = zeros_mod._signed_z
+    monkeypatch.setattr(zeros_mod, "_signed_z", lambda engine, t: (
+        -signed_z(engine, t) if isinstance(t, float) and abs(t - flipped) < 1e-9
+        else signed_z(engine, t)))
+    with pytest.raises(MissedZeroError, match=message):
+        locate_zeros(10, ctx96)
 
 
 def test_export_mode_follows_umask(store30_96, ctx96, tmp_path):
@@ -488,9 +534,10 @@ def test_export_mode_follows_umask(store30_96, ctx96, tmp_path):
             == os.stat(tmp_path / "plain.txt").st_mode)
 
 
-def test_scan_signs_equal_scanner_signs(ctx96, monkeypatch):
-    # every sign locate_zeros reads, at each grid point and each bisection
-    # midpoint, is the sign of the 96-bit Euler-Maclaurin Z there
+def test_scan_signs_equal_scanner_signs(ctx96, monkeypatch, fresh_scan):
+    # every sign locate_zeros reads, at each Gram point, each halving of a
+    # Gram block and each bisection midpoint, is the sign of the 96-bit
+    # Euler-Maclaurin Z there
     reads = []
     signed_z = zeros_mod._signed_z
 
@@ -521,7 +568,7 @@ def refuse_every_float_sign(monkeypatch):
     return calls
 
 
-def test_all_fallback_signs_give_the_same_bytes(ctx96, tmp_path, monkeypatch):
+def test_all_fallback_signs_give_the_same_bytes(ctx96, tmp_path, monkeypatch, fresh_scan):
     # with an infinite bound every sign comes from the 96-bit engine, as it
     # did before the double-precision Z; the export is the golden one
     calls = refuse_every_float_sign(monkeypatch)
@@ -532,7 +579,8 @@ def test_all_fallback_signs_give_the_same_bytes(ctx96, tmp_path, monkeypatch):
     assert path.read_bytes() == open(golden, "rb").read()
 
 
-def test_all_fallback_signs_give_the_same_bytes_at_192_bits(ctx192, tmp_path, monkeypatch):
+def test_all_fallback_signs_give_the_same_bytes_at_192_bits(ctx192, tmp_path, monkeypatch,
+                                                            fresh_scan):
     # every sign from the 192-bit engine: the first four zeros and their
     # zeta' are the golden 16-zero export's first eight payload lines
     calls = refuse_every_float_sign(monkeypatch)
