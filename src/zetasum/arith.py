@@ -44,7 +44,7 @@ def mangoldt_sieve(limit: int) -> MangoldtTable:
         if is_prime[p]:
             is_prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
     # the prime powers are the primes plus the p^k, k >= 2, marked in a copy of
-    # the sieve: no list of the 80,000 primes below 10^6 is built
+    # the sieve: no list of the 78,498 primes below 10^6 is built
     is_power, bases = bytearray(is_prime), {}  # bases: p^k -> p for k >= 2
     for p in compress(range(math.isqrt(limit) + 1), is_prime):
         q = p * p

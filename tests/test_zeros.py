@@ -422,7 +422,8 @@ def test_cache_tries_the_smallest_file_that_holds_the_count(store30_96, ctx96, t
 
 
 def test_import_rejects_table_missing_two_zeros(store30_96, ctx96, tmp_path):
-    # this table, missing the first two zeros, fails the check
+    # this table, missing the first two zeros, fails at line 1, which holds
+    # zero #3: it lies outside the scan's bracket of zero #1
     from zetasum.zeros import MissedZeroError
     mp = ctx96.mp
     path = tmp_path / "shifted.txt"
