@@ -15,13 +15,21 @@ BENCHMARK.json gives), failed/attempted operations, whether every run was
 correct, and the raw operation seconds per round, read from the run's
 "[bench] ... s raw" line.
 
+After the pairs it runs each tree once more with --trace 1 and seed seed0,
+pinned to the lowest CPU of the script's affinity mask
+(os.sched_setaffinity in the child), so every split evaluates in process
+and the per-layer counts cover all the work.  It prints each per-layer
+count (unit "count" in BENCHMARK.json) that the two traced runs read
+differently, or that they all agree.
+
 With --label L it also writes BENCH_L.json in the current directory: both
 trees' commits (git rev-parse HEAD, or null outside a git checkout), the
 host's CPU count and Python version, and per workload the settings, each
 metric's q1/median/q3 per side with the pairs the change won, failed/
 attempted and whether every run was correct per side, and every run's
-metrics and raw seconds per round.  A file that holds the same two commits
-keeps its other workloads, so one label can collect the three workloads.
+metrics and raw seconds per round, and the two traced runs with their seed
+and CPU.  A file that holds the same two commits keeps its other
+workloads, so one label can collect the three workloads.
 """
 
 import argparse
@@ -37,17 +45,23 @@ from pathlib import Path
 RAW_LINE = re.compile(r"(\d+) rounds in [\d.]+ s; operations took ([\d.]+) s raw")
 
 
-def parse_run(stdout: str, stderr: str) -> dict:
-    """The run's metrics, correct, attempted and failed (its last stdout line
-    is one JSON object) and raw_s, the raw operation seconds per round."""
+def parse_result(stdout: str) -> dict:
+    """The run's metrics, correct, attempted and failed: its last stdout line
+    is one JSON object."""
     result = json.loads(stdout.strip().splitlines()[-1])
+    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"]}
+
+
+def parse_run(stdout: str, stderr: str) -> dict:
+    """parse_result of an untraced run, with raw_s, the raw operation seconds
+    per round."""
     match = RAW_LINE.search(stderr)
     if match is None:
         raise ValueError("no '[bench] ... s raw' line on stderr")
     rounds, raw = int(match[1]), float(match[2])
-    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
-            "correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "raw_s": raw / rounds}
+    return {**parse_result(stdout), "raw_s": raw / rounds}
 
 
 def quartiles(values) -> tuple:
@@ -105,6 +119,15 @@ def report(parent: list, change: list, better: dict) -> list:
     return lines
 
 
+def count_report(traced: dict, counts) -> list:
+    """Lines naming each of the per-layer counts that the two traced runs
+    read differently, or one line saying they agree."""
+    parent, change = traced["parent"]["metrics"], traced["change"]["metrics"]
+    differ = [f"{name}: parent {parent.get(name)}  change {change.get(name)}"
+              for name in counts if parent.get(name) != change.get(name)]
+    return differ or [f"per-layer counts on CPU {traced['cpu']}: equal"]
+
+
 def commit(root: Path):
     """The tree's git HEAD, or None where root is not a git checkout."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
@@ -112,9 +135,10 @@ def commit(root: Path):
 
 
 def write_bench(path: Path, commits: dict, workload: str, settings: dict, runs: dict,
-                better: dict) -> dict:
-    """Write (or update) the BENCH file at path with one workload's pairs, and
-    return its contents.  An existing file with other commits is replaced."""
+                better: dict, traced: dict) -> dict:
+    """Write (or update) the BENCH file at path with one workload's pairs and
+    traced runs, and return its contents.  An existing file with other
+    commits is replaced."""
     doc = {}
     if path.exists():
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -124,16 +148,20 @@ def write_bench(path: Path, commits: dict, workload: str, settings: dict, runs: 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     doc["host"] = {"cpus": cpus, "python": platform.python_version()}
     doc.setdefault("workloads", {})[workload] = {
-        **settings, **summary(runs["parent"], runs["change"], better), "runs": runs}
+        **settings, **summary(runs["parent"], runs["change"], better), "runs": runs,
+        "traced": traced}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return doc
 
 
-def run_tree(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_tree(root: Path, workload: str, seed: int, seconds: float, cpu=None) -> dict:
+    """One untraced run in root; with cpu, one --trace 1 run pinned to it."""
+    pin = None if cpu is None else lambda: os.sched_setaffinity(0, {cpu})
     proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True, check=True)
-    return parse_run(proc.stdout, proc.stderr)
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", "0" if cpu is None else "1"],
+                          cwd=root, capture_output=True, text=True, check=True, preexec_fn=pin)
+    return parse_run(proc.stdout, proc.stderr) if cpu is None else parse_result(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -150,6 +178,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     runs = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         seed = args.seed0 + i - 1
@@ -162,12 +191,17 @@ def main(argv=None) -> int:
     print(f"{args.workload}, {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}"
           " (q1/median/q3)")
     print("\n".join(report(runs["parent"], runs["change"], better)))
+    cpu = min(os.sched_getaffinity(0))
+    traced = {"seed": args.seed0, "cpu": cpu}
+    for side in ("parent", "change"):
+        traced[side] = run_tree(getattr(args, side), args.workload, args.seed0, args.seconds, cpu)
+    print("\n".join(count_report(traced, counts)))
     if args.label:
         settings = {"pairs": args.pairs, "seconds": args.seconds,
                     "seeds": [args.seed0, args.seed0 + args.pairs - 1]}
         write_bench(Path(f"BENCH_{args.label}.json"),
                     {"parent": commit(args.parent), "change": commit(args.change)},
-                    args.workload, settings, runs, better)
+                    args.workload, settings, runs, better, traced)
     return 0
 
 

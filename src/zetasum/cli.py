@@ -32,8 +32,8 @@ from .arith import mangoldt_sieve
 from .numctx import DomainError, NumericContext
 from .zetafn import (InternalConsistencyError, PrecisionError, ZetaPoleError, _split_map,
                      engine_for)
-from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError, _check_bracket,
-                    _scan_brackets, export_zeros, import_zeros, load_or_compute)
+from .zeros import (MissedZeroError, MultipleZeroError, ZeroImportError, _match_scan,
+                    export_zeros, import_zeros, load_or_compute)
 from . import sumrule as sr
 
 __all__ = ["main"]
@@ -190,14 +190,11 @@ def cmd_zeros(args) -> int:
              else load_or_compute(args.zeros_count, ctx, args.cache_dir))
     engine = engine_for(ctx)
     mp = ctx.mp
-    worst = max(_split_map(lambda i: abs(engine.zeta(mp.mpc(0.5, store[i].tau))), len(store), mp))
     # a store served from the cache was never matched with the scan: match it here
-    brackets, gram = _scan_brackets(engine, len(store))
-    for i, rec in enumerate(store):
-        _check_bracket(brackets, i, rec.tau, f"zero #{i + 1}")
+    n0, gram = _match_scan(store, engine)
+    worst = max(_split_map(lambda i: abs(engine.zeta(mp.mpc(0.5, store[i].tau))), len(store), mp))
     print(f"zeros          : {len(store)} ({'imported' if args.zeros_file else 'computed'})")
     print(f"tau range      : [{mp.nstr(store[0].tau, 15)}, {mp.nstr(store[-1].tau, 15)}]")
-    n0 = len(brackets) - 1
     print(f"count check    : each zero in its own scan bracket; N(g_{n0}) = {n0 + 1} by "
           f"Turing's method, g_{n0} = {gram:.10g}")
     print(f"max |zeta(rho)|: {mp.nstr(worst, 4)}")
@@ -335,6 +332,7 @@ def _selftest_checks(args):
     ok = ok and abs(circle - engine.zeta_deriv_neg_even(1)) < 1e-20
     yield "zeta'(-2n) closed form (n=1..4, plus circle route)", ok
     store = load_or_compute(10, ctx, args.cache_dir)
+    _match_scan(store, engine)  # a cached store was never matched with the scan
     yield ("first 10 zeros + count check",
            abs(store[0].tau - mp.mpf("14.134725141734693790")) < mp.mpf("1e-15"))
     params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=6, n_trivial=12, n_halfint=6)

@@ -50,7 +50,8 @@ locate_zeros refines the first `count` brackets, and import_zeros requires
 the tau refined from row i to lie in bracket i, so a table with a zero
 missing fails at the first row past the gap.  A cache load runs no count
 check: _load_cache checks the header, the checksum, the number of rows and
-each zeta' line.
+each zeta' line.  The zeros and selftest commands match the store they load
+with the scan (_match_scan).
 
 Each zero is refined on its own (an import first checks Z/Z' at its tau),
 so locate_zeros and import_zeros map the refinement over the zero indices
@@ -362,6 +363,16 @@ def _check_bracket(brackets, i: int, tau, where: str) -> None:
     if not lo <= tau <= hi:
         raise MissedZeroError(f"{where}: tau = {float(tau):.6f} is not in bracket {i + 1} of the "
                               f"scan, [{float(lo):.6f}, {float(hi):.6f}]")
+
+
+def _match_scan(store: ZeroStore, engine: ZetaEngine):
+    """(n0, g_n0) of the certified scan for len(store) zeros, once each zero
+    #i + 1 of store is found in bracket i of it; else MissedZeroError names
+    the first zero that is not, and its bracket."""
+    brackets, gram = _scan_brackets(engine, len(store))
+    for i, rec in enumerate(store):
+        _check_bracket(brackets, i, rec.tau, f"zero #{i + 1}")
+    return len(brackets) - 1, gram
 
 
 def _store(pairs) -> ZeroStore:

@@ -18,22 +18,19 @@ contour and residue circles, is integrated by trapezoid_mean.  Where
 g(1 - u) = conj g(u), as on the contour, it evaluates half of each level
 after the first and takes the other half as conjugates (conjugate=True).
 
-trapezoid_mean runs each level on two CPUs through _split.  Where the
+_split_map maps a pure function over indices 0..n-1 on two CPUs.  Where the
 affinity mask (read at each call) holds more than one CPU and the process
-has one thread, a call forks one child at its first level.  The child walks
-its own copy of the lazily built levels and streams back, over one pipe, the
-values of each level's odd-indexed nodes as raw mpmath tuples (marshal),
-running ahead only as far as the pipe buffer lets it; the caller evaluates
-the even-indexed ones, sums in node order, and kills and reaps the child on
-leaving.  So every level, stop, result and exception is the in-process one;
-the integrand must be pure, since what it changes in the child is lost.  A
-split inside a split, and any split in the child, evaluates in process.
-_split_map maps a pure function over indices 0..n-1 as one list, the child
-taking the odd ones, with values ints, mpfs, mpcs or tuples of them: zeros
-refines each zero through it, the CLI's zeros command evaluates |zeta(rho)|
-through it, and the sum rule maps each zero sum's terms and each closure's
-residues through it (each side running its residues' quadratures in
-process).
+has one thread, a call forks one child, which evaluates the odd indices and
+sends their values back in one message over a pipe, as raw mpmath tuples
+(marshal); the caller evaluates the even ones, merges in index order and
+reaps the child.  So every value and exception is the in-process one; the
+function must be pure, since what it changes in the child is lost.  A split
+inside a split, and any split in the child, evaluates in process.
+trapezoid_mean maps its integrand over each level's nodes with one call,
+zeros refines each zero through it, the CLI's zeros command evaluates
+|zeta(rho)| through it, and the sum rule maps each zero sum's terms and each
+closure's residues through it (each side running its residues' quadratures
+in process).
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -70,7 +67,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
-import itertools
 import marshal
 import math
 import os
@@ -121,53 +117,48 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     level evaluates only its nodes u < 1/2 (and u = 1/2) and takes the others
     as their mirrors' conjugates, so it sums the full grid's values in order.
 
-    g maps an mpf of ctx to an mpf or mpc of ctx and must be pure: where a
-    second CPU is free, a forked child evaluates every other node of each
-    level (_split), and whatever g changes in the child is lost.  The values
-    are summed in node order, so the result is bit for bit the in-process
-    one, and an exception in g is the one the in-process loop raises.  Only
-    the affinity mask counts CPUs: a CPU quota (a cgroup's cpu.max) is not
-    detected, and under one the two processes share its time; pinning the
-    process to one CPU (taskset -c 0) gives the in-process path."""
+    g maps an mpf of ctx to an mpf or mpc of ctx and must be pure: each
+    level is one _split_map over its nodes, so where a second CPU is free a
+    forked child evaluates every other node of the level, and whatever g
+    changes in the child is lost.  The values are summed in node order, so
+    the result is bit for bit the in-process one, and an exception in g is
+    the one the in-process loop raises.  Only the affinity mask counts CPUs:
+    a CPU quota (a cgroup's cpu.max) is not detected, and under one the two
+    processes share its time; pinning the process to one CPU (taskset -c 0)
+    gives the in-process path."""
     mp = ctx.mp
 
-    def node_lists(n):
-        # the interval form evaluates its end nodes before the inner ones
-        if periodic:
-            yield [mp.mpf(j) / n for j in range(n)]
-        else:
-            yield [mp.zero, mp.one, *(mp.mpf(j) / n for j in range(1, n))]
-        for _ in range(max_doublings):
-            yield [mp.mpf(2 * j + 1) / (2 * n) for j in range(n - n // 2 if conjugate else n)]
-            n *= 2
+    def level(nodes):
+        return _split_map(lambda i: g(nodes[i]), len(nodes), mp)
 
-    with contextlib.closing(_split(g, node_lists(n), mp)) as evaluated:
-        first = next(evaluated)
-        if periodic:
-            total = sum(first)
-            first.append(first[0])  # g(1) = g(0)
-        else:
-            g0, g1, *inner = first
-            total = (g0 + g1) / 2 + sum(inner)
-            first = [g0, *inner, g1]
+    # the interval form evaluates its end nodes before the inner ones
+    if periodic:
+        first = level([mp.mpf(j) / n for j in range(n)])
+        total = sum(first)
+        first.append(first[0])  # g(1) = g(0)
+    else:
+        g0, g1, *inner = level([mp.zero, mp.one, *(mp.mpf(j) / n for j in range(1, n))])
+        total = (g0 + g1) / 2 + sum(inner)
+        first = [g0, *inner, g1]
+    if conjugate:
+        _check_conjugate(first, n, mp)
+    levels = [scale * total / n]
+    for _ in range(max_doublings):
+        values = level([mp.mpf(2 * j + 1) / (2 * n) for j in range(n - n // 2 if conjugate else n)])
         if conjugate:
-            _check_conjugate(first, n, mp)
-        levels = [scale * total / n]
-        for values in evaluated:
-            if conjugate:
-                values += [mp.conj(v) for v in reversed(values[:n // 2])]
-            total += sum(values)
-            n *= 2
-            levels.append(scale * total / n)
-            d1 = abs(levels[-1] - levels[-2])
-            if d1 < tol:
-                return levels[-1]
-            if len(levels) >= 3:
-                d2 = abs(levels[-1] - levels[-3])
-                if 0 < d2 < 1:  # else log10 fails or the estimate is at least 1
-                    e1, e2 = mp.log10(d1), mp.log10(d2)
-                    if mp.power(10, max(e1 * e1 / e2, 2 * e1)) < tol:
-                        return levels[-1]
+            values += [mp.conj(v) for v in reversed(values[:n // 2])]
+        total += sum(values)
+        n *= 2
+        levels.append(scale * total / n)
+        d1 = abs(levels[-1] - levels[-2])
+        if d1 < tol:
+            return levels[-1]
+        if len(levels) >= 3:
+            d2 = abs(levels[-1] - levels[-3])
+            if 0 < d2 < 1:  # else log10 fails or the estimate is at least 1
+                e1, e2 = mp.log10(d1), mp.log10(d2)
+                if mp.power(10, max(e1 * e1 / e2, 2 * e1)) < tol:
+                    return levels[-1]
     raise PrecisionError(failure)
 
 
@@ -223,11 +214,42 @@ def _from_raw(mp, r):
 
 
 def _split_map(f, count: int, mp) -> list:
-    """[f(0), ..., f(count - 1)]: _split over the one list of indices, so a
-    forked child takes the odd ones; f must be pure, as trapezoid_mean's g,
-    and return ints, mpfs and mpcs of mp, or tuples of them."""
-    [values] = _split(f, [list(range(count))], mp)
-    return values
+    """[f(0), ..., f(count - 1)]; f must be pure and return ints, mpfs and
+    mpcs of mp, or tuples of them.  Where count >= 2 and _may_fork allows, a
+    forked child evaluates the odd indices up to its first failure and sends
+    their raw values in one message; this process evaluates the even ones,
+    merges, and evaluates in process from the first index without a value,
+    so f's exception is the in-process one.  The child is reaped on a return,
+    and killed and reaped on an exception."""
+    global _split_busy
+    if count < 2 or not _may_fork():
+        return [f(i) for i in range(count)]
+    read_fd, write_fd = os.pipe()
+    _split_busy = True  # here while the child lives, and in the child
+    pid = None
+    with contextlib.suppress(OSError):  # where fork fails, the pipe reads as a dead child's
+        pid = os.fork()
+    if pid == 0:
+        _child(f, range(1, count, 2), read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            even = _until_failure(f, range(0, count, 2))
+            try:
+                odd = [_from_raw(mp, r) for r in marshal.load(pipe)]
+            except (EOFError, ValueError, OSError):  # ValueError: a truncated message
+                odd = []
+        values = list(range(min(count, 2 * len(even), 2 * len(odd) + 1)))
+        values[::2], values[1::2] = even[:(len(values) + 1) // 2], odd[:len(values) // 2]
+        return values + [f(i) for i in range(len(values), count)]
+    except BaseException:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if pid:
+            os.waitpid(pid, 0)
+        _split_busy = False
 
 
 def _until_failure(f, items) -> list:
@@ -239,67 +261,16 @@ def _until_failure(f, items) -> list:
     return values
 
 
-def _split(g, node_lists, mp):
-    """Yield [g(u) for u in nodes] for each list of node_lists, which must
-    hold one list at least and be pure as g is.  Where the first list holds two or more nodes and _may_fork
-    allows, a forked child walks its own copy of node_lists and streams back,
-    over one pipe, the values of each list's odd-indexed nodes up to its
-    first failure; this process evaluates the even-indexed ones, merges, and
-    evaluates in process from the first node without a value, so g's
-    exception is the in-process one.  The child runs ahead only as far as
-    the pipe buffer lets it; closing the generator kills and reaps it."""
-    global _split_busy
-    lists = iter(node_lists)
-    first = next(lists)
-    lists = itertools.chain([first], lists)
-    pid = pipe = None
-    if len(first) > 1 and _may_fork():
-        read_fd, write_fd = os.pipe()
-        _split_busy = True  # here while the child lives, and in the child
-        with contextlib.suppress(OSError):  # where fork fails, the pipe reads as a dead child's
-            pid = os.fork()
-        if pid == 0:
-            _stream(g, lists, read_fd, write_fd)
-        os.close(write_fd)
-        pipe = os.fdopen(read_fd, "rb")
-    live = pipe is not None
-    try:
-        for nodes in lists:
-            values = []
-            if live:
-                even = _until_failure(g, nodes[::2])
-                try:
-                    odd = [_from_raw(mp, r) for r in marshal.load(pipe)]
-                except (EOFError, ValueError, OSError):  # ValueError: a truncated message
-                    odd = []
-                live = len(odd) == len(nodes) // 2  # else the child failed and left, or died
-                values = nodes[:min(len(nodes), 2 * len(even), 2 * len(odd) + 1)]
-                values[::2], values[1::2] = even[:(len(values) + 1) // 2], odd[:len(values) // 2]
-            yield values + [g(u) for u in nodes[len(values):]]
-    finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if pipe is not None:
-            pipe.close()
-            _split_busy = False
-
-
-def _stream(g, node_lists, read_fd: int, write_fd: int):
+def _child(f, indices, read_fd: int, write_fd: int):
     """The child, which never returns: close the read end (so a write fails
-    once the parent is gone), send the raw values of each list's odd-indexed
-    nodes up to the first where g raised, and stop after that list or the
-    last.  Leave by os._exit: no stdio buffer is flushed, no atexit handler runs."""
+    once the parent is gone) and send the raw values of f over indices up to
+    the first where f raised.  Leave by os._exit: no stdio buffer is flushed,
+    no atexit handler runs."""
     code = 0
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as out:
-            for nodes in node_lists:
-                raws = _until_failure(lambda u: _raw(g(u)), nodes[1::2])
-                marshal.dump(raws, out)
-                out.flush()
-                if len(raws) < len(nodes) // 2:
-                    break
+            marshal.dump(_until_failure(lambda i: _raw(f(i)), indices), out)
     except BaseException:
         code = 1
     finally:

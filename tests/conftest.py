@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from zetasum import sumrule
+from zetasum import sumrule, zetafn
 from zetasum.numctx import NumericContext
 from zetasum.zeros import load_or_compute
 from zetasum.zetafn import ZetaEngine
@@ -110,6 +110,31 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+@pytest.fixture()
+def maps(monkeypatch):
+    """The item count of each _split_map call (zetafn's and sumrule's) that
+    this process makes with a second CPU free and outside another such call,
+    in call order.  Each with two items or more forks one child; a call
+    inside it evaluates in process."""
+    counts = []
+    depth = 0
+    split_map = zetafn._split_map
+
+    def counting(f, count, mp):
+        nonlocal depth
+        if not depth and len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1:
+            counts.append(count)
+        depth += 1
+        try:
+            return split_map(f, count, mp)
+        finally:
+            depth -= 1
+
+    for module in (zetafn, sumrule):
+        monkeypatch.setattr(module, "_split_map", counting)
+    return counts
 
 
 def next_up(v):

@@ -377,6 +377,24 @@ def test_selftest_cli(base_args, capsys):
     assert "all checks passed" in out
 
 
+def test_selftest_rejects_a_cached_store_with_a_gap(store30_96, ctx128, tmp_path, capsys):
+    # zeros #1-#4 and #6-#11 under a checksum that matches: the selftest
+    # fails as the zeros command does on the same cache
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    gap = store30_96.records[:4] + store30_96.records[5:11]
+    export_zeros(ZeroStore(gap), cache / "zeros_n10_p128.txt", ctx128, include_zeta_prime=True)
+    args = ["--precision", "128", "--cache-dir", str(cache)]
+    assert main(["zeros", "--count", "10"] + args) == 2
+    zeros_err = capsys.readouterr().err
+    assert zeros_err == ("error: zero #5: tau = 37.586178 is not in bracket 5 of the scan, "
+                         "[31.717980, 35.467184]\n")
+    assert main(["selftest"] + args) == 2
+    out, err = capsys.readouterr()
+    assert err == zeros_err
+    assert "all checks passed" not in out and "count check" not in out
+
+
 @pytest.mark.parametrize("argv,setting", [
     (["sumrule", "--a", "abc", "--x", "0.5"], "a = 'abc'"),
     (["rh-form", "--x", "zz"], "x = 'zz'"),

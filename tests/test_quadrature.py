@@ -6,6 +6,7 @@ in-process ones, the in-process exception, and no child left behind."""
 
 import marshal
 import os
+import signal
 import time
 from types import SimpleNamespace
 
@@ -139,6 +140,22 @@ def test_exact_levels_stop_at_once(ctx96):
 # -- the two-process split -------------------------------------------------------
 
 
+def level_sizes(n, count, periodic=False, conjugate=False):
+    """The node counts of trapezoid_mean's first count levels from n."""
+    sizes = [n if periodic else n + 1]
+    for _ in range(count - 1):
+        sizes.append(n - n // 2 if conjugate else n)
+        n *= 2
+    return sizes[:count]
+
+
+def assert_one_fork_per_contour_level(forks, maps):
+    """Each level of a contour integral was one _split_map over its new
+    nodes, and each forked one child; with one CPU, none."""
+    assert maps == level_sizes(32, len(maps), conjugate=True)
+    assert len(forks) == len(maps) and (len(maps) > 1) == SPLITS
+
+
 def split_and_in_process(monkeypatch, fn):
     """(fn() as the split runs it here, fn() with one CPU)."""
     split = fn()
@@ -148,11 +165,11 @@ def split_and_in_process(monkeypatch, fn):
 
 
 @pytest.mark.parametrize("a,x", [CONTOUR_PAIRS[0], CONTOUR_PAIRS[2]])
-def test_contour_split_is_bit_for_bit(ctx96, monkeypatch, forks, a, x):
+def test_contour_split_is_bit_for_bit(ctx96, monkeypatch, forks, maps, a, x):
     params = sr.SumRuleParams(a=a, x=x)
     split, alone = split_and_in_process(monkeypatch, lambda: sr.contour_integral(params, ctx96))
     assert _raw(split) == _raw(alone)
-    assert len(forks) == SPLITS
+    assert_one_fork_per_contour_level(forks, maps)
     assert_no_child()
 
 
@@ -163,11 +180,12 @@ def full_grid(*args, conjugate=False, **kwargs):
 
 @pytest.mark.parametrize("bits,a,x", [(96, a, x) for a, x in CONTOUR_PAIRS + CLOSURE_ONLY_PAIRS]
                          + [(192, "0.5", "0.5")])
-def test_mirrored_contour_is_the_full_grid_bit_for_bit(request, monkeypatch, forks, bits, a, x):
+def test_mirrored_contour_is_the_full_grid_bit_for_bit(request, monkeypatch, forks, maps, bits,
+                                                       a, x):
     ctx = request.getfixturevalue(f"ctx{bits}")
     params = sr.SumRuleParams(a=a, x=x)
     split, alone = split_and_in_process(monkeypatch, lambda: sr.contour_integral(params, ctx))
-    assert len(forks) == SPLITS
+    assert_one_fork_per_contour_level(forks, maps)
     monkeypatch.setattr(sr, "trapezoid_mean", full_grid)
     assert _raw(split) == _raw(alone) == _raw(sr.contour_integral(params, ctx))
     assert_no_child()
@@ -191,7 +209,7 @@ def conjugate_symmetric(mp, flip=None):
     return g
 
 
-def test_conjugate_levels_are_the_full_grid_bit_for_bit(ctx96, forks):
+def test_conjugate_levels_are_the_full_grid_bit_for_bit(ctx96, forks, maps):
     def mean(conjugate):
         return trapezoid_mean(conjugate_symmetric(ctx96.mp), ctx96, 8, ctx96.target_tol, 1,
                               "unused", conjugate=conjugate)
@@ -199,7 +217,9 @@ def test_conjugate_levels_are_the_full_grid_bit_for_bit(ctx96, forks):
     mirrored = mean(True)
     assert abs(mirrored - 1) < ctx96.target_tol
     assert _raw(mirrored) == _raw(mean(False))
-    assert len(forks) == 2 * SPLITS
+    # three levels each: the mirrored one maps 9, 4 and 8 nodes, the full one 9, 8 and 16
+    assert maps == (level_sizes(8, 3, conjugate=True) + level_sizes(8, 3) if SPLITS else [])
+    assert len(forks) == len(maps)
     assert_no_child()
 
 
@@ -221,7 +241,8 @@ def test_first_level_guard_names_the_flipped_node(ctx96, monkeypatch, forks, j):
     assert_no_child()
 
 
-def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, monkeypatch, forks):
+def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, monkeypatch, forks,
+                                                          maps):
     params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=2, n_trivial=2, n_halfint=1)
     catalog = sr.pole_catalog(params, store30_96, ctx96)
     sites = list({site.family: site for site in catalog}.values())
@@ -234,7 +255,9 @@ def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, mon
 
     split, alone = split_and_in_process(monkeypatch, values)
     assert [_raw(v) for v in split] == [_raw(v) for v in alone]
-    assert len(forks) == 5 * SPLITS
+    # five periodic quadratures of three levels each, each level one fork
+    assert maps == (level_sizes(8, 3, periodic=True) * 5 if SPLITS else [])
+    assert len(forks) == 15 * SPLITS
 
 
 def cos_sq_levels(mp):
@@ -302,7 +325,7 @@ def test_child_takes_the_odd_nodes(ctx96, forks, mpz):
     assert abs(got - 1) < ctx96.target_tol
     first, second = cos_sq_levels(mp)
     assert seen == (first[::2] + second[::2] if SPLITS else first + second)
-    assert len(forks) == SPLITS
+    assert len(forks) == 2 * SPLITS  # one per level
     assert_no_child()
 
 
@@ -367,17 +390,30 @@ def test_failure_keeps_the_values_before_it(ctx96, monkeypatch, forks, tmp_path,
     assert_no_child()
 
 
-def test_interrupt_kills_and_reaps_the_child(ctx96, forks):
+def test_interrupt_kills_and_reaps_the_child(ctx96, monkeypatch, forks):
     mp = ctx96.mp
+    parent = os.getpid()
+    statuses = []
+    waitpid = os.waitpid
+
+    def recording_waitpid(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
 
     def g(u):
-        if u == mp.mpf(3) / 16:  # second level, this process's share
+        if u == mp.mpf(5) / 16:  # second level, this process's share
             raise KeyboardInterrupt
+        if u == mp.mpf(3) / 16 and os.getpid() != parent:
+            time.sleep(60)  # that level's child is alive when the interrupt lands
         return mp.cospi(2 * u)
 
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
     with pytest.raises(KeyboardInterrupt):
         trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "unused", periodic=True)
-    assert len(forks) == SPLITS
+    assert len(forks) == 2 * SPLITS  # the first level's and the second's
+    # the first level's child exited, the second's was killed
+    killed = [os.WIFSIGNALED(st) and os.WTERMSIG(st) == signal.SIGKILL for st in statuses]
+    assert killed == ([False, True] if SPLITS else [])
     assert_no_child()
 
 
@@ -394,7 +430,7 @@ def test_dead_child_leaves_the_value_unchanged(ctx96, monkeypatch, forks):
         monkeypatch, lambda: trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 1, "unused",
                                             periodic=True))
     assert _raw(split) == _raw(alone)
-    assert len(forks) == SPLITS
+    assert len(forks) == 3 * SPLITS  # 8, 8 and 16 nodes
     assert_no_child()
 
 
@@ -415,7 +451,7 @@ def test_parent_writes_nothing_to_the_child(ctx96, monkeypatch, forks):
                                             ctx96.target_tol, 1, "unused", periodic=True))
     assert _raw(split) == _raw(alone)
     assert written == []
-    assert len(forks) == SPLITS
+    assert len(forks) == 3 * SPLITS  # 8, 8 and 16 nodes
     assert_no_child()
 
 
@@ -434,7 +470,7 @@ def test_unsendable_values_leave_the_value_unchanged(ctx96, monkeypatch, forks):
         monkeypatch, lambda: trapezoid_mean(lambda u: mp.exp(mp.cospi(2 * u)), ctx96, 8,
                                             ctx96.target_tol, 1, "unused", periodic=True))
     assert _raw(split) == _raw(alone)
-    assert len(forks) == SPLITS
+    assert len(forks) == 3 * SPLITS  # 8, 8 and 16 nodes
     assert_no_child()
 
 
@@ -443,32 +479,6 @@ def test_map_over_fewer_than_two_items_forks_nothing(ctx96, forks, count):
     assert _split_map(lambda i: ctx96.mp.mpf(i) / 3, count, ctx96.mp) == [
         ctx96.mp.mpf(i) / 3 for i in range(count)]
     assert forks == []
-
-
-def test_child_run_ahead_is_killed_and_reaped(ctx96, monkeypatch, forks, tmp_path):
-    # exact from 8 nodes, the rule stops at its first doubling; the child,
-    # fast where this process is slow, evaluates later levels until the pipe
-    # is full, and must not outlive the call
-    mp = ctx96.mp
-    parent = os.getpid()
-    log = tmp_path / "child"
-
-    def g(u):
-        if os.getpid() == parent:
-            time.sleep(0.02)
-        else:
-            with open(log, "a") as f:
-                f.write(f"{u}\n")
-        return mp.cospi(2 * u) ** 2
-
-    split, alone = split_and_in_process(
-        monkeypatch, lambda: trapezoid_mean(g, ctx96, 8, ctx96.target_tol, 2, "not exact",
-                                            periodic=True))
-    assert _raw(split) == _raw(alone) and abs(split - 1) < ctx96.target_tol
-    assert len(forks) == SPLITS
-    assert_no_child()
-    if SPLITS:  # a node of the level after the last one this process evaluated
-        assert str(mp.mpf(3) / 32) in log.read_text().split()
 
 
 def test_nested_quadrature_does_not_fork(ctx96, monkeypatch, forks):
@@ -493,7 +503,7 @@ def test_nested_quadrature_does_not_fork(ctx96, monkeypatch, forks):
         one_cpu(m)
         alone = outer()
     assert _raw(split) == _raw(alone)
-    assert len(forks) == SPLITS
+    assert len(forks) == 3 * SPLITS  # the outer quadrature's levels only
     # no node twice: g never raised in the child, which would make this
     # process evaluate that level again in full
     assert len(set(split_seen)) == len(split_seen)

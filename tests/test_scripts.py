@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -51,11 +52,20 @@ RUN_STDERR = ("[bench] verify-warm breakdown: verify_sumrule_s=0.1\n"
               "5.400 s normalised (host speed 0.857 of the reference)\n")
 
 
+TRACE_STDOUT = ('summary workload=closure attempted=6 failed=0 overhead=4.10%\n{"correct": true, '
+                '"attempted": 6, "failed": 0, "metrics": {"zetafn.zeta.calls": {"value": 9000, '
+                '"unit": "count"}, "trace.spans": {"value": 120, "unit": "count"}, '
+                '"trace.overhead": {"value": 4.1, "unit": "%"}}}\n')
+
+
 def test_bench_pairs_parses_a_run():
     pairs = load_script("bench_pairs")
     run = pairs.parse_run(RUN_STDOUT, RUN_STDERR)
     assert run == {"metrics": {"setup_s": 0.05, "peak_rss_mb": 36.5, "round_s": 1.8},
                    "correct": True, "attempted": 24, "failed": 0, "raw_s": 2.1}
+    assert pairs.parse_result(TRACE_STDOUT) == {
+        "metrics": {"zetafn.zeta.calls": 9000, "trace.spans": 120, "trace.overhead": 4.1},
+        "correct": True, "attempted": 6, "failed": 0}
 
 
 def test_bench_pairs_statistics_and_order():
@@ -90,12 +100,16 @@ def test_bench_pairs_writes_the_bench_file(tmp_path):
     better = {"setup_s": "lower", "peak_rss_mb": "lower", "round_s": "lower"}
     path, commits = tmp_path / "BENCH_x.json", {"parent": "aaa", "change": "bbb"}
     settings = {"pairs": 2, "seconds": 10, "seeds": [1, 2]}
-    pairs.write_bench(path, commits, "verify-warm", settings, runs, better)
-    doc = pairs.write_bench(path, commits, "closure", settings, runs, better)
+    traced = {"seed": 1, "cpu": 0, "parent": pairs.parse_result(TRACE_STDOUT),
+              "change": pairs.parse_result(TRACE_STDOUT)}
+    pairs.write_bench(path, commits, "verify-warm", settings, runs, better, traced)
+    doc = pairs.write_bench(path, commits, "closure", settings, runs, better, traced)
     assert doc == json.loads(path.read_text())
     assert doc["commits"] == commits and sorted(doc["workloads"]) == ["closure", "verify-warm"]
     warm = doc["workloads"]["verify-warm"]
     assert warm["runs"] == runs and warm["seeds"] == [1, 2] and warm["pairs"] == 2
+    assert warm["traced"] == traced
+    assert warm["traced"]["change"]["metrics"]["zetafn.zeta.calls"] == 9000
     assert warm["metrics"]["round_s"] == {
         "better": "lower", "change_won": 0, "pairs": 2,
         "parent": {"q1": 1.8, "median": 1.8, "q3": 1.8},
@@ -105,5 +119,38 @@ def test_bench_pairs_writes_the_bench_file(tmp_path):
     assert doc["host"]["cpus"] >= 1
     # other commits start a new file
     other = pairs.write_bench(path, {"parent": "ccc", "change": "bbb"}, "closure", settings,
-                              runs, better)
+                              runs, better, traced)
     assert list(other["workloads"]) == ["closure"]
+
+
+def test_bench_pairs_reports_the_traced_counts():
+    pairs = load_script("bench_pairs")
+    run = pairs.parse_result(TRACE_STDOUT)
+    more = {**run, "metrics": {**run["metrics"], "trace.spans": 121, "trace.overhead": 9.0}}
+    counts = ["zetafn.zeta.calls", "trace.spans"]
+    same = {"seed": 1, "cpu": 0, "parent": run, "change": run}
+    assert pairs.count_report(same, counts) == ["per-layer counts on CPU 0: equal"]
+    # trace.overhead is not a count, so only trace.spans differs
+    assert pairs.count_report({**same, "change": more}, counts) == [
+        "trace.spans: parent 120  change 121"]
+
+
+# a benchmark/run.py that reports its trace flag and how many CPUs it may use
+FAKE_RUN = """import json, os, sys
+trace = int(sys.argv[sys.argv.index("--trace") + 1])
+print("[bench] w: 2 rounds in 1.0 s; operations took 1.000 s raw", file=sys.stderr)
+metrics = {"cpus": len(os.sched_getaffinity(0)), "trace": trace}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {k: {"value": v} for k, v in metrics.items()}}))
+"""
+
+
+def test_bench_pairs_pins_the_traced_run_to_one_cpu(tmp_path):
+    pairs = load_script("bench_pairs")
+    (tmp_path / "benchmark").mkdir()
+    (tmp_path / "benchmark" / "run.py").write_text(FAKE_RUN)
+    cpus = os.sched_getaffinity(0)
+    traced = pairs.run_tree(tmp_path, "closure", 1, 10, cpu=min(cpus))
+    assert traced["metrics"] == {"cpus": 1, "trace": 1} and "raw_s" not in traced
+    untraced = pairs.run_tree(tmp_path, "closure", 1, 10)
+    assert untraced["metrics"] == {"cpus": len(cpus), "trace": 0} and untraced["raw_s"] == 0.5

@@ -625,11 +625,13 @@ def test_closure_ablation_family_b(ctx, store):
     assert abs(gap - abs(b_sum)) < abs(b_sum) * mp.mpf("0.01")
 
 
-def test_closure_maps_its_residues_and_is_the_one_cpu_report(ctx, store, monkeypatch, forks):
+def test_closure_maps_its_residues_and_is_the_one_cpu_report(ctx, store, monkeypatch, forks,
+                                                             maps):
     p = params(n_zeros=2, n_trivial=2, n_halfint=1)
     split = sr.verify_residue_theorem(p, store, ctx)
-    # the contour integral, the residues and the zero-sum tail
-    assert len(forks) == 3 * SPLITS
+    # one fork per contour level, one for the 8 residues, one for the 2-zero tail
+    assert maps[-2:] == ([8, 2] if SPLITS else [])
+    assert len(forks) == len(maps) and (len(maps) > 3) == SPLITS
     assert_no_child()
     one_cpu(monkeypatch)
     alone = sr.verify_residue_theorem(p, store, ctx)
