@@ -22,9 +22,13 @@ and the per-layer counts cover all the work.  It prints each per-layer
 count (unit "count" in BENCHMARK.json) that the two traced runs read
 differently, or that they all agree.
 
+It also prints the lines of each module of the two trees' src/zetasum and
+their total, parent -> change.
+
 With --label L it also writes BENCH_L.json in the current directory: both
 trees' commits (git rev-parse HEAD, or null outside a git checkout), the
-host's CPU count and Python version, and per workload the settings, each
+host's CPU count and Python version, both trees' src/zetasum line counts
+under src_lines, and per workload the settings, each
 metric's q1/median/q3 per side with the pairs the change won, failed/
 attempted and whether every run was correct per side, and every run's
 metrics and raw seconds per round, and the two traced runs with their seed
@@ -128,23 +132,40 @@ def count_report(traced: dict, counts) -> list:
     return differ or [f"per-layer counts on CPU {traced['cpu']}: equal"]
 
 
+def src_lines(root: Path) -> dict:
+    """The lines of each module of root's src/zetasum, and their total."""
+    counts = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+              for path in sorted((root / "src" / "zetasum").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
+def src_report(lines: dict) -> list:
+    """One line per module, then the total, of src_lines parent -> change; a
+    module one tree lacks counts 0 there."""
+    parent, change = lines["parent"], lines["change"]
+    names = sorted((set(parent) | set(change)) - {"total"}) + ["total"]
+    return [f"src lines {name}: {parent.get(name, 0)} -> {change.get(name, 0)} "
+            f"({change.get(name, 0) - parent.get(name, 0):+d})" for name in names]
+
+
 def commit(root: Path):
     """The tree's git HEAD, or None where root is not a git checkout."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def write_bench(path: Path, commits: dict, workload: str, settings: dict, runs: dict,
-                better: dict, traced: dict) -> dict:
-    """Write (or update) the BENCH file at path with one workload's pairs and
-    traced runs, and return its contents.  An existing file with other
-    commits is replaced."""
+def write_bench(path: Path, commits: dict, lines: dict, workload: str, settings: dict,
+                runs: dict, better: dict, traced: dict) -> dict:
+    """Write (or update) the BENCH file at path with the trees' src_lines and
+    one workload's pairs and traced runs, and return its contents.  An
+    existing file with other commits is replaced."""
     doc = {}
     if path.exists():
         doc = json.loads(path.read_text(encoding="utf-8"))
         if doc.get("commits") != commits:
             doc = {}
     doc.setdefault("commits", commits)
+    doc["src_lines"] = lines
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     doc["host"] = {"cpus": cpus, "python": platform.python_version()}
     doc.setdefault("workloads", {})[workload] = {
@@ -196,11 +217,13 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         traced[side] = run_tree(getattr(args, side), args.workload, args.seed0, args.seconds, cpu)
     print("\n".join(count_report(traced, counts)))
+    lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
+    print("\n".join(src_report(lines)))
     if args.label:
         settings = {"pairs": args.pairs, "seconds": args.seconds,
                     "seeds": [args.seed0, args.seed0 + args.pairs - 1]}
         write_bench(Path(f"BENCH_{args.label}.json"),
-                    {"parent": commit(args.parent), "change": commit(args.change)},
+                    {"parent": commit(args.parent), "change": commit(args.change)}, lines,
                     args.workload, settings, runs, better, traced)
     return 0
 

@@ -367,19 +367,24 @@ def cmd_selftest(args) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, reports: bool) -> None:
+    """The flags of every subcommand; with reports, those of verify and scan."""
     p.add_argument("--precision", dest="precision_bits", type=int, default=None,
                    help="working precision in bits (default 192)")
     p.add_argument("--cache-dir", dest="cache_dir", default=None,
                    help=f"zeros cache directory (env {ENV_CACHE_DIR})")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--format", dest="output_format", default=None, choices=FORMATS)
-    p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--timing", action="store_true", default=None,
-                   help="emit the real wall_time_ms of each verify call or scan point "
-                        "(breaks byte-determinism)")
-    p.add_argument("--zeros-file", dest="zeros_file", default=None,
-                   help="use an imported zeros table instead of computing")
+    if reports:
+        p.add_argument("--format", dest="output_format", default=None, choices=FORMATS)
+        p.add_argument("--out", default=None, help="write output to this path")
+        p.add_argument("--timing", action="store_true", default=None,
+                       help="emit the real wall_time_ms of each verify call or scan point "
+                            "(breaks byte-determinism)")
+        p.add_argument("--zeros-file", dest="zeros_file", default=None,
+                       help="use an imported zeros table instead of computing")
+        p.add_argument("--zeros", dest="zeros_count", type=int, default=None)
+        p.add_argument("--n-trivial", dest="n_trivial", type=int, default=None)
+        p.add_argument("--n-halfint", dest="n_halfint", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,34 +394,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="compute/refresh the zero store")
-    _add_common(p)
+    _add_common(p, reports=False)
     p.add_argument("--count", dest="zeros_count", type=int, default=None)
     p.add_argument("--export", dest="export_path", default=None)
-    p.add_argument("--import", dest="zeros_file", default=None, help="the same as --zeros-file")
+    p.add_argument("--zeros-file", "--import", dest="zeros_file", default=None,
+                   help="use an imported zeros table instead of computing")
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("verify", help="verify one identity at one point")
-    _add_common(p)
+    _add_common(p, reports=True)
     p.add_argument("kind", choices=tuple(VERIFY))
     p.add_argument("--a", default=None)
     p.add_argument("--x", default=None)
-    p.add_argument("--zeros", dest="zeros_count", type=int, default=None)
-    p.add_argument("--n-trivial", dest="n_trivial", type=int, default=None)
-    p.add_argument("--n-halfint", dest="n_halfint", type=int, default=None)
     p.add_argument("--lambda-limit", dest="lambda_limit", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="evaluate the sum rule over an (a, x) grid")
-    _add_common(p)
+    _add_common(p, reports=True)
     p.add_argument("--a-list", type=_split, default=None, help="comma-separated a values")
     p.add_argument("--x-list", type=_split, default=None, help="comma-separated x values")
-    p.add_argument("--zeros", dest="zeros_count", type=int, default=None)
-    p.add_argument("--n-trivial", dest="n_trivial", type=int, default=None)
-    p.add_argument("--n-halfint", dest="n_halfint", type=int, default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("selftest", help="reduced-scale invariant suite")
-    _add_common(p)
+    _add_common(p, reports=False)
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -67,9 +67,9 @@ reader, _parse_zeros, which rejects an unparseable, non-positive or
 non-ascending tau and a checksum mismatch before any zeta evaluation; a
 cache load warns and recomputes instead.  Cache files also carry per-record
 "# zp <re> <im>" lines so warm loads skip all zeta evaluations.  A process
-keeps each cache store it accepted, with the sha256 of the file's bytes,
-and serves it again while the file hashes the same, so repeated warm calls
-in one process parse the file once.
+keeps the last eight cache stores it accepted, each under the file's bytes
+(_cached_store), so repeated warm calls in one process parse a file once,
+and again only after its bytes change.
 """
 
 from __future__ import annotations
@@ -140,21 +140,15 @@ class ZeroRecord:
     zeta_prime: object
 
 
-@dataclass(frozen=True)
-class ZeroStore:
-    records: tuple
+class ZeroStore(tuple):
+    """The ZeroRecords of the first zeros, in ascending order."""
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, idx):
-        return self.records[idx]
+    @property
+    def records(self) -> "ZeroStore":
+        return self
 
     def prefix(self, n: int) -> "ZeroStore":
-        return ZeroStore(_prefix(self.records, n))
+        return ZeroStore(_prefix(self, n))
 
 
 def _prefix(items, n: int):
@@ -377,7 +371,7 @@ def _match_scan(store: ZeroStore, engine: ZetaEngine):
 
 def _store(pairs) -> ZeroStore:
     """The ZeroStore of (tau, zeta') pairs."""
-    return ZeroStore(tuple(ZeroRecord(tau, zp) for tau, zp in pairs))
+    return ZeroStore(ZeroRecord(tau, zp) for tau, zp in pairs)
 
 
 def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
@@ -436,13 +430,20 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _parse_zeros(text: str, ctx: NumericContext):
-    """(header fields, [(line_no, tau, zeta' or None)]) of a zeros file's
+    """(header fields, [[line_no, tau, zeta' or None]]) of a zeros file's
     text, each value read at context precision, zeta' from the "# zp" line
     after tau.  Raises ZeroImportError for a file without zeros, an
     unparseable record, a non-positive or non-ascending tau, or a payload
     that no longer matches the header's checksum (when the header carries
     one).  Nothing here evaluates zeta."""
-    header, lines, payload = {}, [], []
+    mp, header, rows, payload = ctx.mp, {}, [], []
+
+    def read(line_no, line, *fields):
+        try:
+            return [mp.mpf(field) for field in fields]
+        except ValueError:
+            raise ZeroImportError(line_no, f"unparseable record {line!r}") from None
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -453,27 +454,16 @@ def _parse_zeros(text: str, ctx: NumericContext):
             continue
         payload.append(line)
         if body is None:
-            lines.append([line_no, line, None])
-        elif len(body) == 3 and body[0] == "zp" and lines:
-            lines[-1][2] = body[1:]
-    if not lines:
+            (tau,) = read(line_no, line, line)
+            if not tau > 0:
+                raise ZeroImportError(line_no, "tau must be positive")
+            if rows and not tau > rows[-1][1]:
+                raise ZeroImportError(line_no, f"non-monotone tau {line}")
+            rows.append([line_no, tau, None])
+        elif len(body) == 3 and body[0] == "zp" and rows:
+            rows[-1][2] = mp.mpc(*read(line_no, line, *body[1:]))
+    if not rows:
         raise ZeroImportError(0, "no zeros in file")
-    # values are read after the line scan, each tau next to its zeta': read
-    # during the scan, they raised the peak RSS of a warm 500-zero verify run
-    # by about 0.6 MB (heap layout; the live data is the same)
-    mp = ctx.mp
-    rows = []
-    for line_no, line, zp in lines:
-        try:
-            tau = mp.mpf(line)
-            zp = None if zp is None else mp.mpc(mp.mpf(zp[0]), mp.mpf(zp[1]))
-        except ValueError:
-            raise ZeroImportError(line_no, f"unparseable record {line!r}") from None
-        if not tau > 0:
-            raise ZeroImportError(line_no, "tau must be positive")
-        if rows and not tau > rows[-1][1]:
-            raise ZeroImportError(line_no, f"non-monotone tau {line}")
-        rows.append((line_no, tau, zp))
     if "checksum" in header and header["checksum"] != _checksum(payload):
         raise ZeroImportError(0, f"checksum mismatch: header says {header['checksum']}, "
                                  f"payload hashes to {_checksum(payload)}")
@@ -516,40 +506,31 @@ def import_zeros(path, ctx: NumericContext, count: int | None = None) -> ZeroSto
 # -- cache -------------------------------------------------------------------
 
 
-# (path, precision_bits) -> (sha256 of the file's bytes, count, the store
-# _load_cache accepted from them): a process parses a cache file once, and
-# again only after its bytes change, whatever its size and mtime say
-_loaded = {}
+@functools.lru_cache(maxsize=8)
+def _cached_store(data: bytes, count: int, ctx: NumericContext) -> ZeroStore:
+    """The store a cache file's bytes hold, kept for the next load of the same
+    bytes.  Raises ZeroImportError where they fail _parse_zeros, carry no
+    checksum, are for another precision or another count, or lack a zeta'."""
+    header, rows = _parse_zeros(data.decode("utf-8"), ctx)
+    if (header.get("precision_bits") != str(ctx.precision_bits) or "checksum" not in header
+            or len(rows) != count):
+        raise ZeroImportError(0, "header mismatch")
+    for line_no, _, zp in rows:
+        if zp is None:
+            raise ZeroImportError(line_no, "missing zeta'")
+    return _store(row[1:] for row in rows)
 
 
 def _load_cache(path, count: int, ctx: NumericContext) -> ZeroStore | None:
-    """The cached store at `path`, or None, with a warning, if it fails
-    _parse_zeros or does not hold this store.  A store accepted is kept
-    (_loaded) and served while the file's bytes hash the same; a file that
-    fails is read, and warns, on every load."""
+    """The cached store at `path` (_cached_store), or None, with a warning,
+    if the file does not hold it.  A file that fails warns on every load."""
     with open(path, "rb") as f:
         data = f.read()
-    key = os.fspath(path), ctx.precision_bits
-    digest = hashlib.sha256(data).digest()
-    held = _loaded.get(key)
-    if held is not None and held[:2] == (digest, count):
-        return held[2]
     try:
-        header, rows = _parse_zeros(data.decode("utf-8"), ctx)
+        return _cached_store(data, count, ctx)
     except ZeroImportError as err:
         warnings.warn(f"zeros cache {path}: {err}, recomputing")
         return None
-    if (header.get("precision_bits") != str(ctx.precision_bits) or "checksum" not in header
-            or len(rows) != count):
-        warnings.warn(f"zeros cache {path}: header mismatch, recomputing")
-        return None
-    for line_no, _, zp in rows:
-        if zp is None:
-            warnings.warn(f"zeros cache {path}: missing zeta' at line {line_no}, recomputing")
-            return None
-    store = _store(row[1:] for row in rows)
-    _loaded[key] = digest, count, store
-    return store
 
 
 def load_or_compute(count: int, ctx: NumericContext, cache_dir=None) -> ZeroStore:

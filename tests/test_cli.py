@@ -370,6 +370,19 @@ def test_verify_fail_exit_code(base_args, store30_96, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--format", "json"], ["zeros", "--out", "F"], ["zeros", "--timing"],
+    ["selftest", "--format", "json"], ["selftest", "--out", "F"], ["selftest", "--timing"],
+    ["selftest", "--zeros-file", "F"],
+])
+def test_a_flag_the_command_never_reads_is_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--precision", "64"])
+    assert exit_.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_selftest_cli(base_args, capsys):
     rc = main(["selftest"] + base_args)
     out = capsys.readouterr().out

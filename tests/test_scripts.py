@@ -102,10 +102,12 @@ def test_bench_pairs_writes_the_bench_file(tmp_path):
     settings = {"pairs": 2, "seconds": 10, "seeds": [1, 2]}
     traced = {"seed": 1, "cpu": 0, "parent": pairs.parse_result(TRACE_STDOUT),
               "change": pairs.parse_result(TRACE_STDOUT)}
-    pairs.write_bench(path, commits, "verify-warm", settings, runs, better, traced)
-    doc = pairs.write_bench(path, commits, "closure", settings, runs, better, traced)
+    lines = {"parent": {"zeros.py": 3, "total": 3}, "change": {"zeros.py": 2, "total": 2}}
+    pairs.write_bench(path, commits, lines, "verify-warm", settings, runs, better, traced)
+    doc = pairs.write_bench(path, commits, lines, "closure", settings, runs, better, traced)
     assert doc == json.loads(path.read_text())
     assert doc["commits"] == commits and sorted(doc["workloads"]) == ["closure", "verify-warm"]
+    assert doc["src_lines"] == lines
     warm = doc["workloads"]["verify-warm"]
     assert warm["runs"] == runs and warm["seeds"] == [1, 2] and warm["pairs"] == 2
     assert warm["traced"] == traced
@@ -118,9 +120,27 @@ def test_bench_pairs_writes_the_bench_file(tmp_path):
     assert warm["parent"] == {"failed": 0, "attempted": 48, "correct": True}
     assert doc["host"]["cpus"] >= 1
     # other commits start a new file
-    other = pairs.write_bench(path, {"parent": "ccc", "change": "bbb"}, "closure", settings,
-                              runs, better, traced)
+    other = pairs.write_bench(path, {"parent": "ccc", "change": "bbb"}, lines, "closure",
+                              settings, runs, better, traced)
     assert list(other["workloads"]) == ["closure"]
+
+
+def test_bench_pairs_counts_the_src_lines_of_each_tree(tmp_path):
+    # two canned trees: a module each tree lacks counts 0 there, and a file
+    # that is not a module is not counted
+    pairs = load_script("bench_pairs")
+    for side, modules in (("parent", {"a.py": 3, "b.py": 2}), ("change", {"a.py": 1, "c.py": 4})):
+        src = tmp_path / side / "src" / "zetasum"
+        src.mkdir(parents=True)
+        for name, n in modules.items():
+            (src / name).write_text("x = 1\n" * n)
+        (src / "notes.txt").write_text("not a module\n")
+    lines = {side: pairs.src_lines(tmp_path / side) for side in ("parent", "change")}
+    assert lines == {"parent": {"a.py": 3, "b.py": 2, "total": 5},
+                     "change": {"a.py": 1, "c.py": 4, "total": 5}}
+    assert pairs.src_report(lines) == [
+        "src lines a.py: 3 -> 1 (-2)", "src lines b.py: 2 -> 0 (-2)",
+        "src lines c.py: 0 -> 4 (+4)", "src lines total: 5 -> 5 (+0)"]
 
 
 def test_bench_pairs_reports_the_traced_counts():

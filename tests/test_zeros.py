@@ -118,6 +118,15 @@ def test_import_rejects_non_zero(ctx96, tmp_path):
     assert "residual" in str(err.value)
 
 
+def test_import_names_a_malformed_zeta_prime_line_by_its_own_number(store30_96, ctx96,
+                                                                    tmp_path):
+    taus = [ctx96.nstr(r.tau) for r in store30_96.records[:2]]
+    path = tmp_path / "zeros.txt"
+    path.write_text(f"# two zeros\n{taus[0]}\n{taus[1]}\n# zp 1.14 oops\n")
+    with pytest.raises(ZeroImportError, match=r"^line 4: unparseable record '# zp 1.14 oops'$"):
+        import_zeros(path, ctx96)
+
+
 @pytest.mark.parametrize("decimals", [10, 3])
 def test_import_low_precision_then_refine(store30_96, ctx96, tmp_path, decimals):
     # at 3 decimals the import bracket is wider than NEWTON_WIDTH, so it is
