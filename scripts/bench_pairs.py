@@ -27,13 +27,13 @@ their total, parent -> change.
 
 With --label L it also writes BENCH_L.json in the current directory: both
 trees' commits (git rev-parse HEAD, or null outside a git checkout), the
-host's CPU count and Python version, both trees' src/zetasum line counts
-under src_lines, and per workload the settings, each
-metric's q1/median/q3 per side with the pairs the change won, failed/
-attempted and whether every run was correct per side, and every run's
-metrics and raw seconds per round, and the two traced runs with their seed
-and CPU.  A file that holds the same two commits keeps its other
-workloads, so one label can collect the three workloads.
+host's CPU count and Python version, both trees' line counts under
+src_lines, and per workload the settings, each metric's q1/median/q3 per
+side with the pairs the change won, failed/attempted and whether every run
+was correct per side, and every run's metrics and raw seconds per round,
+and the two traced runs with their seed and CPU.  A file that holds the
+same two commits keeps its other workloads, so one label can collect the
+three workloads.
 """
 
 import argparse
