@@ -206,17 +206,13 @@ def cmd_zeros(args) -> int:
 
 def _worst_residue(sites, params, ctx: NumericContext, catalog, store) -> sr.EvaluationReport:
     """The residue report: as residual the largest relative deviation of a
-    numeric residue from its derived value, the sites mapped by _split_map,
-    against a tail bound of 1e-13."""
+    numeric residue from its derived value, the sites mapped by
+    sumrule._residue_map, against a tail bound of 1e-13."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-
-    def deviation(i):
-        site = sites[i]
-        num = sr.numeric_residue(site, params, ctx, catalog, store=store)
-        return abs(num - site.analytic_residue) / abs(site.analytic_residue)
-
-    worst = max([mp.mpf(0), *_split_map(deviation, len(sites), mp)])
+    residues = sr._residue_map(sites, params, ctx, catalog, store)
+    worst = max([mp.mpf(0), *(abs(num - site.analytic_residue) / abs(site.analytic_residue)
+                              for site, num in zip(sites, residues))])
     return sr.EvaluationReport(
         a=a, x=x, lhs_zero_sum=mp.mpf(0), rhs_const=mp.mpf(0), rhs_n_series=mp.mpf(0),
         rhs_k_series=mp.mpf(0), residual=worst, tail_bound=mp.mpf("1e-13"),

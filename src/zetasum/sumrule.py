@@ -42,6 +42,7 @@ and never reads these, so its cross check can still fail.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,8 @@ __all__ = [
 
 A_MAX = 40
 RESONANCE_TOL = 1e-9
+# numeric_residue's last circle: ((a, x, precision, radius, centre), its values by node)
+_last_circle = [None, {}]
 
 CONVENTION_NOTES = (
     "orientation=-1 (upward imaginary-axis path closed to the right: integral = -(residue sum))",
@@ -324,14 +327,11 @@ def pole_catalog(params: SumRuleParams, store: ZeroStore, ctx: NumericContext,
         loc = mp.mpf(k) + mp.mpf("0.5")
         sites.append(PoleSite("half_integer", k, loc, _residue_half_integer(k, a, x, ctx, engine)))
     for index, rec in enumerate(zeros, start=1):
-        rho = mp.mpc(0.5, rec.tau)
-        v = mp.sqrt(1 - rho / a)
-        sites.append(PoleSite("critical_zero", index, (1 + v) / 2,
-                              _residue_critical(rho, rec.zeta_prime, a, x, ctx)))
-        rho_c = mp.conj(rho)
-        vc = mp.sqrt(1 - rho_c / a)
-        sites.append(PoleSite("critical_zero_conjugate", index, (1 + vc) / 2,
-                              _residue_critical(rho_c, mp.conj(rec.zeta_prime), a, x, ctx)))
+        for family, rho, zeta_prime in (
+                ("critical_zero", mp.mpc(0.5, rec.tau), rec.zeta_prime),
+                ("critical_zero_conjugate", mp.mpc(0.5, -rec.tau), mp.conj(rec.zeta_prime))):
+            sites.append(PoleSite(family, index, (1 + mp.sqrt(1 - rho / a)) / 2,
+                                  _residue_critical(rho, zeta_prime, a, x, ctx)))
     return sites
 
 
@@ -357,7 +357,13 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
     stopped by trapezoid_mean's extrapolated error estimate at target_tol.
     The radius is 1/4 of the distance to the nearest other pole of the
     catalog or beyond its truncation, capped at 1e-2.  engine defaults to
-    engine_for(ctx)."""
+    engine_for(ctx).  As f(conj s) = conj f(s), a circle centred on the real
+    axis halves each later level (conjugate=True), and one centred at the
+    conjugate of the last circle's centre (a zero's conjugate after the zero)
+    takes each later node u the last circle holds as the conjugate of its value
+    at 1 - u, once its first level matched those conjugates bit for bit (else
+    InternalConsistencyError names the site).  Summed in its own node order,
+    each residue is bit for bit a full circle's."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     engine = engine or engine_for(ctx)
@@ -368,14 +374,34 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
         raise OverlappingPoleError(f"catalog poles overlap at {site.family} index {site.index}")
     r = min(mp.mpf("0.01"), nn / 4)
     c = site.location
+    circle, values = (a, x, ctx.precision_bits, r), {}
+    partner = _last_circle[1] if _last_circle[0] == (*circle, mp.conj(c)) else {}
+    _last_circle[:] = (*circle, c), values
 
     def g(u):
+        mirror = partner.get(1 - u if u else u)
+        if mirror is not None and not mp.isint(8 * u):  # a later level's node
+            return mp.conj(mirror)
         w = mp.expjpi(2 * u)
-        return _integrand(c + r * w, a, x, ctx, engine, store) * w
+        v = values[u] = _integrand(c + r * w, a, x, ctx, engine, store) * w
+        if mirror is not None and v != mp.conj(mirror):  # mpf tuples are normalised
+            raise InternalConsistencyError(f"residue circle at {site.family} index {site.index} "
+                                           f"is not the last circle's mirror at u = {u}")
+        return v
 
     return trapezoid_mean(g, ctx, 8, ctx.target_tol, r,
                           f"residue quadrature did not settle at {site.family} index {site.index}",
-                          periodic=True, max_doublings=12)
+                          periodic=True, conjugate=mp.im(c) == 0, max_doublings=12)
+
+
+def _residue_map(sites, params: SumRuleParams, ctx: NumericContext, catalog, store) -> list:
+    """[numeric_residue(site, ...) for site in sites] by one _split_map over single
+    sites and (zero, conjugate) pairs, each pair's circles in turn in one process."""
+    tasks = [tuple(pair) for _, pair in itertools.groupby(
+        sites, lambda site: (site.family.removesuffix("_conjugate"), site.index))]
+    residues = _split_map(lambda t: tuple(numeric_residue(site, params, ctx, catalog, store=store)
+                                          for site in tasks[t]), len(tasks), ctx.mp)
+    return [v for values in residues for v in values]
 
 
 # -- series -------------------------------------------------------------------
@@ -640,21 +666,18 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
 def verify_residue_theorem(params: SumRuleParams, store: ZeroStore,
                            ctx: NumericContext) -> ClosureReport:
     """contour integral vs the numeric residues of every cataloged pole.
-    The residues are mapped by zetafn._split_map (a forked child takes every
-    other site, and each side runs its sites' quadratures in process) and
-    summed in catalog order, so the sum is bit for bit the one-process one
-    and an exception the first failing site's.  The orientation sign is
-    determined empirically per call; callers assert its consistency across
-    parameter pairs."""
+    The residues are mapped by _residue_map (a forked child takes every
+    other site or zero and conjugate pair, and each side runs its sites'
+    quadratures in process) and summed in catalog order, so the sum is bit
+    for bit the one-process one and an exception the first failing site's.
+    The orientation sign is determined empirically per call; callers assert
+    its consistency across parameter pairs."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     integral = contour_integral(params, ctx)
     catalog = pole_catalog(params, store, ctx)
 
-    def residue(i):
-        return numeric_residue(catalog[i], params, ctx, catalog, store=store)
-
-    residue_sum = sum(_split_map(residue, len(catalog), mp), mp.mpc(0))
+    residue_sum = sum(_residue_map(catalog, params, ctx, catalog, store), mp.mpc(0))
     orientation = -1 if abs(integral + residue_sum) <= abs(integral - residue_sum) else 1
     residual = abs(integral - orientation * residue_sum)
     # the series tails map back to residue scale through the -2 sqrt(a) x^(-1/4) factor

@@ -74,6 +74,7 @@ and again only after its bytes change.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -438,11 +439,11 @@ def _parse_zeros(text: str, ctx: NumericContext):
     one).  Nothing here evaluates zeta."""
     mp, header, rows, payload = ctx.mp, {}, [], []
 
-    def read(line_no, line, *fields):
-        try:
-            return [mp.mpf(field) for field in fields]
-        except ValueError:
-            raise ZeroImportError(line_no, f"unparseable record {line!r}") from None
+    def read(line_no, line, *fields, count=1):
+        with contextlib.suppress(ValueError):
+            if len(fields) == count:
+                return [mp.mpf(field) for field in fields]
+        raise ZeroImportError(line_no, f"unparseable record {line!r}")
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -460,8 +461,8 @@ def _parse_zeros(text: str, ctx: NumericContext):
             if rows and not tau > rows[-1][1]:
                 raise ZeroImportError(line_no, f"non-monotone tau {line}")
             rows.append([line_no, tau, None])
-        elif len(body) == 3 and body[0] == "zp" and rows:
-            rows[-1][2] = mp.mpc(*read(line_no, line, *body[1:]))
+        elif body and body[0] == "zp" and rows:
+            rows[-1][2] = mp.mpc(*read(line_no, line, *body[1:], count=2))
     if not rows:
         raise ZeroImportError(0, "no zeros in file")
     if "checksum" in header and header["checksum"] != _checksum(payload):

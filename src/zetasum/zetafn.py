@@ -15,8 +15,8 @@ of the threshold, the differentiated reflection formula on the left, and a
 Cauchy circle integral in a small disk around s = 0 where the reflection
 split degenerates into a 0*inf product.  That circle, like the sum rule's
 contour and residue circles, is integrated by trapezoid_mean.  Where
-g(1 - u) = conj g(u), as on the contour, it evaluates half of each level
-after the first and takes the other half as conjugates (conjugate=True).
+g(1 - u) = conj g(u), as on the contour and on a circle centred on the real
+axis, it evaluates half of each later level and takes the rest as conjugates.
 
 _split_map maps a pure function over indices 0..n-1 on two CPUs.  Where the
 affinity mask (read at each call) holds more than one CPU and the process
@@ -30,7 +30,7 @@ trapezoid_mean maps its integrand over each level's nodes with one call,
 zeros refines each zero through it, the CLI's zeros command evaluates
 |zeta(rho)| through it, and the sum rule maps each zero sum's terms and each
 closure's residues through it (each side running its residues' quadratures
-in process).
+in process, a zero's and its conjugate's on the same side).
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -111,11 +111,11 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     Girgensohn: the error of an analytic integrand squares at each level).
     Raises PrecisionError(failure) after max_doublings doublings.
 
-    conjugate states g(1 - u) = conj g(u).  The first level is then
-    evaluated in full, and InternalConsistencyError names the first pair of
-    its nodes whose values are not exact conjugates, bit for bit.  Each later
-    level evaluates only its nodes u < 1/2 (and u = 1/2) and takes the others
-    as their mirrors' conjugates, so it sums the full grid's values in order.
+    conjugate states g(1 - u) = conj g(u).  The first level is then evaluated
+    in full, and InternalConsistencyError names the first pair of its nodes
+    (g(1) = g(0) periodic) whose values are not exact conjugates, bit for bit.
+    Each later level evaluates only its nodes u < 1/2 (and u = 1/2) and takes
+    the others as their mirrors' conjugates: the full grid's values in order.
 
     g maps an mpf of ctx to an mpf or mpc of ctx and must be pure: each
     level is one _split_map over its nodes, so where a second CPU is free a
@@ -596,7 +596,7 @@ class ZetaEngine:
     def cauchy_deriv(self, s, radius=None):
         """zeta'(s) as (1/r) times the mean of zeta(s + r w) / w over the circle
         w = e^(2 pi i u), by the periodic trapezoid rule from 8 points up,
-        stopped at 10 * target_tol (trapezoid_mean)."""
+        stopped at 10 * target_tol (trapezoid_mean); at a real s, conjugate=True."""
         mp = self.ctx.mp
         s = mp.convert(s)
         r = mp.mpf("1e-3") if radius is None else mp.mpf(radius)
@@ -609,7 +609,7 @@ class ZetaEngine:
 
         return trapezoid_mean(g, self.ctx, 8, 10 * self.ctx.target_tol, 1 / r,
                               "circle derivative did not settle",
-                              periodic=True, max_doublings=13)
+                              periodic=True, conjugate=mp.im(s) == 0, max_doublings=13)
 
     def zeta_reflect_log(self, s):
         """(log |zeta(s)|, sign) for real s < the reflection threshold, assembled

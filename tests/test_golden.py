@@ -83,6 +83,24 @@ def test_cli_bytes(name, cache_dir, store30_96, capsys):
     assert out.encode("utf-8") == (DATA / "cli" / f"{name}.txt").read_bytes()
 
 
+def test_residue_pairs_split_over_two_cpus_print_the_golden_bytes(cache_dir, store30_96, maps,
+                                                                  forks, monkeypatch, capsys):
+    # 3 trivial and 3 half-integer sites, then 3 zero and conjugate pairs at
+    # sites 6..11: one site to a side, each zero and its conjugate would fall
+    # on two sides.  The map's 9 tasks keep each pair on one side, where the
+    # conjugate's circle reads its zero's values.
+    argv, code = CLI_CASES["residues"]
+    golden = (DATA / "cli" / "residues.txt").read_bytes()
+    for cpus in ("two", "one"):
+        if cpus == "one":
+            one_cpu(monkeypatch)
+        assert main(argv + ["--precision", "96", "--cache-dir", cache_dir]) == code
+        assert capsys.readouterr().out.encode("utf-8") == golden, cpus
+        assert_no_child()
+    assert maps == ([9] if SPLITS else [])
+    assert len(forks) == SPLITS
+
+
 # 500-zero calls, whose zero sums are long enough to split; pairs from the
 # benchmark's verify-warm pools, all of which pass
 SPLIT_CASES = (

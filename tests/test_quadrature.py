@@ -45,8 +45,9 @@ def recorded(monkeypatch):
         mp = ctx.mp
         if conjugate:
             # the first level, then the nodes u < 1/2 of every later level
-            n_final = n + 2 * (len(cache) - n - 1)
-            expected = {mp.mpf(j) / n for j in range(n + 1)} | {
+            first = n if periodic else n + 1
+            n_final = n + 2 * (len(cache) - first)
+            expected = {mp.mpf(j) / n for j in range(first)} | {
                 mp.mpf(j) / n_final for j in range(1, n_final // 2) if j % (n_final // n)}
         else:
             n_final = len(cache) if periodic else len(cache) - 1
@@ -115,8 +116,10 @@ def test_residue_stops_are_accurate_and_no_later(ctx96, store30_96, recorded):
     for site in catalog:
         sr.numeric_residue(site, params, ctx96, catalog, store=store30_96)
     assert len(recorded) == len(catalog) == 8
-    for call in recorded:
+    for site, call in zip(catalog, recorded):
         assert call.periodic and call.n == 8
+        # only a circle centred on the real axis mirrors its own values
+        assert call.conjugate == (ctx96.mp.im(site.location) == 0)
         check_call(call)
 
 
@@ -255,9 +258,98 @@ def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, mon
 
     split, alone = split_and_in_process(monkeypatch, values)
     assert [_raw(v) for v in split] == [_raw(v) for v in alone]
-    # five periodic quadratures of three levels each, each level one fork
-    assert maps == (level_sizes(8, 3, periodic=True) * 5 if SPLITS else [])
+    # five periodic quadratures of three levels each, each level one fork;
+    # the circles centred on the real axis (trivial, half-integer and the
+    # derivative's at 0.01) evaluate half of each level after the first
+    halved, full = (level_sizes(8, 3, periodic=True, conjugate=c) for c in (True, False))
+    assert maps == (halved * 2 + full * 2 + halved if SPLITS else [])
     assert len(forks) == 15 * SPLITS
+
+
+@pytest.mark.parametrize("bits", [96, 192])
+def test_residues_are_full_circles_that_share_nothing_bit_for_bit(request, monkeypatch, forks,
+                                                                   bits):
+    # each residue of the catalog, mapped (zero and conjugate in one task) and
+    # site by site on one CPU, is the residue of a full circle evaluated with
+    # no other circle held; on one CPU each conjugate circle evaluates only
+    # its first level and takes every later node from its zero's circle
+    ctx = request.getfixturevalue(f"ctx{bits}")
+    store = request.getfixturevalue(f"store{ {96: 30, 192: 40}[bits] }_{bits}")
+    params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=2, n_trivial=2, n_halfint=1)
+    catalog = sr.pole_catalog(params, store, ctx)
+    mapped = sr._residue_map(catalog, params, ctx, catalog, store)
+    assert len(forks) == SPLITS
+    integrand, evaluated = sr._integrand, []
+
+    def counting(*args):
+        evaluated[-1] += 1
+        return integrand(*args)
+
+    def residue(site):
+        evaluated.append(0)
+        return sr.numeric_residue(site, params, ctx, catalog, store=store)
+
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        m.setattr(sr, "_integrand", counting)
+        alone = [residue(site) for site in catalog]
+    assert [n for site, n in zip(catalog, evaluated)
+            if site.family == "critical_zero_conjugate"] == [8, 8]
+    monkeypatch.setattr(sr, "trapezoid_mean", full_grid)
+    full = []
+    for site in catalog:
+        monkeypatch.setattr(sr, "_last_circle", [None, {}])
+        full.append(residue(site))
+    assert [_raw(v) for v in mapped] == [_raw(v) for v in alone] == [_raw(v) for v in full]
+    assert_no_child()
+
+
+@pytest.mark.parametrize("j", [0, 3, 6])
+def test_asymmetric_conjugate_circle_names_its_site(ctx96, store30_96, monkeypatch, forks, j):
+    # the integrand one ulp off at node j/8 of the conjugate circle's first
+    # level: the conjugate's residue raises, naming its site and the node,
+    # alone or mapped with its zero, on one CPU and split
+    mp = ctx96.mp
+    params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=1, n_trivial=1, n_halfint=1)
+    catalog = sr.pole_catalog(params, store30_96, ctx96)
+    zero, conj = catalog[-2:]
+    integrand, seen, flip = sr._integrand, [], []
+
+    def asymmetric(s, *args):
+        seen.append(s)
+        v = integrand(s, *args)
+        if flip and s == flip[0]:
+            _, _, e, _ = v.real._mpf_  # the mantissa is odd: its last bit is 1
+            v = mp.mpc(v.real - mp.ldexp(1, e), v.imag)
+        return v
+
+    monkeypatch.setattr(sr, "_integrand", asymmetric)
+    monkeypatch.setattr(sr, "_last_circle", [None, {}])  # the flipped value is held after
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        sr.numeric_residue(zero, params, ctx96, catalog, store=store30_96)
+        seen.clear()
+        sr.numeric_residue(conj, params, ctx96, catalog, store=store30_96)
+    flip.append(seen[j])  # the first level's nodes come first, in order
+
+    def run(alone):
+        with pytest.raises(InternalConsistencyError) as info:
+            if alone:  # the zero's circle, then the conjugate's
+                for site in (zero, conj):
+                    sr.numeric_residue(site, params, ctx96, catalog, store=store30_96)
+            else:
+                sr._residue_map(catalog, params, ctx96, catalog, store30_96)
+        return str(info.value)
+
+    message = ("residue circle at critical_zero_conjugate index 1 is not the last circle's "
+               f"mirror at u = {mp.mpf(j) / 8}")
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        assert run(alone=True) == message
+    split, alone = split_and_in_process(monkeypatch, lambda: run(alone=False))
+    assert split == alone == message
+    assert len(forks) == SPLITS  # one map: three sites, then the pair
+    assert_no_child()
 
 
 def cos_sq_levels(mp):

@@ -629,8 +629,9 @@ def test_closure_maps_its_residues_and_is_the_one_cpu_report(ctx, store, monkeyp
                                                              maps):
     p = params(n_zeros=2, n_trivial=2, n_halfint=1)
     split = sr.verify_residue_theorem(p, store, ctx)
-    # one fork per contour level, one for the 8 residues, one for the 2-zero tail
-    assert maps[-2:] == ([8, 2] if SPLITS else [])
+    # one fork per contour level, one for the 8 residues (4 sites and 2 zero
+    # and conjugate pairs), one for the 2-zero tail
+    assert maps[-2:] == ([6, 2] if SPLITS else [])
     assert len(forks) == len(maps) and (len(maps) > 3) == SPLITS
     assert_no_child()
     one_cpu(monkeypatch)

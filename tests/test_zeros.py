@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import mpmath
 import pytest
@@ -124,6 +125,28 @@ def test_import_names_a_malformed_zeta_prime_line_by_its_own_number(store30_96, 
     path = tmp_path / "zeros.txt"
     path.write_text(f"# two zeros\n{taus[0]}\n{taus[1]}\n# zp 1.14 oops\n")
     with pytest.raises(ZeroImportError, match=r"^line 4: unparseable record '# zp 1.14 oops'$"):
+        import_zeros(path, ctx96)
+
+
+@pytest.mark.parametrize("zp", ["# zp 1.14", "# zp 1.14 -0.5 2", "# zp"],
+                         ids=["one", "three", "none"])
+def test_zeta_prime_line_without_two_values_is_named_by_its_own_number(store30_96, ctx96,
+                                                                         tmp_path, zp):
+    # a cache file whose last "# zp" line holds other than two values, under
+    # a valid checksum: the load warns naming that line, not the tau above
+    # it, and an import rejects the file
+    path = tmp_path / "zeros_n2_p96.txt"
+    export_zeros(store30_96.prefix(2), path, ctx96, include_zeta_prime=True)
+    lines = path.read_text().splitlines()
+    assert lines[4].startswith("# zp ")
+    lines[4] = zp
+    lines[0] = f"# precision_bits=96 checksum={zeros_mod._checksum(lines[1:])}"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"line 5: unparseable record '{zp}'"
+    with pytest.warns(UserWarning) as caught:
+        assert zeros_mod._load_cache(path, 2, ctx96) is None
+    assert [str(w.message) for w in caught] == [f"zeros cache {path}: {message}, recomputing"]
+    with pytest.raises(ZeroImportError, match=f"^{re.escape(message)}$"):
         import_zeros(path, ctx96)
 
 
