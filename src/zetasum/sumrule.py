@@ -361,9 +361,9 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
     axis halves each later level (conjugate=True), and one centred at the
     conjugate of the last circle's centre (a zero's conjugate after the zero)
     takes each later node u the last circle holds as the conjugate of its value
-    at 1 - u, once its first level matched those conjugates bit for bit (else
-    InternalConsistencyError names the site).  Summed in its own node order,
-    each residue is bit for bit a full circle's."""
+    at 1 - u; a first-level value must be that conjugate bit for bit, where
+    held, or InternalConsistencyError names the site.  Summed in its own node
+    order, each residue is bit for bit a full circle's."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     engine = engine or engine_for(ctx)
