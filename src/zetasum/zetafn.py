@@ -111,9 +111,9 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     Girgensohn: the error of an analytic integrand squares at each level).
     Raises PrecisionError(failure) after max_doublings doublings.
 
-    conjugate states g(1 - u) = conj g(u).  The first level is then evaluated
-    in full, and InternalConsistencyError names the first pair of its nodes
-    (g(1) = g(0) periodic) whose values are not exact conjugates, bit for bit.
+    conjugate states g(1 - u) = conj g(u).  The first level is evaluated in
+    full (periodic: g(1) read as g(0)), and InternalConsistencyError names the
+    first pair of its nodes whose values are not exact conjugates, bit for bit.
     Each later level evaluates only its nodes u < 1/2 (and u = 1/2) and takes
     the others as their mirrors' conjugates: the full grid's values in order.
 
