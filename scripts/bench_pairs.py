@@ -23,20 +23,24 @@ count (unit "count" in BENCHMARK.json) that the two traced runs read
 differently, or that they all agree.
 
 It also prints the lines of each module of the two trees' src/zetasum and
-their total, parent -> change.
+their total, parent -> change, and then their code lines alone: no blank
+line, no comment-only line and no line of a docstring (a statement that is
+a string alone).  So a fall in lines shows whether it is code or prose.
 
 With --label L it also writes BENCH_L.json in the current directory: both
 trees' commits (git rev-parse HEAD, or null outside a git checkout), the
 host's CPU count and Python version, both trees' line counts under
-src_lines, and per workload the settings, each metric's q1/median/q3 per
-side with the pairs the change won, failed/attempted and whether every run
-was correct per side, and every run's metrics and raw seconds per round,
-and the two traced runs with their seed and CPU.  A file that holds the
-same two commits keeps its other workloads, so one label can collect the
-three workloads.
+src_lines and their code lines under code_lines, and per workload the
+settings, each metric's q1/median/q3 per side with the pairs the change
+won, failed/attempted and whether every run was correct per side, and every
+run's metrics and raw seconds per round, and the two traced runs with their
+seed and CPU.  A file that holds the same two commits keeps its other
+workloads, so one label can collect the three workloads.
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -44,6 +48,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 RAW_LINE = re.compile(r"(\d+) rounds in [\d.]+ s; operations took ([\d.]+) s raw")
@@ -132,19 +137,38 @@ def count_report(traced: dict, counts) -> list:
     return differ or [f"per-layer counts on CPU {traced['cpu']}: equal"]
 
 
-def src_lines(root: Path) -> dict:
-    """The lines of each module of root's src/zetasum, and their total."""
-    counts = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+# tokens that hold no code: a line with none but these is blank or a comment
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """The lines of the module text that hold a token of code and are not part
+    of a docstring (an expression statement that is a string alone)."""
+    prose = {n for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+             and isinstance(node.value.value, str)
+             for n in range(node.lineno, node.end_lineno + 1)}
+    code = {n for token in tokenize.generate_tokens(io.StringIO(text).readline)
+            if token.type not in NOT_CODE for n in range(token.start[0], token.end[0] + 1)}
+    return len(code - prose)
+
+
+def src_lines(root: Path, code: bool = False) -> dict:
+    """The lines (with code, the code_lines) of each module of root's
+    src/zetasum, and their total."""
+    count = code_lines if code else (lambda text: len(text.splitlines()))
+    counts = {path.name: count(path.read_text(encoding="utf-8"))
               for path in sorted((root / "src" / "zetasum").glob("*.py"))}
     return {**counts, "total": sum(counts.values())}
 
 
-def src_report(lines: dict) -> list:
+def src_report(lines: dict, what: str = "src lines") -> list:
     """One line per module, then the total, of src_lines parent -> change; a
     module one tree lacks counts 0 there."""
     parent, change = lines["parent"], lines["change"]
     names = sorted((set(parent) | set(change)) - {"total"}) + ["total"]
-    return [f"src lines {name}: {parent.get(name, 0)} -> {change.get(name, 0)} "
+    return [f"{what} {name}: {parent.get(name, 0)} -> {change.get(name, 0)} "
             f"({change.get(name, 0) - parent.get(name, 0):+d})" for name in names]
 
 
@@ -154,18 +178,18 @@ def commit(root: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def write_bench(path: Path, commits: dict, lines: dict, workload: str, settings: dict,
-                runs: dict, better: dict, traced: dict) -> dict:
-    """Write (or update) the BENCH file at path with the trees' src_lines and
-    one workload's pairs and traced runs, and return its contents.  An
-    existing file with other commits is replaced."""
+def write_bench(path: Path, commits: dict, lines: dict, code: dict, workload: str,
+                settings: dict, runs: dict, better: dict, traced: dict) -> dict:
+    """Write (or update) the BENCH file at path with the trees' src_lines, their
+    code_lines and one workload's pairs and traced runs, and return its
+    contents.  An existing file with other commits is replaced."""
     doc = {}
     if path.exists():
         doc = json.loads(path.read_text(encoding="utf-8"))
         if doc.get("commits") != commits:
             doc = {}
     doc.setdefault("commits", commits)
-    doc["src_lines"] = lines
+    doc["src_lines"], doc["code_lines"] = lines, code
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     doc["host"] = {"cpus": cpus, "python": platform.python_version()}
     doc.setdefault("workloads", {})[workload] = {
@@ -218,13 +242,14 @@ def main(argv=None) -> int:
         traced[side] = run_tree(getattr(args, side), args.workload, args.seed0, args.seconds, cpu)
     print("\n".join(count_report(traced, counts)))
     lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
-    print("\n".join(src_report(lines)))
+    code = {side: src_lines(getattr(args, side), code=True) for side in ("parent", "change")}
+    print("\n".join(src_report(lines) + src_report(code, "code lines")))
     if args.label:
         settings = {"pairs": args.pairs, "seconds": args.seconds,
                     "seeds": [args.seed0, args.seed0 + args.pairs - 1]}
         write_bench(Path(f"BENCH_{args.label}.json"),
                     {"parent": commit(args.parent), "change": commit(args.change)}, lines,
-                    args.workload, settings, runs, better, traced)
+                    code, args.workload, settings, runs, better, traced)
     return 0
 
 

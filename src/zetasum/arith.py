@@ -37,7 +37,7 @@ class MangoldtTable:
 def mangoldt_sieve(limit: int) -> MangoldtTable:
     """Sieve of Eratosthenes for the primes up to limit, then their powers."""
     if not SIEVE_MIN <= limit <= SIEVE_MAX:
-        raise ValueError(f"limit must lie in [{SIEVE_MIN}, {SIEVE_MAX}]")
+        raise ValueError(f"lambda_limit = {limit} must lie in [{SIEVE_MIN}, {SIEVE_MAX}]")
     is_prime = bytearray([1]) * (limit + 1)
     is_prime[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):

@@ -62,9 +62,6 @@ class NumericContext:
         """Decimal digits carried by this context (excluding guard)."""
         return int(self.precision_bits / 3.3219280948873626) + 2
 
-    def mpf(self, x):
-        return self._mp.mpf(x)
-
     def ulp(self, v) -> object:
         """Unit in the last place of v at the nominal precision (of 1 if v == 0)."""
         mag = abs(v)

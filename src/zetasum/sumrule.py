@@ -36,7 +36,8 @@ double poles and the printed series terms are individually singular.
 The x-independent factors of the series (each zero's denominator, the n-series
 logs, the k-series' reflected zeta, zeta(a) and the resonance check) are held
 (_held) for the last two values of a, so a repeated a costs only its x-dependent
-terms; a failed build holds nothing.  evaluate_rh_form holds its own zero table
+terms; a failed build holds nothing, and a new a maps its zeros' denominators
+before their terms (_zero_map).  evaluate_rh_form holds its own zero table
 and never reads these, so its cross check can still fail.
 """
 
@@ -140,8 +141,9 @@ class SumRuleParams:
         if a == 1:
             raise ValueError("a = 1 is the zeta pole")
         x = _bind_x(self.x, ctx)
-        if min(self.n_zeros, self.n_trivial, self.n_halfint) < 1:
-            raise ValueError("truncation orders must be positive")
+        for name in ("n_zeros", "n_trivial", "n_halfint"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)} must be positive")
         return a, x
 
     def check_resonance(self, ctx: NumericContext) -> None:
@@ -422,21 +424,13 @@ def _held_rows(slot, key, build):
 
 
 def _zero_map(slot, zeros, ctx, factor, term):
-    """[term(i, factor(i)) for each zero i] by one _split_map; each mpc factor is
-    held (_held_rows, under the zeros' records) as its raw tuple, a third smaller.
-    A miss maps (term, factor) pairs and keeps the factors, a hit maps term alone."""
-    mp, n, pairs = ctx.mp, len(zeros), []
-
-    def pair(i):
-        f = factor(i)
-        return term(i, f), f
-
-    def build():
-        pairs.extend(_split_map(pair, n, mp))
-        return [f._mpc_ for _, f in pairs]
-
-    rows = _held_rows(slot, (ctx.precision_bits, zeros.records), build)
-    return [v for v, _ in pairs] or _split_map(lambda i: term(i, mp.make_mpc(rows[i])), n, mp)
+    """[term(i, factor(i)) for each zero i] by one _split_map over the held
+    factors.  A miss builds them by a _split_map of its own inside _held_rows
+    (under the zeros' records), each mpc held as its raw tuple, a third smaller."""
+    mp, n = ctx.mp, len(zeros)
+    rows = _held_rows(slot, (ctx.precision_bits, zeros.records),
+                      lambda: [f._mpc_ for f in _split_map(factor, n, mp)])
+    return _split_map(lambda i: term(i, mp.make_mpc(rows[i])), n, mp)
 
 
 def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
@@ -444,7 +438,7 @@ def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     -x^((rho-a)/4a) / D_rho, D_rho = sqrt(rho-a) sinh((pi/2) sqrt((rho-a)/a))
     zeta'(rho), summed in ascending zero order; tail = 3 |last term|.  The
     real parts are mapped by _zero_map (a forked child takes every other
-    zero), which holds each D_rho for the next call at this a, so the value is
+    zero) over each D_rho, held for the next call at this a, so the value is
     bit for bit the one-process sum and an exception the first failing zero's."""
     a, x = params.bind(ctx)
     mp = ctx.mp

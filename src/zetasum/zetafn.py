@@ -28,9 +28,10 @@ function must be pure, since what it changes in the child is lost.  A split
 inside a split, and any split in the child, evaluates in process.
 trapezoid_mean maps its integrand over each level's nodes with one call,
 zeros refines each zero through it, the CLI's zeros command evaluates
-|zeta(rho)| through it, and the sum rule maps each zero sum's terms and each
-closure's residues through it (each side running its residues' quadratures
-in process, a zero's and its conjugate's on the same side).
+|zeta(rho)| through it, and the sum rule maps each zero sum's terms (at a new
+a, its held factors first, by a map of their own) and each closure's residues
+through it (each side running its residues' quadratures in process, a zero's
+and its conjugate's on the same side).
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -120,7 +121,7 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     g maps an mpf of ctx to an mpf or mpc of ctx and must be pure: each
     level is one _split_map over its nodes, so where a second CPU is free a
     forked child evaluates every other node of the level, and whatever g
-    changes in the child is lost.  The values are summed in node order, so
+    changes in the child is lost.  Nodes are evaluated and summed in order, so
     the result is bit for bit the in-process one, and an exception in g is
     the one the in-process loop raises.  Only the affinity mask counts CPUs:
     a CPU quota (a cgroup's cpu.max) is not detected, and under one the two
@@ -131,15 +132,12 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     def level(nodes):
         return _split_map(lambda i: g(nodes[i]), len(nodes), mp)
 
-    # the interval form evaluates its end nodes before the inner ones
+    first = level([mp.mpf(j) / n for j in range(n if periodic else n + 1)])
     if periodic:
-        first = level([mp.mpf(j) / n for j in range(n)])
         total = sum(first)
         first.append(first[0])  # g(1) = g(0)
     else:
-        g0, g1, *inner = level([mp.zero, mp.one, *(mp.mpf(j) / n for j in range(1, n))])
-        total = (g0 + g1) / 2 + sum(inner)
-        first = [g0, *inner, g1]
+        total = (first[0] + first[-1]) / 2 + sum(first[1:-1])
     if conjugate:
         _check_conjugate(first, n, mp)
     levels = [scale * total / n]
@@ -593,13 +591,13 @@ class ZetaEngine:
         return (sign * self._zeta_odd(2 * n + 1) * mp.factorial(2 * n)
                 / (2 * mp.power(2 * mp.pi, 2 * n)))
 
-    def cauchy_deriv(self, s, radius=None):
+    def cauchy_deriv(self, s, radius):
         """zeta'(s) as (1/r) times the mean of zeta(s + r w) / w over the circle
         w = e^(2 pi i u), by the periodic trapezoid rule from 8 points up,
         stopped at 10 * target_tol (trapezoid_mean); at a real s, conjugate=True."""
         mp = self.ctx.mp
         s = mp.convert(s)
-        r = mp.mpf("1e-3") if radius is None else mp.mpf(radius)
+        r = mp.mpf(radius)
         if abs(s - 1) <= 2 * r:
             raise ZetaPoleError("circle derivative would enclose the pole at s = 1")
 

@@ -128,17 +128,17 @@ def test_h_at_quarter_and_arccot_identity():
 
 
 def test_h_vanishes_at_infinity():
-    assert abs(guillera_h(CTX.mpf(10) ** 6, CTX)) < 1e-5
+    assert abs(guillera_h(CTX.mp.mpf(10) ** 6, CTX)) < 1e-5
 
 
 def test_h_domain():
     with pytest.raises(DomainError):
-        guillera_h(CTX.mpf(1), CTX)
+        guillera_h(CTX.mp.mpf(1), CTX)
     with pytest.raises(DomainError):
-        guillera_h(CTX.mpf("1.0000001"), CTX)
+        guillera_h(CTX.mp.mpf("1.0000001"), CTX)
     with pytest.raises(DomainError):
-        guillera_h(CTX.mpf(-2), CTX)
-    guillera_h(CTX.mpf("1.01"), CTX)  # just outside the window
+        guillera_h(CTX.mp.mpf(-2), CTX)
+    guillera_h(CTX.mp.mpf("1.01"), CTX)  # just outside the window
 
 
 @settings(max_examples=40, deadline=None)

@@ -245,7 +245,7 @@ def test_rh_form_csv_status_is_the_exit_verdict(base_args, store30_96, ctx96, ca
 
     def shifted(params, store, ctx):
         ref = evaluate_sumrule(params, store, ctx)
-        return replace(ref, rhs_n_series=ref.rhs_n_series + ctx.mpf("1e-9"))
+        return replace(ref, rhs_n_series=ref.rhs_n_series + ctx.mp.mpf("1e-9"))
 
     monkeypatch.setattr(sr, "evaluate_sumrule", shifted)
     argv = ["verify", "rh-form", "--x", "0.5", "--zeros", "10", "--n-trivial", "16",
@@ -255,13 +255,13 @@ def test_rh_form_csv_status_is_the_exit_verdict(base_args, store30_96, ctx96, ca
     assert rc == 1
     assert row.endswith(",FAIL")
     values = dict(zip(header.split(","), row.split(",")))
-    assert abs(ctx96.mpf(values["residual"])) <= 10 * ctx96.mpf(values["tail_bound"])
+    assert abs(ctx96.mp.mpf(values["residual"])) <= 10 * ctx96.mp.mpf(values["tail_bound"])
     assert main(argv) == 1
     out = capsys.readouterr().out
     assert out.endswith("\nFAIL\n")
     [cross_n] = [line.split(": ")[1] for line in out.splitlines()
                  if line.startswith("aux cross_n_diff")]
-    assert abs(ctx96.mpf(cross_n) - ctx96.mpf("1e-9")) < ctx96.mpf("1e-20")
+    assert abs(ctx96.mp.mpf(cross_n) - ctx96.mp.mpf("1e-9")) < ctx96.mp.mpf("1e-20")
 
 
 # enough of each verify kind to build its report quickly
@@ -351,6 +351,16 @@ def test_zeros_count_out_of_range_exits_2(count, base_args, store30_96, capsys):
     # cached file never serves an empty or negative prefix
     assert main(["zeros", "--count", count] + base_args) == 2
     assert "count must be in [1, 2000]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sumrule", "--a", "0.5", "--n-trivial", "0"], "error: n_trivial = 0 must be positive"),
+    (["guillera", "--lambda-limit", "1"], "error: lambda_limit = 1 must lie in [2, 10000000]"),
+])
+def test_a_range_error_names_its_setting(argv, message, base_args, store30_96, capsys):
+    assert main(["verify", *argv, "--x", "0.5", "--zeros", "10"] + base_args) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message + "\n")  # the message alone: no traceback
 
 
 def test_verify_guillera_cli(base_args, store30_96, capsys):

@@ -111,7 +111,7 @@ SPLIT_CASES = (
 
 
 def test_split_zero_sums_print_the_one_process_bytes(cache_dir, store500_192, monkeypatch,
-                                                     forks, capsys):
+                                                     forks, capsys, held_tables):
     def run():
         outs = []
         for argv in SPLIT_CASES:
@@ -122,8 +122,9 @@ def test_split_zero_sums_print_the_one_process_bytes(cache_dir, store500_192, mo
         return outs
 
     # one split zero sum for sumrule, two for rh-form (its own and the a = 1/2
-    # sum rule's) and one per scan point, where a second CPU is free
-    forked = 7 * SPLITS
+    # sum rule's) and one per scan point, where a second CPU is free; each of
+    # the five new tables maps its factors first
+    forked = 12 * SPLITS
     split = run()
     assert len(forks) == forked
     one_cpu(monkeypatch)

@@ -25,8 +25,8 @@ def test_precision_floor():
 def test_target_tol_default_and_bounds():
     for bits in (64, 128, 192):
         ctx = NumericContext(bits)
-        assert ctx.target_tol == ctx.mpf(2) ** (10 - bits)
-        assert ctx.mpf(2) ** (-bits) <= ctx.target_tol < 1
+        assert ctx.target_tol == ctx.mp.mpf(2) ** (10 - bits)
+        assert ctx.mp.mpf(2) ** (-bits) <= ctx.target_tol < 1
     # the tolerance follows from the precision and is not an option
     with pytest.raises(TypeError):
         NumericContext(128, target_tol=2.0 ** -100)
@@ -39,27 +39,27 @@ def test_sqrt_principal_branch():
 
 
 def test_pow_identity_and_oracle():
-    assert cpow(CTX.mpf(17.25), CTX.mpf(0), CTX) == 1
-    got = cpow(CTX.mpf(0.5), CTX.mpf(0.25), CTX)
-    assert abs(got - CTX.mpf(POW_HALF_QUARTER)) < 4 * CTX.ulp(got)
+    assert cpow(CTX.mp.mpf(17.25), CTX.mp.mpf(0), CTX) == 1
+    got = cpow(CTX.mp.mpf(0.5), CTX.mp.mpf(0.25), CTX)
+    assert abs(got - CTX.mp.mpf(POW_HALF_QUARTER)) < 4 * CTX.ulp(got)
 
 
 def test_domain_errors_carry_op_name():
     with pytest.raises(DomainError) as err:
-        cpow(CTX.mpf(0), CTX.mpf(1), CTX)
+        cpow(CTX.mp.mpf(0), CTX.mp.mpf(1), CTX)
     assert err.value.op == "pow"
     with pytest.raises(DomainError) as err:
-        guillera_h(CTX.mpf(1), CTX)
+        guillera_h(CTX.mp.mpf(1), CTX)
     assert err.value.op == "guillera_h"
 
 
 def test_constants():
     # the context's mpmath carries at least the nominal precision
     mp = CTX.mp
-    assert abs(+mp.pi - CTX.mpf(PI)) < 4 * CTX.ulp(CTX.mpf(PI))
-    assert abs(+mp.euler - CTX.mpf(EULER_GAMMA)) < 4 * CTX.ulp(CTX.mpf(1))
-    assert abs(+mp.ln2 - mp.log(2)) < 4 * CTX.ulp(CTX.mpf(1))
-    assert abs(+mp.ln2 - CTX.mpf(LN2)) < 4 * CTX.ulp(CTX.mpf(1))
+    assert abs(+mp.pi - CTX.mp.mpf(PI)) < 4 * CTX.ulp(CTX.mp.mpf(PI))
+    assert abs(+mp.euler - CTX.mp.mpf(EULER_GAMMA)) < 4 * CTX.ulp(CTX.mp.mpf(1))
+    assert abs(+mp.ln2 - mp.log(2)) < 4 * CTX.ulp(CTX.mp.mpf(1))
+    assert abs(+mp.ln2 - CTX.mp.mpf(LN2)) < 4 * CTX.ulp(CTX.mp.mpf(1))
 
 
 def test_euler_gamma_against_accelerated_limit():
@@ -100,7 +100,7 @@ def test_sin_of_imaginary_is_i_sinh(y):
 
 
 @pytest.mark.parametrize("expr", [
-    lambda c: cpow(c.mpf(0.5), c.mpf(0.25), c),
+    lambda c: cpow(c.mp.mpf(0.5), c.mp.mpf(0.25), c),
     lambda c: +c.mp.euler,
     lambda c: c.mp.sqrt(c.mp.mpc(2, 3)),
 ])
@@ -112,6 +112,6 @@ def test_precision_monotonicity(expr):
 
 def test_cpow_positive_base_only():
     with pytest.raises(DomainError):
-        cpow(-2, CTX.mpf(0.5), CTX)
-    assert abs(cpow(0.5, CTX.mpf(0.25), CTX) - CTX.mpf(POW_HALF_QUARTER)) \
-        < 4 * CTX.ulp(CTX.mpf(1))
+        cpow(-2, CTX.mp.mpf(0.5), CTX)
+    assert abs(cpow(0.5, CTX.mp.mpf(0.25), CTX) - CTX.mp.mpf(POW_HALF_QUARTER)) \
+        < 4 * CTX.ulp(CTX.mp.mpf(1))

@@ -254,7 +254,7 @@ def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, mon
     def values():
         out = [sr.numeric_residue(site, params, ctx96, catalog, store=store30_96)
                for site in sites]
-        return out + [engine_for(ctx96).zeta_deriv(ctx96.mpf("0.01"))]  # cauchy_deriv
+        return out + [engine_for(ctx96).zeta_deriv(ctx96.mp.mpf("0.01"))]  # cauchy_deriv
 
     split, alone = split_and_in_process(monkeypatch, values)
     assert [_raw(v) for v in split] == [_raw(v) for v in alone]

@@ -103,11 +103,13 @@ def test_bench_pairs_writes_the_bench_file(tmp_path):
     traced = {"seed": 1, "cpu": 0, "parent": pairs.parse_result(TRACE_STDOUT),
               "change": pairs.parse_result(TRACE_STDOUT)}
     lines = {"parent": {"zeros.py": 3, "total": 3}, "change": {"zeros.py": 2, "total": 2}}
-    pairs.write_bench(path, commits, lines, "verify-warm", settings, runs, better, traced)
-    doc = pairs.write_bench(path, commits, lines, "closure", settings, runs, better, traced)
+    code = {"parent": {"zeros.py": 2, "total": 2}, "change": {"zeros.py": 1, "total": 1}}
+    pairs.write_bench(path, commits, lines, code, "verify-warm", settings, runs, better, traced)
+    doc = pairs.write_bench(path, commits, lines, code, "closure", settings, runs, better, traced)
     assert doc == json.loads(path.read_text())
     assert doc["commits"] == commits and sorted(doc["workloads"]) == ["closure", "verify-warm"]
     assert doc["src_lines"] == lines
+    assert doc["code_lines"] == code
     warm = doc["workloads"]["verify-warm"]
     assert warm["runs"] == runs and warm["seeds"] == [1, 2] and warm["pairs"] == 2
     assert warm["traced"] == traced
@@ -120,7 +122,7 @@ def test_bench_pairs_writes_the_bench_file(tmp_path):
     assert warm["parent"] == {"failed": 0, "attempted": 48, "correct": True}
     assert doc["host"]["cpus"] >= 1
     # other commits start a new file
-    other = pairs.write_bench(path, {"parent": "ccc", "change": "bbb"}, lines, "closure",
+    other = pairs.write_bench(path, {"parent": "ccc", "change": "bbb"}, lines, code, "closure",
                               settings, runs, better, traced)
     assert list(other["workloads"]) == ["closure"]
 
@@ -141,6 +143,46 @@ def test_bench_pairs_counts_the_src_lines_of_each_tree(tmp_path):
     assert pairs.src_report(lines) == [
         "src lines a.py: 3 -> 1 (-2)", "src lines b.py: 2 -> 0 (-2)",
         "src lines c.py: 0 -> 4 (+4)", "src lines total: 5 -> 5 (+0)"]
+
+
+# a module of 15 lines, 5 of them code: the docstrings (one line and three),
+# the comment-only lines and the blank lines are not code, a string that is
+# part of a statement is
+MODULE = '''"""A module docstring."""
+
+import os  # a comment after code
+
+# a comment alone
+TEXT = """two lines
+of a value"""
+
+
+def f(x):
+    """A docstring
+    of three
+    lines."""
+    # a comment alone, indented
+    return os.sep + x
+'''
+
+
+def test_bench_pairs_counts_the_code_lines_of_each_tree(tmp_path):
+    pairs = load_script("bench_pairs")
+    assert len(MODULE.splitlines()) == 15 and pairs.code_lines(MODULE) == 5
+    for side, text in (("parent", MODULE), ("change", MODULE.replace("    # a comment alone, "
+                                                                      "indented\n", ""))):
+        src = tmp_path / side / "src" / "zetasum"
+        src.mkdir(parents=True)
+        (src / "m.py").write_text(text)
+        (src / "blank.py").write_text("\n")
+    lines = {side: pairs.src_lines(tmp_path / side) for side in ("parent", "change")}
+    code = {side: pairs.src_lines(tmp_path / side, code=True) for side in ("parent", "change")}
+    assert lines == {"parent": {"blank.py": 1, "m.py": 15, "total": 16},
+                     "change": {"blank.py": 1, "m.py": 14, "total": 15}}
+    assert code == {"parent": {"blank.py": 0, "m.py": 5, "total": 5},
+                    "change": {"blank.py": 0, "m.py": 5, "total": 5}}
+    # a comment went: one line less, and no line of code less
+    assert pairs.src_report(code, "code lines")[-1] == "code lines total: 5 -> 5 (+0)"
 
 
 def test_bench_pairs_reports_the_traced_counts():

@@ -87,14 +87,14 @@ def test_non_resonant_a_accepted(ctx):
 
 
 def test_integrand_at_origin(ctx):
-    got = sr.integrand(ctx.mpf(0), params(), ctx)
+    got = sr.integrand(ctx.mp.mpf(0), params(), ctx)
     assert abs(got - (-2)) < 100 * ctx.target_tol
 
 
 def test_integrand_frozen_point(ctx):
     got = sr.integrand(ctx.mp.mpc(0, "0.3"), params(), ctx)
     want = ctx.mp.mpc(*INTEGRAND_03I)
-    assert abs(got - want) < ctx.mpf("1e-38")
+    assert abs(got - want) < ctx.mp.mpf("1e-38")
 
 
 def test_integrand_path_decay_bound(ctx, engine):
@@ -279,7 +279,8 @@ def test_zero_sum_simplicity_guard(ctx, store):
         sr.zero_sum_lhs(params(n_zeros=3), fake, ctx)
 
 
-def test_zero_sums_are_the_one_process_loops_bit_for_bit(ctx192, store500_192, forks):
+def test_zero_sums_are_the_one_process_loops_bit_for_bit(ctx192, store500_192, forks,
+                                                         held_tables):
     # the sums as one loop over the zeros wrote them, before the split and
     # the hoisted invariants
     mp = ctx192.mp
@@ -309,24 +310,40 @@ def test_zero_sums_are_the_one_process_loops_bit_for_bit(ctx192, store500_192, f
     rep = sr.evaluate_guillera(x, store500_192, mangoldt_sieve(100), ctx192)
     assert _raw(rep.lhs_zero_sum) == _raw(lhs)
     assert dict(rep.aux)["zero_tail_bound"] == ctx192.nstr(3 * abs(last))
-    # zero_sum_lhs, both loops of evaluate_rh_form, and evaluate_guillera's
-    assert len(forks) == 4 * SPLITS
+    # zero_sum_lhs, both loops of evaluate_rh_form, and evaluate_guillera's;
+    # each of the first three is a new table, whose factors map first
+    assert len(forks) == 7 * SPLITS
     assert_no_child()
 
 
 def test_a_closure_tail_forks_as_a_long_zero_sum_does(ctx192, store500_192, monkeypatch,
-                                                      forks):
+                                                      forks, held_tables):
     def zero_sum(n):
         return sr.zero_sum_lhs(sr.SumRuleParams(a="0.6", x="0.4", n_zeros=n), store500_192,
                                ctx192)
 
-    zero_sum(500)
-    assert len(forks) == SPLITS
-    split = zero_sum(6)  # the size of each closure round's zero tail
+    zero_sum(500)  # a new table: its factors, then its terms
     assert len(forks) == 2 * SPLITS
+    split = zero_sum(6)  # the size of each closure round's zero tail
+    assert len(forks) == 4 * SPLITS
     assert_no_child()
     one_cpu(monkeypatch)
     assert _raw(split) == _raw(zero_sum(6))
+
+
+def test_a_new_a_maps_its_factors_then_its_terms(ctx192, store500_192, monkeypatch, maps,
+                                                 held_tables):
+    # a new a builds its held factors by a map of their own, then maps its
+    # terms over them; the same a again maps its terms alone
+    p = sr.SumRuleParams(a="0.6", x="0.4", n_zeros=500)
+    miss = _raw(sr.zero_sum_lhs(p, store500_192, ctx192))
+    assert maps == ([500, 500] if SPLITS else [])
+    hit = _raw(sr.zero_sum_lhs(p, store500_192, ctx192))
+    assert maps == ([500, 500, 500] if SPLITS else [])
+    assert_no_child()
+    held_tables.clear()
+    one_cpu(monkeypatch)
+    assert miss == hit == _raw(sr.zero_sum_lhs(p, store500_192, ctx192))
 
 
 @pytest.mark.parametrize("bad", [(67,), (70,), (70, 75)], ids=["odd", "even", "both"])
@@ -404,7 +421,7 @@ def test_trivial_series_tail_honesty(ctx):
 def test_trivial_series_deep_tail():
     ctx192 = NumericContext(192)
     _, tail = sr.trivial_series(sr.SumRuleParams(a="0.5", x="0.5", n_trivial=40), ctx192)
-    assert tail < ctx192.mpf("1e-40")
+    assert tail < ctx192.mp.mpf("1e-40")
 
 
 def test_half_integer_series_terms(ctx, engine):
@@ -453,17 +470,17 @@ def test_rh_form_cross_evaluation(ctx, store):
     rep = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=20, n_trivial=24, n_halfint=8)
     aux = dict(rep.aux)
     for key in ("cross_lhs_diff", "cross_const_diff", "cross_n_diff", "cross_k_diff"):
-        assert ctx.mpf(aux[key]) < ctx.mpf("1e-12")
+        assert ctx.mp.mpf(aux[key]) < ctx.mp.mpf("1e-12")
     # the rejected variant differs by exactly x^(1/4)
-    assert abs(ctx.mpf(aux["rh_k_prefactor"]) - ctx.mpf("0.5") ** ctx.mpf("0.25")) \
-        < ctx.mpf("1e-20")
+    assert abs(ctx.mp.mpf(aux["rh_k_prefactor"]) - ctx.mp.mpf("0.5") ** ctx.mp.mpf("0.25")) \
+        < ctx.mp.mpf("1e-20")
     assert rep.passes()
 
 
 def test_rh_form_fails_on_its_cross_difference_alone(ctx, store, monkeypatch):
     rep = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=20, n_trivial=24, n_halfint=8)
     [(cross, limit)] = rep.limits
-    assert limit == ctx.mpf("1e-12")
+    assert limit == ctx.mp.mpf("1e-12")
     assert ctx.nstr(cross) in [v for k, v in rep.aux if k.startswith("cross_")]
     # at its limit the cross-difference passes, one ulp above it fails
     assert dataclasses.replace(rep, limits=((limit, limit),)).passes()
@@ -474,12 +491,12 @@ def test_rh_form_fails_on_its_cross_difference_alone(ctx, store, monkeypatch):
 
     def shifted(params, store, ctx):
         ref = evaluate_sumrule(params, store, ctx)
-        return dataclasses.replace(ref, rhs_n_series=ref.rhs_n_series + ctx.mpf("1e-11"))
+        return dataclasses.replace(ref, rhs_n_series=ref.rhs_n_series + ctx.mp.mpf("1e-11"))
 
     monkeypatch.setattr(sr, "evaluate_sumrule", shifted)
     bad = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=20, n_trivial=24, n_halfint=8)
     assert (bad.residual, bad.tail_bound) == (rep.residual, rep.tail_bound)
-    assert abs(bad.limits[0][0] - ctx.mpf("1e-11")) < ctx.mpf("1e-20")
+    assert abs(bad.limits[0][0] - ctx.mp.mpf("1e-11")) < ctx.mp.mpf("1e-20")
     assert not bad.passes()
 
 
@@ -579,7 +596,7 @@ def closure_report(residual, tail_bound):
 def test_verdict_is_ten_tail_bounds(ctx, report, tail):
     # |residual| = 10 * tail_bound passes, one ulp above fails; a closure's
     # residual is a modulus, a sum rule's has a sign
-    tail_bound = ctx.mpf(tail)
+    tail_bound = ctx.mp.mpf(tail)
     bound = 10 * tail_bound
     assert report(bound, tail_bound).passes()
     assert not report(next_up(bound), tail_bound).passes()
@@ -626,12 +643,13 @@ def test_closure_ablation_family_b(ctx, store):
 
 
 def test_closure_maps_its_residues_and_is_the_one_cpu_report(ctx, store, monkeypatch, forks,
-                                                             maps):
+                                                             maps, held_tables):
     p = params(n_zeros=2, n_trivial=2, n_halfint=1)
     split = sr.verify_residue_theorem(p, store, ctx)
     # one fork per contour level, one for the 8 residues (4 sites and 2 zero
-    # and conjugate pairs), one for the 2-zero tail
-    assert maps[-2:] == ([6, 2] if SPLITS else [])
+    # and conjugate pairs), and for the 2-zero tail one for its factors and
+    # one for its terms
+    assert maps[-3:] == ([6, 2, 2] if SPLITS else [])
     assert len(forks) == len(maps) and (len(maps) > 3) == SPLITS
     assert_no_child()
     one_cpu(monkeypatch)
@@ -706,7 +724,9 @@ def test_held_tables_give_the_bits_of_a_fresh_call(bits, store500_192, monkeypat
         return reports
 
     held = run(fresh=False)
-    assert len(forks) == (len(calls) + 2 * 3) * SPLITS  # one split per zero sum, hit or miss
+    # one split per zero sum, hit or miss, and one more per miss: the first
+    # two calls at each count of zeros, and the first rh-form's two sums
+    assert len(forks) == (len(calls) + 2 * 3 + 3 * 2 + 2) * SPLITS
     assert_no_child()
     assert run(fresh=True) == held
     held_tables.clear()
@@ -740,18 +760,18 @@ def test_a_repeated_a_computes_only_its_x_dependent_terms(ctx192, store500_192, 
 
 def test_the_cross_check_fails_on_a_scaled_held_table(ctx, store, held_tables):
     mp = ctx.mp
-    half, scale = ctx.mpf("0.5"), 1 + ctx.mpf("1e-9")
+    half, scale = ctx.mp.mpf("0.5"), 1 + ctx.mp.mpf("1e-9")
 
     def rh_form():
         rep = sr.evaluate_rh_form("0.75", store, ctx, n_zeros=20, n_trivial=24, n_halfint=8)
-        return rep, {k: ctx.mpf(v) for k, v in rep.aux if k.startswith("cross_")}
+        return rep, {k: ctx.mp.mpf(v) for k, v in rep.aux if k.startswith("cross_")}
 
     good, cross = rh_form()
-    assert good.passes() and max(cross.values()) < ctx.mpf("1e-12")
+    assert good.passes() and max(cross.values()) < ctx.mp.mpf("1e-12")
     key, dens = held_tables["zero sum", half]
     held_tables["zero sum", half] = key, [(mp.make_mpc(d) * scale)._mpc_ for d in dens]
     bad, cross = rh_form()
-    assert cross["cross_lhs_diff"] > ctx.mpf("1e-12") and not bad.passes()
+    assert cross["cross_lhs_diff"] > ctx.mp.mpf("1e-12") and not bad.passes()
     # rh-form's own zero sum reads its own table, not the scaled one
     assert _raw(bad.lhs_zero_sum) == _raw(good.lhs_zero_sum)
     held_tables["zero sum", half] = key, dens
@@ -759,8 +779,8 @@ def test_the_cross_check_fails_on_a_scaled_held_table(ctx, store, held_tables):
     held_tables["k-series", half] = key, [(m, log_abs - mp.log(scale), sign)
                                           for m, log_abs, sign in rows]
     bad, cross = rh_form()
-    assert cross["cross_k_diff"] > ctx.mpf("1e-12") and not bad.passes()
-    assert cross["cross_lhs_diff"] < ctx.mpf("1e-12")
+    assert cross["cross_k_diff"] > ctx.mp.mpf("1e-12") and not bad.passes()
+    assert cross["cross_lhs_diff"] < ctx.mp.mpf("1e-12")
     assert _raw(bad.rhs_k_series) == _raw(good.rhs_k_series)
 
 

@@ -72,7 +72,7 @@ def test_export_import_roundtrip(store30_96, ctx96, tmp_path):
     assert len(back) == len(store30_96)
     for a, b in zip(store30_96, back):
         assert abs(a.tau - b.tau) <= 2 * ctx96.target_tol
-        assert abs(a.zeta_prime - b.zeta_prime) < ctx96.mpf("1e-20")
+        assert abs(a.zeta_prime - b.zeta_prime) < ctx96.mp.mpf("1e-20")
 
 
 def test_export_deterministic(store30_96, ctx96, tmp_path):
@@ -306,7 +306,7 @@ def test_pass_within_the_certificate_error_bound(name, request):
 def test_taylor_certificate_counts_the_evaluation_error(ctx96):
     # |Z(tau)| must clear e |Z'(tau)| by twice the error bound d of the pass
     engine = ZetaEngine(ctx96)
-    tau, e = ctx96.mpf(100), ctx96.target_tol
+    tau, e = ctx96.mp.mpf(100), ctx96.target_tol
     d = ctx96.mp.ldexp(tau + 4, -(ctx96.precision_bits + 12))
     for z, zd in ((e - 3 * d, 1), (3 * d - e, -1)):
         assert zeros_mod._taylor_certifies(engine, tau, z, zd)
@@ -319,7 +319,7 @@ def test_cache_cold_then_warm(ctx96, tmp_path):
     warm = load_or_compute(6, ctx96, d)
     for a, b in zip(cold, warm):
         assert abs(a.tau - b.tau) <= ctx96.target_tol
-        assert abs(a.zeta_prime - b.zeta_prime) < ctx96.mpf("1e-20")
+        assert abs(a.zeta_prime - b.zeta_prime) < ctx96.mp.mpf("1e-20")
     # a located zero is rounded to what its cache file holds, so the cold and
     # warm stores are equal bit for bit
     assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in cold] == [
@@ -390,7 +390,7 @@ def test_cache_load_parses_a_file_once_until_its_bytes_change(ctx96, tmp_path, m
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
     second = load_or_compute(4, ctx96, d)
     assert len(parsed) == 2
-    assert second[0].tau == ctx96.mpf(lines[1]) != first[0].tau
+    assert second[0].tau == ctx96.mp.mpf(lines[1]) != first[0].tau
     assert [r.tau for r in second[1:]] == [r.tau for r in first[1:]]
 
 
@@ -523,7 +523,7 @@ def test_certificate_fails_on_a_hidden_sign_change(ctx96, monkeypatch, fresh_sca
     # shows none of its two however often it is halved
     from zetasum.zeros import MissedZeroError
     signed_z = zeros_mod._signed_z
-    above = ctx96.mpf("279.22925")
+    above = ctx96.mp.mpf("279.22925")
     monkeypatch.setattr(zeros_mod, "_signed_z", lambda engine, t: (
         -signed_z(engine, t) if t > above else signed_z(engine, t)))
     with pytest.raises(MissedZeroError, match=r"^Gram block \[g_124, g_126\] = \[279\.147575, "

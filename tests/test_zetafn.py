@@ -48,9 +48,9 @@ def test_zeta_classical_identities():
 
 def test_zeta_pole_rejected():
     with pytest.raises(ZetaPoleError):
-        ENG.zeta(CTX.mpf(1))
+        ENG.zeta(CTX.mp.mpf(1))
     with pytest.raises(ZetaPoleError):
-        ENG.zeta_deriv(CTX.mpf(1))
+        ENG.zeta_deriv(CTX.mp.mpf(1))
 
 
 @pytest.mark.parametrize("re,im", [
@@ -93,7 +93,7 @@ def test_zeta_deriv_cauchy_cross_check():
     for s in (mp.mpf(2), mp.mpc(0.5, 14.1347251417), mp.mpf(-2), mp.mpf(-4),
               mp.mpc(-1.5, 3)):
         direct = ENG.zeta_deriv(s)
-        circle = ENG.cauchy_deriv(s)
+        circle = ENG.cauchy_deriv(s, radius=mp.mpf("1e-3"))
         assert abs(direct - circle) <= 10 * CTX.target_tol * max(1, abs(direct))
 
 
@@ -265,7 +265,7 @@ def test_engine_for_one_per_context():
     eng = engine_for(NumericContext(192))
     assert engine_for(CTX) is eng and eng.ctx == CTX
     assert engine_for(NumericContext(128)) is not eng
-    assert abs(eng.zeta(CTX.mpf(2)) - CTX.mp.pi ** 2 / 6) < 100 * CTX.target_tol
+    assert abs(eng.zeta(CTX.mp.mpf(2)) - CTX.mp.pi ** 2 / 6) < 100 * CTX.target_tol
 
 
 def test_precision_error_when_escalation_disabled(monkeypatch):
@@ -276,7 +276,7 @@ def test_precision_error_when_escalation_disabled(monkeypatch):
     eng = ZetaEngine(CTX)
     eng._n0, eng._m_cap = 10, 2
     with pytest.raises(PrecisionError, match=r"at N=10 for s = 0\.5$"):
-        eng.zeta(CTX.mpf("0.5"))
+        eng.zeta(CTX.mp.mpf("0.5"))
     with pytest.raises(PrecisionError, match=r"at N=\d+ for s = \(3\.0 \+ 40\.0j\)$"):
         eng.zeta(CTX.mp.mpc(3, 40))
 
@@ -334,4 +334,4 @@ def test_float_z_within_its_bound(store30_96):
             assert abs(mpmath.siegelz(t) - value) <= bound, t
             fallbacks += abs(value) <= bound
     assert fallbacks >= 30
-    assert zetafn._hardy_z_float(CTX.mpf("9.99")) == (0.0, float("inf"))
+    assert zetafn._hardy_z_float(CTX.mp.mpf("9.99")) == (0.0, float("inf"))
