@@ -3,6 +3,11 @@ pole catalog with symbolically derived residues, numeric residue
 arbitration, both sides of the series identity, the a = 1/2 specialization,
 and the one-parameter cross-check identity built on the von Mangoldt series.
 
+Every verdict is decided here.  Each identity's report comes from its builder
+(evaluate_integral, evaluate_residues, evaluate_sumrule, evaluate_rh_form,
+evaluate_guillera) with its residual, its tail bound and the criterion line
+that states its rule; EvaluationReport.passes() is the one verdict rule.
+
 Conventions fixed empirically by residue arbitration (recorded in every
 report's notes):
 
@@ -71,9 +76,10 @@ __all__ = [
     "evaluate_sumrule",
     "evaluate_rh_form",
     "evaluate_guillera",
+    "evaluate_residues",
+    "evaluate_integral",
     "verify_residue_theorem",
     "consistent_orientation",
-    "CONVENTION_NOTES",
 ]
 
 A_MAX = 40
@@ -141,9 +147,11 @@ class SumRuleParams:
         if a == 1:
             raise ValueError("a = 1 is the zeta pole")
         x = _bind_x(self.x, ctx)
-        for name in ("n_zeros", "n_trivial", "n_halfint"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} = {getattr(self, name)} must be positive")
+        # each truncation order under the name of the setting that gives it
+        for name, value in (("zeros_count", self.n_zeros), ("n_trivial", self.n_trivial),
+                            ("n_halfint", self.n_halfint)):
+            if value < 1:
+                raise ValueError(f"{name} = {value} must be positive")
         return a, x
 
     def check_resonance(self, ctx: NumericContext) -> None:
@@ -176,7 +184,8 @@ class PoleSite:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Both sides of one identity evaluation plus error accounting."""
+    """Both sides of one identity evaluation plus error accounting, and the
+    criterion line that states its verdict rule."""
 
     a: object
     x: object
@@ -190,6 +199,7 @@ class EvaluationReport:
     notes: tuple = ()
     aux: tuple = ()  # ((key, decimal-string), ...) extra diagnostics
     limits: tuple = ()  # ((quantity, bound), ...) that must hold besides the tail rule
+    criterion: str = "|residual| <= 10 * tail_bound"
 
     def passes(self) -> bool:
         """The one verdict rule: |residual| <= 10 * tail_bound, and each limit holds."""
@@ -511,6 +521,39 @@ def half_integer_series(params: SumRuleParams, ctx: NumericContext):
 # -- evaluators ----------------------------------------------------------------
 
 
+def evaluate_integral(params: SumRuleParams, ctx: NumericContext) -> EvaluationReport:
+    """The contour integral against its closed form x^(1/4)/(2 pi zeta(a)),
+    with a tail bound of 20 target_tol."""
+    a, x = params.bind(ctx)
+    mp = ctx.mp
+    value = contour_integral(params, ctx)
+    closed = cpow(x, mp.mpf(1) / 4, ctx) / (2 * mp.pi * engine_for(ctx).zeta(a))
+    residual = abs(value - closed)
+    return EvaluationReport(
+        a=a, x=x, lhs_zero_sum=mp.re(value), rhs_const=closed, rhs_n_series=mp.mpf(0),
+        rhs_k_series=mp.mpf(0), residual=residual, tail_bound=20 * ctx.target_tol, zeros_used=0,
+        notes=("integral along the imaginary axis vs x^(1/4)/(2 pi zeta(a))",),
+        aux=(("relative_error", ctx.nstr(residual / abs(closed))),),
+        criterion="|integral - closed form| <= 10 * (20*target_tol)")
+
+
+def evaluate_residues(sites, params, ctx: NumericContext, catalog, store) -> EvaluationReport:
+    """As residual the largest relative deviation of a numeric residue from its
+    derived value, the sites (of catalog) mapped by _residue_map, against a
+    tail bound of 1e-13."""
+    a, x = params.bind(ctx)
+    mp = ctx.mp
+    residues = _residue_map(sites, params, ctx, catalog, store)
+    worst = max([mp.mpf(0), *(abs(num - site.analytic_residue) / abs(site.analytic_residue)
+                              for site, num in zip(sites, residues))])
+    return EvaluationReport(
+        a=a, x=x, lhs_zero_sum=mp.mpf(0), rhs_const=mp.mpf(0), rhs_n_series=mp.mpf(0),
+        rhs_k_series=mp.mpf(0), residual=worst, tail_bound=mp.mpf("1e-13"),
+        zeros_used=params.n_zeros, notes=CONVENTION_NOTES,
+        aux=(("sites_checked", str(len(sites))),),
+        criterion="max relative residue deviation <= 1e-12")
+
+
 def evaluate_sumrule(params: SumRuleParams, store: ZeroStore,
                      ctx: NumericContext) -> EvaluationReport:
     """Both sides of the series identity; residual = lhs - (const + n + k)."""
@@ -600,7 +643,8 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
         a=half, x=x, lhs_zero_sum=lhs, rhs_const=const, rhs_n_series=n_val,
         rhs_k_series=k_corr, residual=residual, tail_bound=ref.tail_bound,
         zeros_used=n_zeros, notes=notes, aux=aux,
-        limits=((max(diff for _, diff in cross), mp.mpf("1e-12")),))
+        limits=((max(diff for _, diff in cross), mp.mpf("1e-12")),),
+        criterion="|residual| <= 10 * tail_bound and cross-diffs <= 1e-12")
 
 
 def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
@@ -654,7 +698,7 @@ def evaluate_guillera(x, store: ZeroStore, mangoldt: MangoldtTable,
         zeros_used=len(store),
         notes=("mangoldt series summed in double precision (math.fsum)",
                "mangoldt tail corrected by its mean-value integral; "
-               "uncorrected residual in aux"), aux=aux)
+               "uncorrected residual in aux"), aux=aux, criterion="|corrected residual| <= 1e-3")
 
 
 def verify_residue_theorem(params: SumRuleParams, store: ZeroStore,

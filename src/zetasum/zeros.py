@@ -377,8 +377,9 @@ def _store(pairs) -> ZeroStore:
 
 def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
     """First `count` critical-line zeros, refined at context precision."""
-    if not 1 <= count <= MAX_COUNT:
-        raise ValueError(f"count must be in [1, {MAX_COUNT}]")
+    if not 1 <= count <= MAX_COUNT:  # named as SumRuleParams.bind names a count below 1
+        raise ValueError(f"zeros_count = {count} must be "
+                         + ("positive" if count < 1 else f"at most {MAX_COUNT}"))
     engine = engine_for(ctx)
     brackets = _scan_brackets(engine, count)[0]
 

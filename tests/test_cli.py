@@ -280,8 +280,8 @@ def test_every_verify_verdict_is_the_reports_passes(kind, base_args, store30_96,
                                                      monkeypatch):
     # the kind's report, then the same report at 10 tail bounds (and at its
     # limit) and one ulp above: the exit code, the PASS/FAIL line and the CSV
-    # status follow passes() alone, under the kind's own criterion line
-    required, verify, criterion = cli.VERIFY[kind]
+    # status follow passes() alone, under the report's own criterion line
+    required, verify = cli.VERIFY[kind]
     built = []
 
     def stub(args, ctx):
@@ -289,7 +289,7 @@ def test_every_verify_verdict_is_the_reports_passes(kind, base_args, store30_96,
             built.append(verify(args, ctx))
         return edit(built[0])
 
-    monkeypatch.setitem(cli.VERIFY, kind, (required, stub, criterion))
+    monkeypatch.setitem(cli.VERIFY, kind, (required, stub))
     argv = ["verify", kind, *VERIFY_ARGS[kind], *base_args]
     cases = [
         (lambda rep: replace(rep, residual=10 * rep.tail_bound), "PASS"),
@@ -307,7 +307,7 @@ def test_every_verify_verdict_is_the_reports_passes(kind, base_args, store30_96,
         assert main(argv) == (0 if status == "PASS" else 1)
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == status
-        assert f"criterion        : {criterion}" in lines
+        assert f"criterion        : {built[0].criterion}" in lines
         assert main(argv + ["--format", "csv"]) == (0 if status == "PASS" else 1)
         assert capsys.readouterr().out.endswith(f",{status}\n")
 
@@ -350,7 +350,7 @@ def test_zeros_count_out_of_range_exits_2(count, base_args, store30_96, capsys):
     # --count is the zeros command's zeros_count: 0 is not "unset", and a
     # cached file never serves an empty or negative prefix
     assert main(["zeros", "--count", count] + base_args) == 2
-    assert "count must be in [1, 2000]" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: zeros_count = {count} must be positive\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -361,6 +361,39 @@ def test_a_range_error_names_its_setting(argv, message, base_args, store30_96, c
     assert main(["verify", *argv, "--x", "0.5", "--zeros", "10"] + base_args) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", message + "\n")  # the message alone: no traceback
+
+
+ZEROS = ("--zeros", "-1", "zeros_count = -1 must be positive")
+TOO_MANY = ("--zeros", "2001", "zeros_count = 2001 must be at most 2000")
+TRIVIAL = ("--n-trivial", "0", "n_trivial = 0 must be positive")
+HALFINT = ("--n-halfint", "0", "n_halfint = 0 must be positive")
+LAMBDA = ("--lambda-limit", "1", "lambda_limit = 1 must lie in [2, 10000000]")
+# the run-wide settings each command reads; a scan's --n-trivial 0 and
+# --n-halfint 0 are per-point error rows, not covered here (ROADMAP item 9)
+READS = {
+    "integral": (["verify", "integral", "--a", "0.5", "--x", "0.5"], (TRIVIAL, HALFINT)),
+    "residues": (["verify", "residues", "--a", "0.5", "--x", "0.5"], (ZEROS, TRIVIAL, HALFINT)),
+    "sumrule": (["verify", "sumrule", "--a", "0.5", "--x", "0.5"],
+                (ZEROS, TOO_MANY, TRIVIAL, HALFINT)),
+    "rh-form": (["verify", "rh-form", "--x", "0.5"], (ZEROS, TOO_MANY, TRIVIAL, HALFINT)),
+    "guillera": (["verify", "guillera", "--x", "0.5"], (ZEROS, TOO_MANY, LAMBDA)),
+    "scan": (["scan", "--a-list", "0.5", "--x-list", "0.5"], (ZEROS, TOO_MANY)),
+}
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    pytest.param(argv, *setting, id=f"{name}{setting[0]}={setting[1]}")
+    for name, (argv, settings) in READS.items() for setting in settings])
+def test_a_bad_setting_exits_before_any_zero_is_loaded_or_written(command, flag, value, message,
+                                                                  tmp_path, capsys):
+    # over an empty cache directory: the one-line message alone, no traceback,
+    # and still no file (a bad setting used to wait for the zeros, then exit)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    assert main(command + ["--zeros", "30", "--precision", "96", "--cache-dir", str(cache),
+                           flag, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(cache.iterdir()) == []
 
 
 def test_verify_guillera_cli(base_args, store30_96, capsys):
