@@ -14,7 +14,8 @@ The CLI validates settings, loads zeros and renders reports; it decides no
 verdict.  Each verify kind's report, its tail bound and its criterion line
 come from its sumrule builder, and the verdict is the report's passes().  A
 bad setting a verify kind reads (a, x, zeros_count, n_trivial, n_halfint,
-lambda_limit) exits 2 before any zero is loaded or located.
+lambda_limit) exits 2 before any zero is loaded or located; so does a scan's
+bad zeros_count, n_trivial or n_halfint, while a bad a or x is its point's row.
 
 Settings precedence: flags > ZETASUM_CACHE_DIR (cache dir only) > config file
 (flat key=value lines; an unknown key or a bad value exits 2) > DEFAULTS.
@@ -270,13 +271,16 @@ def cmd_scan(args) -> int:
     ctx = NumericContext(args.precision_bits)
     if not args.a_list or not args.x_list:
         raise ValueError("scan requires --a-list and --x-list")
+    # the run-wide orders exit 2 before any zero is loaded (module docstring)
+    orders = sr.SumRuleParams(a=None, x=None, n_zeros=args.zeros_count,
+                              n_trivial=args.n_trivial, n_halfint=args.n_halfint)
+    orders.check_orders()
     store = _store_for(args, ctx, args.zeros_count)
     rows = []
     for a in args.a_list:  # a-major, then x: deterministic row order
         for x in args.x_list:
             try:
-                params = sr.SumRuleParams(a=a, x=x, n_zeros=args.zeros_count,
-                                          n_trivial=args.n_trivial, n_halfint=args.n_halfint)
+                params = replace(orders, a=a, x=x)
                 t0 = time.perf_counter()
                 rows.append(_row(sr.evaluate_sumrule(params, store, ctx), ctx, args, t0))
             except COMPUTATIONAL_ERRORS as exc:
@@ -286,8 +290,9 @@ def cmd_scan(args) -> int:
 
 
 def _selftest_checks(args):
-    """(name, ok) of each selftest check in order.  The generator is lazy, so a
-    caller that stops at the first failure skips the remaining computations."""
+    """(name, ok) of each selftest check in order; a check that a sumrule report
+    decides is named by the report's criterion line.  The generator is lazy, so
+    a caller that stops at the first failure skips the remaining computations."""
     ctx = NumericContext(min(args.precision_bits, 128))
     mp = ctx.mp
     engine = engine_for(ctx)
@@ -310,8 +315,8 @@ def _selftest_checks(args):
     params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=6, n_trivial=12, n_halfint=6)
     catalog = sr.pole_catalog(params, store, ctx)
     sampled = catalog[:8] + catalog[12:16] + catalog[19:23]
-    yield ("residue arbitration (sampled sites) <= 1e-12",
-           sr.evaluate_residues(sampled, params, ctx, catalog, store).passes())
+    residues = sr.evaluate_residues(sampled, params, ctx, catalog, store)
+    yield f"residue arbitration (sampled sites): {residues.criterion}", residues.passes()
     closure = sr.verify_residue_theorem(params, store, ctx)
     yield "contour closure at (0.5, 0.5)", closure.passes() and closure.orientation == -1
     rep = sr.evaluate_sumrule(params, store, ctx)
@@ -319,7 +324,7 @@ def _selftest_checks(args):
     flipped = rep.lhs_zero_sum - (rep.rhs_const + rep.rhs_n_series - rep.rhs_k_series)
     yield "flipped k-series sign is rejected", not replace(rep, residual=flipped).passes()
     rh = sr.evaluate_rh_form("0.5", store, ctx, n_zeros=6, n_trivial=12, n_halfint=6)
-    yield "rh-form cross-evaluation <= 1e-12", rh.passes()
+    yield f"rh-form at x = 0.5: {rh.criterion}", rh.passes()
     bases = dict(mangoldt_sieve(10**4).prime_powers())
     yield "Mangoldt sieve identities", (
         bases[8] == 2 and 6 not in bases

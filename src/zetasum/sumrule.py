@@ -43,7 +43,12 @@ logs, the k-series' reflected zeta, zeta(a) and the resonance check) are held
 (_held) for the last two values of a, so a repeated a costs only its x-dependent
 terms; a failed build holds nothing, and a new a maps its zeros' denominators
 before their terms (_zero_map).  evaluate_rh_form holds its own zero table
-and never reads these, so its cross check can still fail.
+and never reads these, so its cross check can still fail.  Each zero's
+x-dependent term, in both zero sums, costs one cos/sin pair and the real part
+of one quotient by its held factor: it runs on raw mpmath tuples through the
+libmp calls that mpmath 1.3's operators make for the written expression
+(_exp_at_real_part, _re_quotient), so every value is bit for bit the mpf/mpc
+expression's.  The denominators are built the same way.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+from mpmath.libmp import (from_float, fzero, mpc_abs, mpc_div, mpc_div_mpf, mpc_mul, mpc_mul_mpf,
+                          mpc_neg, mpc_sinh, mpc_sqrt, mpf_add, mpf_cos_sin, mpf_div, mpf_exp,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_sqrt, mpf_sub)
 
 from .arith import MangoldtTable, guillera_h
 from .numctx import NumericContext, cpow
@@ -147,12 +156,15 @@ class SumRuleParams:
         if a == 1:
             raise ValueError("a = 1 is the zeta pole")
         x = _bind_x(self.x, ctx)
-        # each truncation order under the name of the setting that gives it
+        self.check_orders()
+        return a, x
+
+    def check_orders(self) -> None:
+        """Each truncation order positive, under the name of the setting that gives it."""
         for name, value in (("zeros_count", self.n_zeros), ("n_trivial", self.n_trivial),
                             ("n_halfint", self.n_halfint)):
             if value < 1:
                 raise ValueError(f"{name} = {value} must be positive")
-        return a, x
 
     def check_resonance(self, ctx: NumericContext) -> None:
         """Reject a whose pole families (trivial-zero / half-integer) merge."""
@@ -434,13 +446,40 @@ def _held_rows(slot, key, build):
 
 
 def _zero_map(slot, zeros, ctx, factor, term):
-    """[term(i, factor(i)) for each zero i] by one _split_map over the held
+    """[term(i, raw factor(i)) for each zero i] by one _split_map over the held
     factors.  A miss builds them by a _split_map of its own inside _held_rows
-    (under the zeros' records), each mpc held as its raw tuple, a third smaller."""
+    (under the zeros' records), each mpc held as its raw tuple, a third smaller,
+    which term reads as it is."""
     mp, n = ctx.mp, len(zeros)
     rows = _held_rows(slot, (ctx.precision_bits, zeros.records),
                       lambda: [f._mpc_ for f in _split_map(factor, n, mp)])
-    return _split_map(lambda i: term(i, mp.make_mpc(rows[i])), n, mp)
+    return _split_map(lambda i: term(i, rows[i]), n, mp)
+
+
+def _exp_at_real_part(re, prec, rnd):
+    """im -> mpc_exp((re, im), prec, rnd), mpmath 1.3's complex exp (mp.exp)
+    for a real part re shared by every call: exp(re) at prec+4 once, then per
+    call cos/sin of im at prec+4 and the two products rounded to prec.  A zero
+    re takes mpc_exp's own branch, cos/sin of im at prec alone.  im != 0."""
+    if re == fzero:
+        return lambda im: mpf_cos_sin(im, prec, rnd)
+    mag = mpf_exp(re, prec + 4, rnd)
+
+    def exp(im):
+        c, s = mpf_cos_sin(im, prec + 4, rnd)
+        return mpf_mul(mag, c, prec, rnd), mpf_mul(mag, s, prec, rnd)
+
+    return exp
+
+
+def _re_quotient(z, w, prec, rnd):
+    """Re mpc_div(z, w, prec, rnd), the real part of mpmath 1.3's complex
+    quotient z / w: Re z Re w + Im z Im w and |w|^2, each from exact products
+    summed at prec+10, then one division rounded to prec."""
+    (p, q), (c, d) = z, w
+    wp = prec + 10
+    return mpf_div(mpf_add(mpf_mul(p, c), mpf_mul(q, d), wp),
+                   mpf_add(mpf_mul(c, c), mpf_mul(d, d), wp), prec, rnd)
 
 
 def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
@@ -449,23 +488,41 @@ def zero_sum_lhs(params: SumRuleParams, store: ZeroStore, ctx: NumericContext):
     zeta'(rho), summed in ascending zero order; tail = 3 |last term|.  The
     real parts are mapped by _zero_map (a forked child takes every other
     zero) over each D_rho, held for the next call at this a, so the value is
-    bit for bit the one-process sum and an exception the first failing zero's."""
+    bit for bit the one-process sum and an exception the first failing zero's.
+    x^((1/2-a)/4a) is the same for every zero, so a term costs one cos/sin
+    pair and a real quotient by D_rho (the last also its |t|), and D_rho a
+    complex sqrt, sinh and two products, each on raw tuples as the module
+    docstring says."""
     a, x = params.bind(ctx)
     mp = ctx.mp
+    prec, rnd = mp._prec_rounding
     zeros = store.prefix(params.n_zeros)
     last = len(zeros) - 1
-    ln_x, four_a, root_a, half_pi = mp.log(x), 4 * a, mp.sqrt(a), mp.pi / 2
+    four_a, ln_x = (4 * a)._mpf_, mp.log(x)._mpf_
+    root_a, half_pi, floor = mp.sqrt(a)._mpf_, (mp.pi / 2)._mpf_, from_float(SIMPLICITY_FLOOR)
+    # rho - a as mp.mpc(0.5, tau) - a gives it, tau rounded to the context
+    re_shift = mpf_sub(from_float(0.5), a._mpf_, prec, rnd)
+    exp = _exp_at_real_part(mpf_mul(mpf_div(re_shift, four_a, prec, rnd), ln_x, prec, rnd),
+                            prec, rnd)
 
     def denominator(i):
         rec = zeros[i]
-        if abs(rec.zeta_prime) < SIMPLICITY_FLOOR:
+        zeta_prime = rec.zeta_prime._mpc_
+        if mpf_lt(mpc_abs(zeta_prime, prec, rnd), floor):
             raise MultipleZeroError(f"|zeta'(rho)| below simplicity floor at index {i + 1}")
-        w = mp.sqrt(mp.mpc(0.5, rec.tau) - a)
-        return w * mp.sinh(half_pi * w / root_a) * rec.zeta_prime
+        w = mpc_sqrt((re_shift, mpf_pos(rec.tau._mpf_, prec, rnd)), prec, rnd)
+        sh = mpc_sinh(mpc_div_mpf(mpc_mul_mpf(w, half_pi, prec, rnd), root_a, prec, rnd),
+                      prec, rnd)
+        return mp.make_mpc(mpc_mul(mpc_mul(w, sh, prec, rnd), zeta_prime, prec, rnd))
 
     def term(i, d):
-        t = -mp.exp((mp.mpc(0.5, zeros[i].tau) - a) / four_a * ln_x) / d
-        return (mp.re(t), abs(t)) if i == last else mp.re(t)
+        im = mpf_div(mpf_pos(zeros[i].tau._mpf_, prec, rnd), four_a, prec, rnd)
+        e = exp(mpf_mul(im, ln_x, prec, rnd))
+        if i == last:
+            t = mpc_div(mpc_neg(e, prec, rnd), d, prec, rnd)
+            return mp.make_mpf(t[0]), mp.make_mpf(mpc_abs(t, prec, rnd))
+        # Re(-e / d) = -Re(e / d): both roundings of the quotient are symmetric
+        return mp.make_mpf(mpf_neg(_re_quotient(e, d, prec, rnd)))
 
     *reals, (last_re, last_abs) = _zero_map(("zero sum", a), zeros, ctx, denominator, term)
     return sum(reals, mp.zero) + last_re, 3 * last_abs
@@ -594,22 +651,29 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     a = 1/2 ride along in aux, and the largest must be <= 1e-12 (limits).
     The zero terms are mapped by _zero_map, as zero_sum_lhs maps its own,
     with each sin(pi sqrt(tau)/(1+i)) zeta'(rho) held in this function's own
-    table, and summed in ascending zero order: bit for bit the one-process sum."""
+    table, and summed in ascending zero order: bit for bit the one-process sum.
+    A term's exponent is purely imaginary, so it costs one cos/sin pair, a
+    square root and a real quotient by the held factor, on raw tuples."""
     mp = ctx.mp
     ref_params = SumRuleParams(a="0.5", x=x, n_zeros=n_zeros,
                                n_trivial=n_trivial, n_halfint=n_halfint)
     half, x = ref_params.bind(ctx)
     engine = engine_for(ctx)
+    prec, rnd = mp._prec_rounding
     ln_x = mp.log(x)
     zeros = store.prefix(n_zeros)
-    half_i, half_pi, one_plus_i = mp.mpc(0, half), mp.pi / 2, mp.mpc(1, 1)
+    half_pi, one_plus_i = mp.pi / 2, mp.mpc(1, 1)
+    cis = _exp_at_real_part(fzero, prec, rnd)  # exp(i y/2): mp.mpc(0, 1/2) * y has real part 0
 
     def denominator(i):
         return mp.sin(mp.pi * mp.sqrt(zeros[i].tau) / one_plus_i) * zeros[i].zeta_prime
 
     def term(i, den):
         tau = zeros[i].tau
-        return mp.re(mp.exp(half_i * (tau * ln_x + half_pi)) / mp.sqrt(tau) / den)
+        y = (tau * ln_x + half_pi)._mpf_  # rounded in tau's context, as the operators do
+        e = mpc_div_mpf(cis(mpf_mul(half._mpf_, y, prec, rnd)), mpf_sqrt(tau._mpf_, prec, rnd),
+                        prec, rnd)
+        return mp.make_mpf(_re_quotient(e, den, prec, rnd))
 
     lhs = sum(_zero_map(("rh-form", half), zeros, ctx, denominator, term), mp.zero)
     const = 1 / (mp.pi * mp.sqrt(2) * engine.zeta(half))

@@ -368,8 +368,8 @@ TOO_MANY = ("--zeros", "2001", "zeros_count = 2001 must be at most 2000")
 TRIVIAL = ("--n-trivial", "0", "n_trivial = 0 must be positive")
 HALFINT = ("--n-halfint", "0", "n_halfint = 0 must be positive")
 LAMBDA = ("--lambda-limit", "1", "lambda_limit = 1 must lie in [2, 10000000]")
-# the run-wide settings each command reads; a scan's --n-trivial 0 and
-# --n-halfint 0 are per-point error rows, not covered here (ROADMAP item 9)
+# the run-wide settings each command reads; a scan's bad --a-list or --x-list
+# entry is its point's error row, not covered here
 READS = {
     "integral": (["verify", "integral", "--a", "0.5", "--x", "0.5"], (TRIVIAL, HALFINT)),
     "residues": (["verify", "residues", "--a", "0.5", "--x", "0.5"], (ZEROS, TRIVIAL, HALFINT)),
@@ -377,7 +377,8 @@ READS = {
                 (ZEROS, TOO_MANY, TRIVIAL, HALFINT)),
     "rh-form": (["verify", "rh-form", "--x", "0.5"], (ZEROS, TOO_MANY, TRIVIAL, HALFINT)),
     "guillera": (["verify", "guillera", "--x", "0.5"], (ZEROS, TOO_MANY, LAMBDA)),
-    "scan": (["scan", "--a-list", "0.5", "--x-list", "0.5"], (ZEROS, TOO_MANY)),
+    "scan": (["scan", "--a-list", "0.5", "--x-list", "0.5"],
+             (ZEROS, TOO_MANY, TRIVIAL, HALFINT)),
 }
 
 
@@ -431,6 +432,17 @@ def test_selftest_cli(base_args, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "all checks passed" in out
+
+
+def test_selftest_names_its_report_checks_by_their_criteria(base_args, monkeypatch, capsys):
+    # a criterion a sumrule builder changes reaches the selftest's line as it is
+    for name in ("evaluate_residues", "evaluate_rh_form"):
+        monkeypatch.setattr(sr, name, lambda *args, _f=getattr(sr, name), _n=name, **kw:
+                            replace(_f(*args, **kw), criterion=f"{_n} criterion"))
+    assert main(["selftest"] + base_args) == 0
+    out = capsys.readouterr().out
+    assert "PASS  residue arbitration (sampled sites): evaluate_residues criterion\n" in out
+    assert "PASS  rh-form at x = 0.5: evaluate_rh_form criterion\n" in out
 
 
 def test_selftest_rejects_a_cached_store_with_a_gap(store30_96, ctx128, tmp_path, capsys):

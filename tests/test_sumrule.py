@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from conftest import SPLITS, assert_no_child, next_up, one_cpu
 
 from zetasum.arith import mangoldt_sieve
@@ -314,6 +316,66 @@ def test_zero_sums_are_the_one_process_loops_bit_for_bit(ctx192, store500_192, f
     # each of the first three is a new table, whose factors map first
     assert len(forks) == 7 * SPLITS
     assert_no_child()
+
+
+@pytest.fixture(scope="module")
+def stores_by_bits(ctx96, store30_96, ctx192, store40_192):
+    # the last: a store's taus carry more bits than the context, and are rounded
+    return {"96": (ctx96, store30_96), "192": (ctx192, store40_192),
+            "96-over-192": (ctx96, store40_192)}
+
+
+def zero_maps(fn):
+    """fn()'s value and the list each sumrule map gives, in call order, with
+    every map in process and no table held before or after."""
+    maps = []
+
+    def in_process(f, count, mp):
+        maps.append([f(i) for i in range(count)])
+        return maps[-1]
+
+    sr._held.clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sr, "_split_map", in_process)
+            return fn(), maps
+    finally:
+        sr._held.clear()
+
+
+@pytest.mark.parametrize("bits", ["96", "192", "96-over-192"])
+@settings(max_examples=30, deadline=None)
+@given(a=st.one_of(st.just("0.5"), st.floats(min_value=0, max_value=40, exclude_min=True)),
+       x=st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True))
+def test_raw_zero_terms_are_the_operator_expressions_bit_for_bit(stores_by_bits, bits, a, x):
+    # each held factor and each term of zero_sum_lhs and evaluate_rh_form,
+    # the last term's |t| included, against the mpf/mpc expressions they
+    # repeat on raw tuples; a = 1/2 is mpc_exp's zero-real-part branch
+    ctx, store = stores_by_bits[bits]
+    mp = ctx.mp
+    p = sr.SumRuleParams(a=a, x=x, n_zeros=len(store), n_trivial=4, n_halfint=2)
+    assume(float(a) != 1)
+    try:
+        p.check_resonance(ctx)
+    except sr.ResonantParameterError:
+        assume(False)
+    av, xv = p.bind(ctx)
+    ln_x = mp.log(xv)
+    _, (factors, terms) = zero_maps(lambda: sr.zero_sum_lhs(p, store, ctx))
+    for i, rec in enumerate(store.records):
+        w = mp.sqrt(mp.mpc(0.5, rec.tau) - av)
+        d = w * mp.sinh(mp.pi / 2 * w / mp.sqrt(av)) * rec.zeta_prime
+        assert factors[i]._mpc_ == d._mpc_
+        t = -mp.exp((mp.mpc(0.5, rec.tau) - av) / (4 * av) * ln_x) / d
+        assert _raw(terms[i]) == _raw((mp.re(t), abs(t)) if i == len(store) - 1 else mp.re(t))
+    _, (dens, terms, *_) = zero_maps(lambda: sr.evaluate_rh_form(x, store, ctx, n_zeros=len(store),
+                                                                 n_trivial=4, n_halfint=2))
+    half = mp.mpf("0.5")
+    for i, rec in enumerate(store.records):
+        den = mp.sin(mp.pi * mp.sqrt(rec.tau) / mp.mpc(1, 1)) * rec.zeta_prime
+        assert dens[i]._mpc_ == den._mpc_
+        t = mp.exp(mp.mpc(0, half) * (rec.tau * ln_x + mp.pi / 2)) / mp.sqrt(rec.tau) / den
+        assert terms[i]._mpf_ == mp.re(t)._mpf_
 
 
 def test_a_closure_tail_forks_as_a_long_zero_sum_does(ctx192, store500_192, monkeypatch,
