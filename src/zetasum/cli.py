@@ -268,6 +268,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    """One row per (a, x) point, a-major, then x.  The a-rows are mapped by one
+    _split_map (a forked child takes every other a-row), and each side
+    evaluates its rows' points in order and in process, so each a's held
+    tables are built once and no zero sum forks.  An a-row crosses as one
+    JSON text of its rows, which renders the bytes of a one-process scan."""
     ctx = NumericContext(args.precision_bits)
     if not args.a_list or not args.x_list:
         raise ValueError("scan requires --a-list and --x-list")
@@ -276,8 +281,9 @@ def cmd_scan(args) -> int:
                               n_trivial=args.n_trivial, n_halfint=args.n_halfint)
     orders.check_orders()
     store = _store_for(args, ctx, args.zeros_count)
-    rows = []
-    for a in args.a_list:  # a-major, then x: deterministic row order
+
+    def a_row(i):
+        a, rows = args.a_list[i], []
         for x in args.x_list:
             try:
                 params = replace(orders, a=a, x=x)
@@ -285,6 +291,10 @@ def cmd_scan(args) -> int:
                 rows.append(_row(sr.evaluate_sumrule(params, store, ctx), ctx, args, t0))
             except COMPUTATIONAL_ERRORS as exc:
                 rows.append(({"a": a, "x": x}, f"error: {exc}".replace("\n", " ")))
+        return json.dumps(rows)
+
+    rows = [row for text in _split_map(a_row, len(args.a_list), ctx.mp)
+            for row in json.loads(text)]
     _render(args, rows)
     return 0 if all(status == "PASS" for _, status in rows) else 1
 

@@ -43,7 +43,9 @@ logs, the k-series' reflected zeta, zeta(a) and the resonance check) are held
 (_held) for the last two values of a, so a repeated a costs only its x-dependent
 terms; a failed build holds nothing, and a new a maps its zeros' denominators
 before their terms (_zero_map).  evaluate_rh_form holds its own zero table
-and never reads these, so its cross check can still fail.  Each zero's
+and, in one slot of its own, its own x-independent series factors and
+constant (zeta(1/2) with them); it never reads the tables above, so its cross
+check still compares two computations and can still fail.  Each zero's
 x-dependent term, in both zero sums, costs one cos/sin pair and the real part
 of one quotient by its held factor: it runs on raw mpmath tuples through the
 libmp calls that mpmath 1.3's operators make for the written expression
@@ -653,7 +655,13 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
     with each sin(pi sqrt(tau)/(1+i)) zeta'(rho) held in this function's own
     table, and summed in ascending zero order: bit for bit the one-process sum.
     A term's exponent is purely imaginary, so it costs one cos/sin pair, a
-    square root and a real quotient by the held factor, on raw tuples."""
+    square root and a real quotient by the held factor, on raw tuples.  The
+    x-independent series factors are held as well, in the slot
+    ("rh-form series", 1/2) keyed by the precision and both orders: per n
+    the signed (2 pi)^(2n), sqrt(4n+1), its sinpi, zeta(2n+1) and (2n)!, per
+    k the sign product, -k^2 and the reflected log |zeta|, and the constant.
+    Each term still combines them with the x-dependent power in the written
+    operand order, so every value is the one a fresh call gives, bit for bit."""
     mp = ctx.mp
     ref_params = SumRuleParams(a="0.5", x=x, n_zeros=n_zeros,
                                n_trivial=n_trivial, n_halfint=n_halfint)
@@ -675,21 +683,28 @@ def evaluate_rh_form(x, store: ZeroStore, ctx: NumericContext,
                         prec, rnd)
         return mp.make_mpf(_re_quotient(e, den, prec, rnd))
 
-    lhs = sum(_zero_map(("rh-form", half), zeros, ctx, denominator, term), mp.zero)
-    const = 1 / (mp.pi * mp.sqrt(2) * engine.zeta(half))
-    n_val = mp.mpf(0)
-    for n in range(1, n_trivial + 1):
+    def n_row(n):
         root = mp.sqrt(mp.mpf(4 * n + 1))
-        sign = 1 if n % 2 == 1 else -1
-        n_val += (sign * mp.power(2 * mp.pi, 2 * n)
-                  / (cpow(x, n, ctx) * root * mp.sinpi(root / 2)
-                     * engine._zeta_odd(2 * n + 1) * mp.factorial(2 * n)))
+        return ((1 if n % 2 == 1 else -1) * mp.power(2 * mp.pi, 2 * n), root,
+                mp.sinpi(root / 2), engine._zeta_odd(2 * n + 1), mp.factorial(2 * n))
+
+    def k_row(k):
+        log_abs, sign = engine.zeta_reflect_log(half - 2 * k * k)
+        return (1 if k % 2 == 0 else -1) * sign, -k * k, log_abs
+
+    lhs = sum(_zero_map(("rh-form", half), zeros, ctx, denominator, term), mp.zero)
+    n_rows, k_rows, const = _held_rows(
+        ("rh-form series", half), (ctx.precision_bits, n_trivial, n_halfint),
+        lambda: ([n_row(n) for n in range(1, n_trivial + 1)],
+                 [k_row(k) for k in range(1, n_halfint + 1)],
+                 1 / (mp.pi * mp.sqrt(2) * engine.zeta(half))))
+    n_val = mp.mpf(0)
+    for n, (lead, root, sin_root, zeta_odd, fact) in enumerate(n_rows, start=1):
+        n_val += lead / (cpow(x, n, ctx) * root * sin_root * zeta_odd * fact)
     n_val *= mp.sqrt(2) * cpow(x, -mp.mpf(1) / 4, ctx)
     k_corr = mp.mpf(0)
-    for k in range(1, n_halfint + 1):
-        log_abs, sign = engine.zeta_reflect_log(half - 2 * k * k)
-        k_sign = 1 if k % 2 == 0 else -1
-        k_corr += k_sign * sign * mp.exp(-k * k * ln_x - log_abs)
+    for sign, m, log_abs in k_rows:
+        k_corr += sign * mp.exp(m * ln_x - log_abs)
     k_corr *= mp.sqrt(2) / mp.pi
     k_printed = -k_corr * cpow(x, mp.mpf(1) / 4, ctx)  # the rejected variant
     residual = lhs - (const + n_val + k_corr)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from zetasum import sumrule, zetafn
+from zetasum import cli, sumrule, zetafn
 from zetasum.numctx import NumericContext
 from zetasum.zeros import load_or_compute
 from zetasum.zetafn import ZetaEngine
@@ -114,10 +114,10 @@ def forks(monkeypatch):
 
 @pytest.fixture()
 def maps(monkeypatch):
-    """The item count of each _split_map call (zetafn's and sumrule's) that
-    this process makes with a second CPU free and outside another such call,
-    in call order.  Each with two items or more forks one child; a call
-    inside it evaluates in process."""
+    """The item count of each _split_map call (zetafn's, sumrule's and the
+    CLI's) that this process makes with a second CPU free and outside another
+    such call, in call order.  Each with two items or more forks one child; a
+    call inside any of them evaluates in process."""
     counts = []
     depth = 0
     split_map = zetafn._split_map
@@ -132,7 +132,7 @@ def maps(monkeypatch):
         finally:
             depth -= 1
 
-    for module in (zetafn, sumrule):
+    for module in (zetafn, sumrule, cli):
         monkeypatch.setattr(module, "_split_map", counting)
     return counts
 

@@ -2,14 +2,17 @@ import itertools
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from conftest import next_up
+from conftest import SPLITS, assert_no_child, next_up, one_cpu
 
 from zetasum import cli
 from zetasum import sumrule as sr
 from zetasum.cli import main
 from zetasum.zeros import ZeroStore, export_zeros
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -174,6 +177,63 @@ def test_scan_grid_deterministic(base_args, store30_96, tmp_path):
     first = lines[1].split(",")
     assert first[0].startswith("0.45") and first[1].startswith("0.25")
     assert all(row.split(",")[10] == "PASS" for row in lines[1:])
+
+
+SCAN_3X3 = ["scan", "--a-list", "0.45,0.5,0.6", "--x-list", "0.25,0.5,0.75", "--zeros", "10",
+            "--n-trivial", "16", "--n-halfint", "6"]
+
+
+def test_a_scan_splits_once_over_its_a_rows(base_args, store30_96, forks, maps, monkeypatch,
+                                            capsys, held_tables):
+    # one map over the three a-rows, one fork (the child takes a = 0.5), and
+    # no fork below it: each side evaluates its rows' points in process.  The
+    # bytes are the golden ones, and those of the scan on one CPU.
+    argv = SCAN_3X3 + ["--format", "csv"] + base_args
+    assert main(argv) == 0
+    split = capsys.readouterr().out
+    assert_no_child()
+    assert maps == ([3] if SPLITS else []) and len(forks) == SPLITS
+    assert split.encode("utf-8") == (DATA / "scan_3x3_p96.csv").read_bytes()
+    held_tables.clear()
+    one_cpu(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == split
+    assert len(forks) == SPLITS
+
+
+def test_a_one_a_scan_forks_nothing(base_args, store30_96, forks, maps, capsys, held_tables):
+    # its one a-row evaluates in process, its zero sums too; its rows are the
+    # 3 x 3 scan's first three
+    argv = ["scan", "--a-list", "0.45"] + SCAN_3X3[3:] + ["--format", "csv"] + base_args
+    assert main(argv) == 0
+    assert maps == ([1] if SPLITS else []) and forks == []
+    golden = (DATA / "scan_3x3_p96.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert capsys.readouterr().out == "".join(golden[:4])
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_the_childs_resonant_row_is_the_error_row_in_its_place(fmt, base_args, store30_96, forks,
+                                                               capsys, held_tables):
+    # the child computes the a = 2 row, resonant at every x: an error row per
+    # point, after the a = 0.5 rows, in the golden bytes of each format
+    assert main(["scan", "--a-list", "0.5,2", "--x-list", "0.25,0.5", "--zeros", "10",
+                 "--n-trivial", "16", "--n-halfint", "6", "--format", fmt] + base_args) == 1
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / "cli" / f"scan_{fmt}.txt").read_bytes()
+    assert len(forks) == SPLITS
+    assert_no_child()
+
+
+def test_timing_rows_from_both_sides_carry_the_cli_clock(base_args, store30_96, forks,
+                                                         monkeypatch, capsys):
+    # each read of the clock is 250 ms after the one before, in this process
+    # and in the child alike, so every point's row reads 250
+    clock = itertools.count(0, 0.25)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    assert main(SCAN_3X3 + ["--format", "json", "--timing"] + base_args) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(float(row["a"]), row["wall_time_ms"]) for row in rows] == [
+        (a, 250) for a in (0.45, 0.5, 0.6) for _ in range(3)]
+    assert len(forks) == SPLITS
 
 
 def test_scan_failing_point_gets_status(base_args, store30_96, tmp_path):

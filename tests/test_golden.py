@@ -121,10 +121,11 @@ def test_split_zero_sums_print_the_one_process_bytes(cache_dir, store500_192, mo
             assert_no_child()  # no child outlives the call
         return outs
 
-    # one split zero sum for sumrule, two for rh-form (its own and the a = 1/2
-    # sum rule's) and one per scan point, where a second CPU is free; each of
-    # the five new tables maps its factors first
-    forked = 12 * SPLITS
+    # where a second CPU is free: one split zero sum for sumrule and two for
+    # rh-form (its own and the a = 1/2 sum rule's), each of the three new
+    # tables mapping its factors first, and one split of the scan's two
+    # a-rows, whose points evaluate in process on each side
+    forked = 7 * SPLITS
     split = run()
     assert len(forks) == forked
     one_cpu(monkeypatch)

@@ -814,10 +814,9 @@ def test_a_repeated_a_computes_only_its_x_dependent_terms(ctx192, store500_192, 
                         lambda self, ctx: calls.append("check_resonance"))
     sr.evaluate_sumrule(sr.SumRuleParams(a="0.6", x="0.75", n_zeros=500), store500_192, ctx192)
     assert calls == []
-    # rh-form evaluates its own constant, n-series and k-series afresh, and
-    # reads its zero table
+    # rh-form reads its own zero table and its own series, constant included
     sr.evaluate_rh_form("0.75", store500_192, ctx192, n_zeros=500)
-    assert {"zeta", "zeta_reflect_log"} <= set(calls) and not {"sin", "sinh"} & set(calls)
+    assert calls == []
 
 
 def test_the_cross_check_fails_on_a_scaled_held_table(ctx, store, held_tables):
@@ -844,6 +843,19 @@ def test_the_cross_check_fails_on_a_scaled_held_table(ctx, store, held_tables):
     assert cross["cross_k_diff"] > ctx.mp.mpf("1e-12") and not bad.passes()
     assert cross["cross_lhs_diff"] < ctx.mp.mpf("1e-12")
     assert _raw(bad.rhs_k_series) == _raw(good.rhs_k_series)
+    # and the other way round: rh-form's own k rows scaled, the sum rule's
+    # k-series keeps its bits
+    held_tables["k-series", half] = key, rows
+    ref = sr.SumRuleParams(a="0.5", x="0.75", n_zeros=20, n_trivial=24, n_halfint=8)
+    ref_k = sr.evaluate_sumrule(ref, store, ctx).rhs_k_series
+    key, (n_rows, k_rows, const) = held_tables["rh-form series", half]
+    held_tables["rh-form series", half] = key, (n_rows, [(sign, m, log_abs - mp.log(scale))
+                                                         for sign, m, log_abs in k_rows], const)
+    bad, cross = rh_form()
+    assert cross["cross_k_diff"] > ctx.mp.mpf("1e-12") and not bad.passes()
+    assert cross["cross_lhs_diff"] < ctx.mp.mpf("1e-12")
+    assert _raw(bad.rhs_k_series) != _raw(good.rhs_k_series)
+    assert _raw(sr.evaluate_sumrule(ref, store, ctx).rhs_k_series) == _raw(ref_k)
 
 
 def test_a_failure_is_never_held(ctx192, store500_192, held_tables):
@@ -879,8 +891,10 @@ def test_the_held_tables_stay_bounded(cache_dir, store30_96, capsys, held_tables
         main(["verify", "rh-form", "--x", x] + common)
     capsys.readouterr()
     # two values of a for each of the four sum-rule tables, the caller's and
-    # rh-form's a = 1/2, and rh-form's own one: nine tables at most
+    # rh-form's a = 1/2, and rh-form's own zero table and series slot: ten
+    # tables at most
     series = [name for name, _ in held_tables]
-    assert len(held_tables) <= 9
-    assert all(series.count(name) <= 2 for name in series) and series.count("rh-form") == 1
-    assert {float(a) for name, a in held_tables if name != "rh-form"} == {0.7, 0.5}
+    assert len(held_tables) <= 10
+    assert all(series.count(name) <= 2 for name in series)
+    assert series.count("rh-form") == series.count("rh-form series") == 1
+    assert {float(a) for name, a in held_tables if not name.startswith("rh-form")} == {0.7, 0.5}
