@@ -36,8 +36,9 @@ src_lines and their code lines under code_lines, and per workload the
 settings, each metric's q1/median/q3 per side with the pairs the change
 won, each breakdown figure's q1/median/q3 per side, failed/attempted and
 whether every run was correct per side, every run's metrics, raw seconds per
-round and breakdown, and the two traced runs with their seed and CPU.  A file that holds the same two commits keeps its other
-workloads, so one label can collect the three workloads.
+round and breakdown, and the two traced runs with their seed and CPU.  A
+file that holds the same two commits keeps its other workloads, so one label
+can collect the three workloads.
 """
 
 import argparse
@@ -118,9 +119,9 @@ def summary(parent: list, change: list, better: dict) -> dict:
             values(parent), values(change), direction), "pairs": len(parent)}
         for side, runs in (("parent", parent), ("change", change)):
             out["metrics"][name][side] = dict(zip(("q1", "median", "q3"), quartiles(values(runs))))
-    runs = parent + change
-    common = [name for name in runs[0].get("breakdown", {})
-              if all(name in r.get("breakdown", {}) for r in runs)]
+    every = parent + change
+    common = [name for name in every[0].get("breakdown", {})
+              if all(name in r.get("breakdown", {}) for r in every)]
     out["breakdown"] = {name: {side: dict(zip(("q1", "median", "q3"),
                                               quartiles([r["breakdown"][name] for r in side_runs])))
                                for side, side_runs in (("parent", parent), ("change", change))}
@@ -146,9 +147,9 @@ def report(parent: list, change: list, better: dict) -> list:
                      f"{numbers[side]['attempted']}, correct {numbers[side]['correct']}")
     for name, b in numbers["breakdown"].items():
         (p1, pm, p3), (c1, cm, c3) = b["parent"].values(), b["change"].values()
-        change = f"  ({100 * (cm / pm - 1):+.1f}%)" if pm else ""  # a rate can read 0
+        moved = f"  ({100 * (cm / pm - 1):+.1f}%)" if pm else ""  # a rate can read 0
         lines.append(f"breakdown {name}: parent {p1:.4g}/{pm:.4g}/{p3:.4g}  change {c1:.4g}/"
-                     f"{cm:.4g}/{c3:.4g}{change}")
+                     f"{cm:.4g}/{c3:.4g}{moved}")
     return lines
 
 
