@@ -13,9 +13,7 @@ script prints each end-to-end metric's q1/median/q3 (statistics.quantiles,
 n=4), the pairs the change won (its value better, in the direction
 BENCHMARK.json gives), failed/attempted operations, whether every run was
 correct, and the raw operation seconds per round, read from the run's
-"[bench] ... s raw" line.  It then prints the q1/median/q3 per side of each
-per-operation figure of the runs' "[bench] W breakdown: k=v ..." lines
-(verify_rh_form_s, scan_points_per_s, ...).
+"[bench] ... s raw" line.
 
 After the pairs it runs each tree once more with --trace 1 and seed seed0,
 pinned to the lowest CPU of the script's affinity mask
@@ -34,11 +32,10 @@ trees' commits (git rev-parse HEAD, or null outside a git checkout), the
 host's CPU count and Python version, both trees' line counts under
 src_lines and their code lines under code_lines, and per workload the
 settings, each metric's q1/median/q3 per side with the pairs the change
-won, each breakdown figure's q1/median/q3 per side, failed/attempted and
-whether every run was correct per side, every run's metrics, raw seconds per
-round and breakdown, and the two traced runs with their seed and CPU.  A
-file that holds the same two commits keeps its other workloads, so one label
-can collect the three workloads.
+won, failed/attempted and whether every run was correct per side, and every
+run's metrics and raw seconds per round, and the two traced runs with their
+seed and CPU.  A file that holds the same two commits keeps its other
+workloads, so one label can collect the three workloads.
 """
 
 import argparse
@@ -55,7 +52,6 @@ import tokenize
 from pathlib import Path
 
 RAW_LINE = re.compile(r"(\d+) rounds in [\d.]+ s; operations took ([\d.]+) s raw")
-BREAKDOWN_LINE = re.compile(r"^\[bench\] \S+ breakdown: (.*)$", re.MULTILINE)
 
 
 def parse_result(stdout: str) -> dict:
@@ -75,14 +71,6 @@ def parse_run(stdout: str, stderr: str) -> dict:
         raise ValueError("no '[bench] ... s raw' line on stderr")
     rounds, raw = int(match[1]), float(match[2])
     return {**parse_result(stdout), "raw_s": raw / rounds}
-
-
-def parse_breakdown(stderr: str) -> dict:
-    """The per-operation figures of the run's "[bench] W breakdown: k=v ..."
-    line, each value a float; none without the line."""
-    match = BREAKDOWN_LINE.search(stderr)
-    return {} if match is None else {
-        name: float(value) for name, value in (item.split("=", 1) for item in match[1].split())}
 
 
 def quartiles(values) -> tuple:
@@ -106,8 +94,7 @@ def first_in_pair(i: int) -> str:
 
 def summary(parent: list, change: list, better: dict) -> dict:
     """Per metric (and raw_s) and side, the q1/median/q3 of two lists of
-    parse_run results, the pairs the change won, the q1/median/q3 per side of
-    each breakdown figure that every run has, and per side failed/attempted
+    parse_run results, the pairs the change won, and per side failed/attempted
     and whether every run was correct: the numbers report prints."""
     out = {"metrics": {}}
     for name in list(parent[0]["metrics"]) + ["raw_s"]:
@@ -119,13 +106,6 @@ def summary(parent: list, change: list, better: dict) -> dict:
             values(parent), values(change), direction), "pairs": len(parent)}
         for side, runs in (("parent", parent), ("change", change)):
             out["metrics"][name][side] = dict(zip(("q1", "median", "q3"), quartiles(values(runs))))
-    every = parent + change
-    common = [name for name in every[0].get("breakdown", {})
-              if all(name in r.get("breakdown", {}) for r in every)]
-    out["breakdown"] = {name: {side: dict(zip(("q1", "median", "q3"),
-                                              quartiles([r["breakdown"][name] for r in side_runs])))
-                               for side, side_runs in (("parent", parent), ("change", change))}
-                        for name in common}
     for side, runs in (("parent", parent), ("change", change)):
         out[side] = {"failed": sum(r["failed"] for r in runs),
                      "attempted": sum(r["attempted"] for r in runs),
@@ -145,11 +125,6 @@ def report(parent: list, change: list, better: dict) -> list:
     for side in ("parent", "change"):
         lines.append(f"{side}: failed/attempted {numbers[side]['failed']}/"
                      f"{numbers[side]['attempted']}, correct {numbers[side]['correct']}")
-    for name, b in numbers["breakdown"].items():
-        (p1, pm, p3), (c1, cm, c3) = b["parent"].values(), b["change"].values()
-        moved = f"  ({100 * (cm / pm - 1):+.1f}%)" if pm else ""  # a rate can read 0
-        lines.append(f"breakdown {name}: parent {p1:.4g}/{pm:.4g}/{p3:.4g}  change {c1:.4g}/"
-                     f"{cm:.4g}/{c3:.4g}{moved}")
     return lines
 
 
@@ -225,16 +200,13 @@ def write_bench(path: Path, commits: dict, lines: dict, code: dict, workload: st
 
 
 def run_tree(root: Path, workload: str, seed: int, seconds: float, cpu=None) -> dict:
-    """One untraced run in root, with its breakdown; with cpu, one --trace 1
-    run pinned to it."""
+    """One untraced run in root; with cpu, one --trace 1 run pinned to it."""
     pin = None if cpu is None else lambda: os.sched_setaffinity(0, {cpu})
     proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", "0" if cpu is None else "1"],
                           cwd=root, capture_output=True, text=True, check=True, preexec_fn=pin)
-    if cpu is not None:
-        return parse_result(proc.stdout)
-    return {**parse_run(proc.stdout, proc.stderr), "breakdown": parse_breakdown(proc.stderr)}
+    return parse_run(proc.stdout, proc.stderr) if cpu is None else parse_result(proc.stdout)
 
 
 def main(argv=None) -> int:

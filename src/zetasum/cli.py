@@ -271,8 +271,9 @@ def cmd_scan(args) -> int:
     """One row per (a, x) point, a-major, then x.  The a-rows are mapped by one
     _split_map (a forked child takes every other a-row), and each side
     evaluates its rows' points in order and in process, so each a's held
-    tables are built once and no zero sum forks.  An a-row crosses as one
-    JSON text of its rows, which renders the bytes of a one-process scan."""
+    tables are built once and, where the map forks, no zero sum does.  An
+    a-row crosses as one JSON text of its rows, which renders the bytes of a
+    one-process scan."""
     ctx = NumericContext(args.precision_bits)
     if not args.a_list or not args.x_list:
         raise ValueError("scan requires --a-list and --x-list")

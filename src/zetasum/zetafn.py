@@ -25,14 +25,14 @@ sends their values back in one message over a pipe, as raw mpmath tuples
 (marshal); the caller evaluates the even ones, merges in index order and
 reaps the child.  So every value and exception is the in-process one; the
 function must be pure, since what it changes in the child is lost.  A split
-inside a split (inside a map of one item too), and any split in the child,
-evaluates in process.  trapezoid_mean maps its integrand over each level's
-nodes with one call, zeros refines each zero through it, the CLI's zeros
-command evaluates |zeta(rho)| through it and its scan its a-rows (each side
-evaluating its rows' points in process), and the sum rule maps each zero
-sum's terms (at a new a, its held factors first, by a map of their own) and
-each closure's residues through it (each side running its residues'
-quadratures in process, a zero's and its conjugate's on the same side).
+inside a split, and any split in the child, evaluates in process.
+trapezoid_mean maps its integrand over each level's nodes with one call,
+zeros refines each zero through it, the CLI's zeros command evaluates
+|zeta(rho)| through it and its scan its a-rows (each side evaluating its
+rows' points in process), and the sum rule maps each zero sum's terms (at a
+new a, its held factors first, by a map of their own) and each closure's
+residues through it (each side running its residues' quadratures in
+process, a zero's and its conjugate's on the same side).
 
 Where both are wanted (Newton on Hardy Z, the weight zeta'(rho) of a zero,
 the reflected zeta'), zeta and zeta' = -sum log k * k^-s + ... are summed in
@@ -216,28 +216,25 @@ def _from_raw(mp, r):
 
 
 def _split_map(f, count: int, mp) -> list:
-    """[f(0), ..., f(count - 1)]; f must be pure and return ints, strs, mpfs
-    and mpcs of mp, or tuples of them.  Where _may_fork allows, each split
-    that f makes evaluates in process, a map of one item's too, and for
-    count >= 2 a forked child evaluates the odd indices up to its first
-    failure and sends their raw values in one message; this process
-    evaluates the even ones, merges, and evaluates in process from the first
-    index without a value, so f's exception is the in-process one.  The child
-    is reaped on a return, and killed and reaped on an exception."""
+    """[f(0), ..., f(count - 1)]; f must be pure and return ints, strs,
+    mpfs and mpcs of mp, or tuples of them.  Where count >= 2 and _may_fork
+    allows, a forked child evaluates the odd indices up to its first failure
+    and sends their raw values in one message; this process evaluates the
+    even ones, merges, and evaluates in process from the first index without
+    a value, so f's exception is the in-process one.  The child is reaped on
+    a return, and killed and reaped on an exception."""
     global _split_busy
-    if not _may_fork():
+    if count < 2 or not _may_fork():
         return [f(i) for i in range(count)]
-    _split_busy = True  # here while f runs or the child lives, and in the child
+    read_fd, write_fd = os.pipe()
+    _split_busy = True  # here while the child lives, and in the child
     pid = None
+    with contextlib.suppress(OSError):  # where fork fails, the pipe reads as a dead child's
+        pid = os.fork()
+    if pid == 0:
+        _child(f, range(1, count, 2), read_fd, write_fd)
+    os.close(write_fd)
     try:
-        if count < 2:
-            return [f(i) for i in range(count)]
-        read_fd, write_fd = os.pipe()
-        with contextlib.suppress(OSError):  # where fork fails, the pipe reads as a dead child's
-            pid = os.fork()
-        if pid == 0:
-            _child(f, range(1, count, 2), read_fd, write_fd)
-        os.close(write_fd)
         with os.fdopen(read_fd, "rb") as pipe:
             even = _until_failure(f, range(0, count, 2))
             try:

@@ -201,16 +201,6 @@ def test_a_scan_splits_once_over_its_a_rows(base_args, store30_96, forks, maps, 
     assert len(forks) == SPLITS
 
 
-def test_a_one_a_scan_forks_nothing(base_args, store30_96, forks, maps, capsys, held_tables):
-    # its one a-row evaluates in process, its zero sums too; its rows are the
-    # 3 x 3 scan's first three
-    argv = ["scan", "--a-list", "0.45"] + SCAN_3X3[3:] + ["--format", "csv"] + base_args
-    assert main(argv) == 0
-    assert maps == ([1] if SPLITS else []) and forks == []
-    golden = (DATA / "scan_3x3_p96.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    assert capsys.readouterr().out == "".join(golden[:4])
-
-
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_the_childs_resonant_row_is_the_error_row_in_its_place(fmt, base_args, store30_96, forks,
                                                                capsys, held_tables):

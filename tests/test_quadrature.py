@@ -580,14 +580,6 @@ def test_a_str_crosses_the_pipe_as_it_is(ctx96, forks):
     assert_no_child()
 
 
-def test_a_split_inside_a_one_item_map_does_not_fork(ctx96, forks):
-    mp = ctx96.mp
-    # the inner map evaluates in process, as inside a map of two items or more
-    assert _split_map(lambda i: _split_map(lambda j: mp.mpf(j) / 3, 4, mp), 1, mp) == [
-        [mp.mpf(j) / 3 for j in range(4)]]
-    assert forks == []
-
-
 @pytest.mark.parametrize("count", [0, 1])
 def test_map_over_fewer_than_two_items_forks_nothing(ctx96, forks, count):
     assert _split_map(lambda i: ctx96.mp.mpf(i) / 3, count, ctx96.mp) == [

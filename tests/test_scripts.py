@@ -68,43 +68,6 @@ def test_bench_pairs_parses_a_run():
         "correct": True, "attempted": 6, "failed": 0}
 
 
-def test_bench_pairs_parses_and_summarises_the_breakdown(tmp_path):
-    pairs = load_script("bench_pairs")
-    assert pairs.parse_breakdown(RUN_STDERR) == {"verify_sumrule_s": 0.1}
-    assert pairs.parse_breakdown("[bench] w: 2 rounds in 1.0 s\n") == {}
-
-    def run(rh_form_s, points_per_s, zeros_per_s=0.0):
-        stderr = (f"[bench] verify-warm breakdown: verify_rh_form_s={rh_form_s:.6g} "
-                  f"scan_points_per_s={points_per_s:.6g} zeros_per_s={zeros_per_s:.6g}\n")
-        return {**pairs.parse_run(RUN_STDOUT, RUN_STDERR + stderr),
-                "breakdown": pairs.parse_breakdown(stderr)}
-
-    parent = [run(0.047, 37), run(0.049, 36), run(0.045, 38)]
-    change = [run(0.035, 45), run(0.036, 44), run(0.034, 46, zeros_per_s=1.5)]
-    assert parent[0]["breakdown"] == {"verify_rh_form_s": 0.047, "scan_points_per_s": 37.0,
-                                      "zeros_per_s": 0.0}
-    numbers = pairs.summary(parent, change, {"round_s": "lower"})
-    assert numbers["breakdown"]["verify_rh_form_s"] == {
-        "parent": {"q1": 0.045, "median": 0.047, "q3": 0.049},
-        "change": {"q1": 0.034, "median": 0.035, "q3": 0.036}}
-    assert numbers["breakdown"]["scan_points_per_s"]["change"]["median"] == 45
-    lines = pairs.report(parent, change, {"round_s": "lower"})
-    assert lines[-3:] == [
-        "breakdown verify_rh_form_s: parent 0.045/0.047/0.049  change 0.034/0.035/0.036  (-25.5%)",
-        "breakdown scan_points_per_s: parent 36/37/38  change 44/45/46  (+21.6%)",
-        "breakdown zeros_per_s: parent 0/0/0  change 0/0/1.5"]
-    # a figure some run lacks is left out; the BENCH file holds the rest
-    del change[1]["breakdown"]["zeros_per_s"]
-    traced = {"seed": 1, "cpu": 0, "parent": pairs.parse_result(TRACE_STDOUT),
-              "change": pairs.parse_result(TRACE_STDOUT)}
-    doc = pairs.write_bench(tmp_path / "BENCH_x.json", {"parent": "a", "change": "b"},
-                            {}, {}, "verify-warm", {}, {"parent": parent, "change": change},
-                            {"round_s": "lower"}, traced)
-    warm = doc["workloads"]["verify-warm"]
-    assert list(warm["breakdown"]) == ["verify_rh_form_s", "scan_points_per_s"]
-    assert warm["runs"]["change"][0]["breakdown"]["scan_points_per_s"] == 45
-
-
 def test_bench_pairs_statistics_and_order():
     pairs = load_script("bench_pairs")
     assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
