@@ -20,19 +20,26 @@ count), so a locate and an import of the same count scan once.
 Located and imported zeros take one refinement path, _certify: bisection of
 the sign-change bracket to width 1e-4 (it only reads signs), Newton on Z at
 full precision inside the bracket, then a certificate that Z changes sign
-across [tau - e, tau + e], e = 2^(10 - precision_bits).  Each full-precision pass
-(ZetaEngine.hardy_z_with_deriv) gives Z, Z' and zeta'(1/2 + i tau) at once,
-and tau's pass is Newton's last one wherever Newton's last step leaves tau
-unchanged (one more pass where it moved tau).  That pass gives the residual
-Z(tau), the cached zeta'(1/2 + i tau) and the certificate, _taylor_certifies:
-|Z(tau)| plus its error bound plus e^2 M/2, M >= |Z''| near tau (_z2_bound),
-below e |Z'(tau)| minus its error bound.  It accepts every stored tau of
-the tests (500 zeros at 192 bits, 30 at 96); where it does not hold, a
-full-precision bisection of the bracket down to e gives tau, and one pass
-at its midpoint.
-So a located zero costs its Newton passes (4 at 96 bits, 5 at 192 for the
-first zeros), and an imported one two: the import check at the tau read,
-which is Newton's first step, and the pass at the tau Newton moves to.
+across [tau - e, tau + e], e = 2^(10 - precision_bits).  A located zero's
+Newton starts at the root of the double-precision Z in that bracket
+(_float_root), which gives tau to about double precision, as in Brent's
+Newton with increasing precision (1976): the first digits come cheap, and
+the last passes and the certificate are at full precision.  Where the double
+Z shows no sign change across the bracket, or its root is not inside, Newton
+starts at the midpoint, as an imported zero's does.  Each full-precision
+pass (ZetaEngine.hardy_z_with_deriv) gives Z, Z' and zeta'(1/2 + i tau) at
+once, and tau's pass is Newton's last one wherever Newton's last step leaves
+tau unchanged (one more pass where it moved tau).  That pass gives the
+residual Z(tau), the cached zeta'(1/2 + i tau) and the certificate,
+_taylor_certifies: |Z(tau)| plus its error bound plus e^2 M/2, M >= |Z''|
+near tau (_z2_bound), below e |Z'(tau)| minus its error bound.  It accepts
+every stored tau of the tests (500 zeros at 192 bits, 30 at 96); where it
+does not hold, a full-precision bisection of the bracket down to e gives
+tau, and one pass at its midpoint.
+So a located zero costs its Newton passes (3 at 96 bits, 4 at 192 for the
+first zeros; 4 and 5 from the midpoint), and an imported one two: the
+import check at the tau read, which is Newton's first step, and the pass at
+the tau Newton moves to.
 The certificate is for the refined tau; _certify returns tau and zeta' as
 a zeros file holds them (rounded to the ctx.dps digits export_zeros writes,
 read back at working precision): it moves tau by half a unit in the last
@@ -43,9 +50,12 @@ Every sign the scan and the bisections read comes from _signed_z: Z in
 double precision with a proven error bound (zetafn._hardy_z_float), used
 only where |Z| exceeds the bound, else Z at full precision.  Where the bound
 proves a sign, it is the sign of Z and so the one full precision gives, so
-every bracket, midpoint, Newton start and tau is what a scan at full
-precision alone yields.  A zero run reads every sign, theta and Z from one
-engine, engine_for(ctx).
+every bracket and bisection midpoint is what a scan at full precision alone
+yields.  The Newton start is not: it is a double-precision guess inside the
+bracket, and it sets only how many passes Newton makes.  The tau and zeta'
+a zeros file holds are the same bytes from it as from the midpoint, for
+every store the tests and the benchmark build.  A zero run reads every
+sign, theta and Z from one engine, engine_for(ctx).
 locate_zeros refines the first `count` brackets, and import_zeros requires
 the tau refined from row i to lie in bracket i, so a table with a zero
 missing fails at the first row past the gap.  A cache load runs no count
@@ -109,6 +119,10 @@ MAX_COUNT = 2000
 SIMPLICITY_FLOOR = 1e-15
 # bracket width at which Newton takes over from bisection
 NEWTON_WIDTH = "1e-4"
+# regula falsi steps on the double-precision Z at most, for a located zero's
+# Newton start (_float_root); from their 1e-4 brackets, each of the first
+# 2000 zeros reaches a step that leaves the root unchanged within 10
+FLOAT_STEPS = 12
 # radius of the circles of the Cauchy estimate for |Z''| (_z2_bound), and
 # zeta(3/2) = 2.61237... rounded up
 CAUCHY_RADIUS = 0.375
@@ -263,6 +277,31 @@ def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
     return lo, hi
 
 
+def _float_root(lo, hi):
+    """A zero of the double-precision Z (_hardy_z_float) strictly inside
+    (lo, hi), by the Illinois variant of regula falsi, stopped where a step
+    leaves it unchanged or after FLOAT_STEPS steps; or None where Z's double
+    values at lo and hi do not have opposite signs, or it is not inside."""
+    a, b = float(lo), float(hi)
+    fa, fb = _hardy_z_float(a)[0], _hardy_z_float(b)[0]
+    if not fa * fb < 0:
+        return None
+    c = a
+    for _ in range(FLOAT_STEPS):
+        c, last = b - fb * (b - a) / (fb - fa), c
+        if c == last:
+            break
+        fc = _hardy_z_float(c)[0]
+        if fc == 0:
+            break
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa /= 2  # Illinois: halve the value at the end that stays
+        b, fb = c, fc
+    return c if lo < c < hi else None
+
+
 def _z2_bound(tau) -> float:
     """M >= |Z''(t)| for |t - tau| <= 1/8, or inf for tau < 10.5.
 
@@ -312,7 +351,9 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     """(tau, zeta'(1/2 + i tau)), as a zeros file holds them, for the zero in
     the sign-change bracket [lo, hi], where z_lo and z_hi have the signs of
     Z(lo) and Z(hi).  start = (t, engine.hardy_z_with_deriv(t)) is a pass
-    already made.  The steps, the certificate and the rounding are in the
+    already made, and Newton starts at the midpoint of the 1e-4 bracket;
+    without one, at _float_root's root in it, or at the midpoint where that
+    gives none.  The steps, the certificate and the rounding are in the
     module docstring."""
     mp = engine.ctx.mp
     e = engine.ctx.target_tol
@@ -326,7 +367,8 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
         return last[1]
 
     lo, hi = _bisect(engine, lo, hi, z_lo, z_hi, mp.mpf(NEWTON_WIDTH))
-    tau = (lo + hi) / 2
+    guess = _float_root(lo, hi) if start is None else None
+    tau = (lo + hi) / 2 if guess is None else mp.mpf(guess)
     for _ in range(80):
         z, zd, _ = derivs(tau)
         if zd == 0:

@@ -60,8 +60,11 @@ double precision (Euler-Maclaurin with N and M fixed by t, theta by Stirling's
 series) and a bound on its error: the Backlund and Stieltjes remainders plus
 a rounding margin stated in its docstring.  A caller that needs only the sign
 trusts it where |Z| exceeds the bound and falls back to ZetaEngine.hardy_z
-at working precision elsewhere (zeros._signed_z).  Its coefficients are
-rounded from the same exact Bernoulli fractions on first use.
+at working precision elsewhere (zeros._signed_z).  Its values also seed
+Newton for a located zero: zeros._float_root finds their root in the zero's
+1e-4 bracket, where only the number of full-precision passes depends on it.
+Its coefficients are rounded from the same exact Bernoulli fractions on
+first use.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from conftest import SPLITS, assert_no_child, one_cpu
 
 from zetasum import zeros as zeros_mod
 from zetasum.numctx import NumericContext
-from zetasum.zetafn import ZetaEngine, _raw, _split_map
+from zetasum.zetafn import ZetaEngine, _hardy_z_float, _raw, _split_map
 from zetasum.zeros import (ZeroImportError, ZeroStore, export_zeros, import_zeros,
                            load_or_compute, locate_zeros)
 
@@ -205,12 +205,12 @@ def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monke
         assert engine.hardy_z(fallback.tau - e) * engine.hardy_z(fallback.tau + e) < 0
 
 
-@pytest.mark.parametrize("bits,newton", [(96, 4), (192, 5)])
+@pytest.mark.parametrize("bits,newton", [(96, 3), (192, 4)])
 def test_full_precision_passes_per_zero(bits, newton, hardy_passes, tmp_path):
-    # a located zero takes its Newton passes alone: the last gives the Taylor
-    # certificate and the weight.  An imported one takes two: the check at
-    # the tau read, which is Newton's first step, and the pass at the tau
-    # Newton moved to
+    # a located zero takes its Newton passes alone, from the double-precision
+    # root in its 1e-4 bracket: the last gives the Taylor certificate and the
+    # weight.  An imported one takes two: the check at the tau read, which is
+    # Newton's first step, and the pass at the tau Newton moved to
     ctx = NumericContext(bits)
     located = locate_zeros(8, ctx)
     assert hardy_passes == [(t, True) for t, _ in hardy_passes]
@@ -623,6 +623,49 @@ def test_all_fallback_signs_give_the_same_bytes_at_192_bits(ctx192, tmp_path, mo
     golden = os.path.join(os.path.dirname(__file__), "data", "zeros16_p192_zp.txt")
     want = open(golden, encoding="utf-8").read().splitlines()[1:9]
     assert path.read_text(encoding="utf-8").splitlines()[1:] == want
+
+
+def same_signs(t):
+    """The double-precision Z's magnitude, with no sign proved."""
+    return abs(_hardy_z_float(t)[0]), math.inf
+
+
+@pytest.mark.parametrize("double_z,newton", [(None, 3), ("refused", 4), (same_signs, 4)],
+                         ids=["double-root", "refused", "same-signs"])
+def test_the_newton_start_decides_no_byte(store30_96, ctx96, hardy_passes, monkeypatch,
+                                          fresh_scan, double_z, newton):
+    # Newton starts at the double-precision root of the 1e-4 bracket, or at
+    # its midpoint where the double Z shows no sign change there (every sign
+    # refused, or every value of one sign): the taus and zeta' are the same
+    # bits, and only the number of full-precision passes differs
+    if double_z == "refused":
+        refuse_every_float_sign(monkeypatch)
+    elif double_z:
+        monkeypatch.setattr(zeros_mod, "_hardy_z_float", double_z)
+    store = locate_zeros(8, ctx96)
+    assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
+        (_raw(r.tau), _raw(r.zeta_prime)) for r in store30_96.prefix(8)]
+    assert sum(deriv for _, deriv in hardy_passes) == newton * 8
+
+
+def test_a_double_root_outside_the_bracket_starts_newton_at_its_midpoint(store30_96, ctx96,
+                                                                       hardy_passes,
+                                                                       monkeypatch):
+    # lo lies 2^-70 above the double below it, and the double Z given here
+    # changes sign across [float(lo), float(hi)] with its root at float(lo),
+    # below lo: Newton starts at the midpoint, and zero #1 keeps its bits
+    mp = ctx96.mp
+    first = store30_96[0]
+    lo = mp.mpf(float(first.tau) - 3e-5) + mp.mpf(2) ** -70
+    hi = lo + mp.mpf("6e-5")
+    below = float(lo)
+    assert below < lo
+    monkeypatch.setattr(zeros_mod, "_hardy_z_float",
+                        lambda t: (float(t) - below - 1e-300, math.inf))
+    engine = zeros_mod.engine_for(ctx96)
+    tau, zp = zeros_mod._certify(engine, lo, hi, engine.hardy_z(lo), engine.hardy_z(hi))
+    assert (_raw(tau), _raw(zp)) == (_raw(first.tau), _raw(first.zeta_prime))
+    assert [t for t, deriv in hardy_passes if deriv][0] == (lo + hi) / 2
 
 
 def test_a_192_bit_zero_run_asks_for_its_own_engine_only(ctx192, tmp_path, monkeypatch):
