@@ -280,8 +280,9 @@ def _bisect(engine: ZetaEngine, lo, hi, z_lo, z_hi, width):
 def _float_root(lo, hi):
     """A zero of the double-precision Z (_hardy_z_float) strictly inside
     (lo, hi), by the Illinois variant of regula falsi, stopped where a step
-    leaves it unchanged or after FLOAT_STEPS steps; or None where Z's double
-    values at lo and hi do not have opposite signs, or it is not inside."""
+    leaves it unchanged (as the step after a zero value does) or after
+    FLOAT_STEPS steps; or None where Z's double values at lo and hi do not
+    have opposite signs, or it is not inside."""
     a, b = float(lo), float(hi)
     fa, fb = _hardy_z_float(a)[0], _hardy_z_float(b)[0]
     if not fa * fb < 0:
@@ -292,8 +293,6 @@ def _float_root(lo, hi):
         if c == last:
             break
         fc = _hardy_z_float(c)[0]
-        if fc == 0:
-            break
         if fc * fb < 0:
             a, fa = b, fb
         else:
