@@ -209,7 +209,8 @@ def cmd_zeros(args) -> int:
 
 
 def _verify_integral(args, ctx) -> sr.EvaluationReport:
-    params = sr.SumRuleParams(args.a, args.x, n_trivial=args.n_trivial, n_halfint=args.n_halfint)
+    params = sr.SumRuleParams(args.a, args.x, n_zeros=args.zeros_count,
+                              n_trivial=args.n_trivial, n_halfint=args.n_halfint)
     return sr.evaluate_integral(params, ctx)
 
 

@@ -50,7 +50,9 @@ x-dependent term, in both zero sums, costs one cos/sin pair and the real part
 of one quotient by its held factor: it runs on raw mpmath tuples through the
 libmp calls that mpmath 1.3's operators make for the written expression
 (_exp_at_real_part, _re_quotient), so every value is bit for bit the mpf/mpc
-expression's.  The denominators are built the same way.
+expression's.  The denominators are built the same way.  The contour
+integral and each residue circle take log x once per call, and each node's
+x^u is exp(u log x), the expression cpow evaluates.
 """
 
 from __future__ import annotations
@@ -257,7 +259,9 @@ def _pole_site(s, w, cos_vanished, mp, store) -> str:
     return f"{family} index={1 + min(range(len(store)), key=lambda i: abs(store[i].tau - tau))}"
 
 
-def _integrand(s, a, x, ctx, engine, store=None):
+def _integrand(s, a, ln_x, ctx, engine, store=None):
+    """x^u / (cos(pi s) zeta(4a u)), u = s(1 - s), with x^u = exp(u log x): cpow's
+    expression, its log x taken once by the caller."""
     mp = ctx.mp
     u = s * (1 - s)
     c = mp.cos(mp.pi * s)
@@ -267,13 +271,13 @@ def _integrand(s, a, x, ctx, engine, store=None):
     if abs(c) < floor or abs(z) < floor:
         site = _pole_site(s, w, abs(c) < floor, mp, store)
         raise SingularityError(f"integrand evaluated at a pole near {site}")
-    return cpow(x, u, ctx) / (c * z)
+    return mp.exp(u * ln_x) / (c * z)
 
 
 def integrand(s, params: SumRuleParams, ctx: NumericContext, store: ZeroStore | None = None):
     """x^(s(1-s)) / (cos(pi s) zeta(4a s(1-s))) at context precision."""
     a, x = params.bind(ctx)
-    return _integrand(ctx.mp.convert(s), a, x, ctx, engine_for(ctx), store)
+    return _integrand(ctx.mp.convert(s), a, ctx.mp.log(x), ctx, engine_for(ctx), store)
 
 
 def _pick_path_halfwidth(a, x, ctx):
@@ -294,14 +298,15 @@ def contour_integral(params: SumRuleParams, ctx: NumericContext):
     integrand at -it is the conjugate of the one at it, so after its first
     level, where every mirrored pair must be exact conjugates, the
     quadrature evaluates only the nodes with t < 0 (conjugate=True).  The
-    imaginary part of the sum must vanish."""
+    imaginary part of the sum must vanish.  log x is taken once, for every
+    node's x^u."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-    engine = engine_for(ctx)
+    engine, ln_x = engine_for(ctx), mp.log(x)
     T = _pick_path_halfwidth(a, x, ctx)
 
     def g(u):
-        return _integrand(mp.mpc(0, T * (2 * u - 1)), a, x, ctx, engine)
+        return _integrand(mp.mpc(0, T * (2 * u - 1)), a, ln_x, ctx, engine)
 
     result = trapezoid_mean(g, ctx, 32, ctx.target_tol, T / mp.pi,
                             "contour integral did not converge after 20 halvings",
@@ -389,10 +394,11 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
     takes each later node u the last circle holds as the conjugate of its value
     at 1 - u; a first-level value must be that conjugate bit for bit, where
     held, or InternalConsistencyError names the site.  Summed in its own node
-    order, each residue is bit for bit a full circle's."""
+    order, each residue is bit for bit a full circle's.  log x is taken once,
+    for every node's x^u."""
     a, x = params.bind(ctx)
     mp = ctx.mp
-    engine = engine or engine_for(ctx)
+    engine, ln_x = engine or engine_for(ctx), mp.log(x)
     neighbors = [p.location for p in catalog if p is not site]
     neighbors.extend(_phantom_neighbors(params, a, ctx, store))
     nn = min(abs(site.location - loc) for loc in neighbors)
@@ -409,7 +415,7 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
         if mirror is not None and not mp.isint(8 * u):  # a later level's node
             return mp.conj(mirror)
         w = mp.expjpi(2 * u)
-        v = values[u] = _integrand(c + r * w, a, x, ctx, engine, store) * w
+        v = values[u] = _integrand(c + r * w, a, ln_x, ctx, engine, store) * w
         if mirror is not None and v != mp.conj(mirror):  # mpf tuples are normalised
             raise InternalConsistencyError(f"residue circle at {site.family} index {site.index} "
                                            f"is not the last circle's mirror at u = {u}")

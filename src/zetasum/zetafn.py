@@ -42,10 +42,13 @@ Z' = -Im(e^(i theta) zeta') exactly: the theta' zeta term of the product
 rule only multiplies Im(e^(i theta) zeta) = 0, and no pass evaluates theta'
 (a complex digamma).  Each engine keeps a table of log k (and, for
 Re s = 1/2, |k^-s| = exp(-log(k)/2)), so a complex power costs one cos/sin
-and two multiplications.  The table rounds as mpmath 1.3's mpc_pow does,
-and the sum runs on raw mpmath tuples through the functions mpmath's
-operators call (_em_once), so every value is bit for bit what separate
-passes over mp.power(k, -s) with mpf/mpc arithmetic give.
+and two multiplications; the tail's N^-s, N^(1-s) and log N come from the
+same table.  The table rounds as mpmath 1.3's mpc_pow does, and the whole
+pass runs on raw mpmath tuples through the functions mpmath's operators
+call (_em_once), so every value is bit for bit what separate passes over
+mp.power(k, -s) with mpf/mpc arithmetic give.  The Bernoulli stop reads
+|term| (a square root) only where the binary exponents of the term's parts
+cannot decide it; _pick_n and zeta's tests of s run on the tuples too.
 
 Bernoulli numbers are exact rationals built from the integer tangent
 numbers (_bernoulli).  All functions are pure.  An engine's state is the
@@ -79,11 +82,12 @@ import signal
 import threading
 from fractions import Fraction
 
-from mpmath.libmp import (MPZ, finf, fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf,
-                          mpc_div_mpf, mpc_mpf_div, mpc_mul, mpc_mul_mpf, mpc_pow, mpc_sub,
-                          mpc_sub_mpf, mpf_abs, mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_gt,
-                          mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_rdiv_int,
-                          mpf_shift, mpf_sub, round_down, round_nearest)
+from mpmath.libmp import (MPZ, finf, fone, from_float, from_int, fzero, mpc_abs, mpc_add,
+                          mpc_add_mpf, mpc_div, mpc_div_mpf, mpc_exp, mpc_mpf_div, mpc_mul,
+                          mpc_mul_mpf, mpc_pow, mpc_pow_int, mpc_sub, mpc_sub_mpf, mpf_abs, mpf_add,
+                          mpf_cos_sin, mpf_div, mpf_exp, mpf_ge, mpf_gt, mpf_log, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift,
+                          mpf_sub, round_down, round_nearest, to_int)
 
 from .numctx import NumericContext
 
@@ -291,15 +295,18 @@ REFLECTION_THRESHOLD = 0.5
 # doublings of the Euler-Maclaurin cutoff N before PrecisionError
 MAX_ESCALATIONS = 6
 # The libmp functions mpmath 1.3's operators call, for a complex and for a
-# real Euler-Maclaurin sum: z + w, z - w, z * w; z + x, z - x, z * x, z / x
-# for a real x; 1 / z, |z|, and x ** w for a real x > 0 (mp.power).  Each
-# takes (operands..., prec, rnd).
-_MPC_OPS = (mpc_add, mpc_sub, mpc_mul, mpc_add_mpf, mpc_sub_mpf, mpc_mul_mpf, mpc_div_mpf,
-            functools.partial(mpc_mpf_div, fone), mpc_abs,
+# real Euler-Maclaurin sum: z + w, z - w, z * w, z / w; z + x, z - x, z * x,
+# z / x for a real x; 1 / z, z ** 2, |z|, and x ** w for a real x > 0
+# (mp.power).  Each takes (operands..., prec, rnd).
+_MPC_OPS = (mpc_add, mpc_sub, mpc_mul, mpc_div, mpc_add_mpf, mpc_sub_mpf, mpc_mul_mpf,
+            mpc_div_mpf, functools.partial(mpc_mpf_div, fone),
+            lambda z, prec, rnd: mpc_pow_int(z, 2, prec, rnd), mpc_abs,
             lambda x, w, prec, rnd: mpc_pow((x, fzero), w, prec, rnd))
-_MPF_OPS = (mpf_add, mpf_sub, mpf_mul, mpf_add, mpf_sub, mpf_mul, mpf_div,
-            functools.partial(mpf_rdiv_int, 1), mpf_abs, mpf_pow)
-
+_MPF_OPS = (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_add, mpf_sub, mpf_mul, mpf_div,
+            functools.partial(mpf_rdiv_int, 1), lambda x, prec, rnd: mpf_pow_int(x, 2, prec, rnd),
+            mpf_abs, mpf_pow)
+# raw 1/2 (REFLECTION_THRESHOLD and the critical line), 2, 4 and 0.56
+_HALF, _TWO, _FOUR, _F056 = from_float(REFLECTION_THRESHOLD), from_int(2), from_int(4), from_float(0.56)
 
 def _bernoulli(m: int):
     """[B_2, B_4, ..., B_2m] as exact Fractions, from the tangent numbers
@@ -416,13 +423,16 @@ class ZetaEngine:
     # -- Euler-Maclaurin core ------------------------------------------------
 
     def _pick_n(self, s) -> int:
-        mp = self.ctx.mp
-        n = self._n0 + int(0.56 * abs(mp.im(s)))
-        sigma = mp.re(s)
-        if sigma > 4:
+        """n = N0 + int(0.56 |Im s|), and where sigma = Re s > 4,
+        min(n, max(4, int(2 ** ((p + 34.0) / sigma)) + 2)): through the libmp
+        calls that mpmath 1.3's operators make for that mpf expression."""
+        prec, rnd = self.ctx.mp._prec_rounding
+        sigma, im = s._mpc_ if hasattr(s, "_mpc_") else (s._mpf_, fzero)
+        n = self._n0 + to_int(mpf_mul(mpf_abs(im, prec, rnd), _F056, prec, rnd))
+        if mpf_gt(sigma, _FOUR):
             # n^-s is below roundoff past 2^((p+34)/sigma); no point summing further
-            cut = int(mp.mpf(2) ** ((self.ctx.precision_bits + 34.0) / sigma)) + 2
-            n = min(n, max(4, cut))
+            expo = mpf_div(from_float(self.ctx.precision_bits + 34.0), sigma, prec, rnd)
+            n = min(n, max(4, to_int(mpf_pow(_TWO, expo, prec, rnd)) + 2))
         return n
 
     def _em(self, s, want_deriv: bool):
@@ -460,72 +470,86 @@ class ZetaEngine:
         Bernoulli term).  zeta' = -sum log k * k^-s + the differentiated tail,
         over the same powers and the same Bernoulli stop as zeta.
 
-        The power sum and the Bernoulli corrections run on raw _mpc_ (or, for
-        a real s, _mpf_) tuples, through the libmp functions that mpmath 1.3's
-        operators call for the same expressions (_MPC_OPS, _MPF_OPS), at the
-        context's precision and rounding; so every value is bit for bit what
-        the sum over mpc or mpf objects gives.  k^-s is mp.power(k, -s): off
-        the real axis it repeats mpc_pow (log and product at prec+10 rounded
-        down, exp and cos/sin at prec+4, the context rounding to nearest) with
-        log k from the table, and on Re s = 1/2 also |k^-s|."""
+        The whole pass runs on raw _mpc_ (or, for a real s, _mpf_) tuples,
+        through the libmp functions that mpmath 1.3's operators call for the
+        same expressions (_MPC_OPS, _MPF_OPS), at the context's precision and
+        rounding; so every value is bit for bit what the sum over mpc or mpf
+        objects gives.  k^-s, N^-s and N^(1-s) are mp.power(k, -s) and so on:
+        off the real axis they repeat mpc_pow (log and product at prec+10
+        rounded down, then mpc_exp) with log k from the table, and on
+        Re s = 1/2 also |k^-s|; log N is the table's too.
+
+        The Bernoulli stop tests |term| < tol and |term| > 4 |last term|.
+        With 2^(e-1) <= max(|Re term|, |Im term|) < 2^e, the rounded |term|
+        lies in [2^(e-2), 2^(e+1)), so the exponents decide both tests except
+        near tol or where the terms stop falling: only there are the two
+        |term| computed (mpc_abs, a square root).  The remainder returned is
+        always the |term| that stopped the pass."""
         mp = self.ctx.mp
         prec, rnd = mp._prec_rounding
         cplx = hasattr(s, "_mpc_")
-        add, sub, mul, add_x, sub_x, mul_x, div_x, recip, size, power = (
+        add, sub, mul, div, add_x, sub_x, mul_x, div_x, recip, square, size, power = (
             _MPC_OPS if cplx else _MPF_OPS)
         raw = (lambda v: v._mpc_) if cplx else (lambda v: v._mpf_)
         s_raw, neg_s = raw(s), raw(-s)
-        table = self._log_table(n)
-        if cplx and neg_s[1] != fzero:
-            neg_re, neg_im = neg_s
-            on_line = mp.re(s) == 0.5
-
-            def k_pow(k, log_pow, half_mag):
-                mag = half_mag if on_line else mpf_exp(
-                    mpf_mul(log_pow, neg_re, prec + 10, round_down), prec + 4, round_nearest)
-                c, sn = mpf_cos_sin(mpf_mul(log_pow, neg_im, prec + 10, round_down),
-                                    prec + 4, round_nearest)
-                return mpf_mul(mag, c, prec, round_nearest), mpf_mul(mag, sn, prec, round_nearest)
-        else:
-            def k_pow(k, log_pow, half_mag):
-                return power(from_int(k), neg_s, prec, rnd)
-
+        table = self._log_table(n + 1)
+        off_axis = cplx and neg_s[1] != fzero
+        on_line = off_axis and s_raw[0] == _HALF
         total = (fone, fzero) if cplx else fone
         deriv = (fzero, fzero) if cplx else fzero
         for k in range(2, n):
             log_pow, log_k, half_mag = table[k]
-            p = k_pow(k, log_pow, half_mag)
+            if off_axis:
+                mag = half_mag if on_line else mpf_exp(
+                    mpf_mul(log_pow, neg_s[0], prec + 10, round_down), prec + 4, rnd)
+                c, sn = mpf_cos_sin(mpf_mul(log_pow, neg_s[1], prec + 10, round_down), prec + 4, rnd)
+                p = mpf_mul(mag, c, prec, rnd), mpf_mul(mag, sn, prec, rnd)
+            else:
+                p = power(from_int(k), neg_s, prec, rnd)
             total = add(total, p, prec, rnd)
             if want_deriv:
                 deriv = sub(deriv, mul_x(p, log_k, prec, rnd), prec, rnd)
-        ln_n = mp.log(n)
-        n1s = mp.power(n, 1 - s)
-        ns = mp.power(n, -s)
-        total = add(total, raw(n1s / (s - 1) + ns / 2), prec, rnd)
+        # the tail n1s/(s-1) + ns/2, ns = N^-s, n1s = N^(1-s), and its derivative
+        one_s = sub((fone, fzero) if cplx else fone, s_raw, prec, rnd)
+        if off_axis and n > 1:
+            log_n = (table[n][0], fzero)
+            ns, n1s = (mpc_exp(mpc_mul(log_n, w, prec + 10), prec, rnd) for w in (neg_s, one_s))
+        else:
+            ns, n1s = (power(from_int(n), w, prec, rnd) for w in (neg_s, one_s))
+        s_1 = sub_x(s_raw, fone, prec, rnd)
+        total = add(total, add(div(n1s, s_1, prec, rnd), div_x(ns, _TWO, prec, rnd), prec, rnd),
+                    prec, rnd)
         if want_deriv:
-            deriv = add(deriv, raw(-ln_n * n1s / (s - 1) - n1s / (s - 1) ** 2), prec, rnd)
-            deriv = add(deriv, raw(-ln_n * ns / 2), prec, rnd)
-            rf_logd, ln_raw = recip(s_raw, prec, rnd), ln_n._mpf_
+            ln_n = table[n][1] if n > 1 else fzero
+            deriv = add(deriv, sub(div(mul_x(n1s, mpf_neg(ln_n), prec, rnd), s_1, prec, rnd),
+                                   div(n1s, square(s_1, prec, rnd), prec, rnd), prec, rnd), prec, rnd)
+            deriv = add(deriv, div_x(mul_x(ns, mpf_neg(ln_n), prec, rnd), _TWO, prec, rnd), prec, rnd)
+            rf_logd = recip(s_raw, prec, rnd)
 
         # Bernoulli corrections; rf = s(s+1)...(s+2j-2), npow = N^(-s-2j+1),
         # rf_logd = d/ds log rf = sum 1/(s+i) for the derivative
         rf = s_raw
-        npow = raw(ns / n)
+        npow = div_x(ns, from_int(n), prec, rnd)
         nn = from_int(n * n)
         tol = self._stop_tol._mpf_
-        prev_mag = finf
+        tol_e = tol[2] + tol[3]  # 2^(tol_e - 1) <= tol < 2^tol_e
+        last, last_e = None, math.inf
         for j, c in enumerate(self._coef, start=1):
             term = mul(mul_x(rf, c._mpf_, prec, rnd), npow, prec, rnd)
-            mag = size(term, prec, rnd)
+            e = max(v[2] + v[3] for v in (term if cplx else (term,)) if v[1])
             # stop below tolerance, or where the corrections stop converging at this N
-            if (mpf_lt(mag, tol) or j > self._m_cap
-                    or mpf_gt(mag, mpf_mul_int(prev_mag, 4, prec, rnd))):
+            if j > self._m_cap or e + 2 <= tol_e:
                 break
+            if e - 2 < tol_e or e >= last_e:  # the exponents cannot decide
+                last_mag = finf if last is None else size(last, prec, rnd)
+                mag = size(term, prec, rnd)
+                if mpf_lt(mag, tol) or mpf_gt(mag, mpf_mul_int(last_mag, 4, prec, rnd)):
+                    break
             total = add(total, term, prec, rnd)
             if want_deriv:
-                deriv = add(deriv, mul(term, sub_x(rf_logd, ln_raw, prec, rnd), prec, rnd),
+                deriv = add(deriv, mul(term, sub_x(rf_logd, ln_n, prec, rnd), prec, rnd),
                             prec, rnd)
-            prev_mag = mag
+            last, last_e = term, e
             lo = add_x(s_raw, from_int(2 * j - 1), prec, rnd)
             hi = add_x(s_raw, from_int(2 * j), prec, rnd)
             rf = mul(mul(rf, lo, prec, rnd), hi, prec, rnd)
@@ -534,7 +558,7 @@ class ZetaEngine:
                               prec, rnd)
             npow = div_x(npow, nn, prec, rnd)
         make = mp.make_mpc if cplx else mp.make_mpf
-        return make(total), make(deriv) if want_deriv else None, mp.make_mpf(mag)
+        return make(total), make(deriv) if want_deriv else None, mp.make_mpf(size(term, prec, rnd))
 
     # -- public operations ----------------------------------------------------
 
@@ -544,15 +568,16 @@ class ZetaEngine:
         needs Re s >= REFLECTION_THRESHOLD."""
         mp = self.ctx.mp
         s = mp.convert(s)
-        if s == 1:
+        re, im = s._mpc_ if hasattr(s, "_mpc_") else (s._mpf_, fzero)  # tuples are normalised
+        if im == fzero and re == fone:
             raise ZetaPoleError("zeta has a pole at s = 1")
         if with_deriv:
-            if mp.re(s) < REFLECTION_THRESHOLD:
+            if mpf_lt(re, _HALF):
                 raise ValueError("zeta with its derivative is summed for Re s >= 1/2 only")
             return self._em(s, want_deriv=True)
-        if s == 0:
+        if im == fzero and re == fzero:
             return mp.mpf(-0.5)
-        if mp.re(s) >= REFLECTION_THRESHOLD:
+        if mpf_ge(re, _HALF):
             return self._em(s, want_deriv=False)
         w = 1 - s
         zw = self._em(w, want_deriv=False)

@@ -421,7 +421,7 @@ LAMBDA = ("--lambda-limit", "1", "lambda_limit = 1 must lie in [2, 10000000]")
 # the run-wide settings each command reads; a scan's bad --a-list or --x-list
 # entry is its point's error row, not covered here
 READS = {
-    "integral": (["verify", "integral", "--a", "0.5", "--x", "0.5"], (TRIVIAL, HALFINT)),
+    "integral": (["verify", "integral", "--a", "0.5", "--x", "0.5"], (ZEROS, TRIVIAL, HALFINT)),
     "residues": (["verify", "residues", "--a", "0.5", "--x", "0.5"], (ZEROS, TRIVIAL, HALFINT)),
     "sumrule": (["verify", "sumrule", "--a", "0.5", "--x", "0.5"],
                 (ZEROS, TOO_MANY, TRIVIAL, HALFINT)),

@@ -110,6 +110,25 @@ def test_integrand_path_decay_bound(ctx, engine):
         assert abs(val) <= bound * (1 + mp.mpf("1e-30"))
 
 
+@pytest.mark.parametrize("bits", [96, 192])
+def test_held_log_integrand_is_the_cpow_integrand(bits):
+    # x^u as exp(u log x), log x taken once: bit for bit cpow's x^u over
+    # cos(pi s) zeta(4a u), at contour nodes and on the circles of a
+    # half-integer pole and of the first zero
+    ctx = NumericContext(bits)
+    mp, engine = ctx.mp, engine_for(ctx)
+    a, x = params(a="0.9", x="0.75").bind(ctx)
+    T = sr._pick_path_halfwidth(a, x, ctx)
+    nodes = [mp.mpc(0, T * (mp.mpf(j) / 32 - 1)) for j in range(0, 65, 3)]
+    rho = mp.mpc(0.5, "14.134725141734693790457251983562470270784257115699")
+    for c in (mp.mpf("1.5"), (1 + mp.sqrt(1 - rho / a)) / 2):
+        nodes += [c + mp.mpf("0.01") * mp.expjpi(mp.mpf(j) / 8) for j in range(16)]
+    for s in nodes:
+        u = s * (1 - s)
+        want = cpow(x, u, ctx) / (mp.cos(mp.pi * s) * engine.zeta(4 * a * u))
+        assert _raw(sr._integrand(s, a, mp.log(x), ctx, engine)) == _raw(want), s
+
+
 def test_integrand_singularity_names_site(store30_96, ctx96):
     # at every site of every family the error names that site.  96 bits, the
     # store's own precision: its taus are zeros to within its tolerance

@@ -227,6 +227,20 @@ def bits(values):
     return [None if v is None else (type(v).__name__, zetafn._raw(v)) for v in values]
 
 
+def bernoulli_sizes(eng, s, n):
+    """|term| of each Bernoulli correction that em_once_objects forms at
+    cutoff n, up to the one it stops at."""
+    mp = eng.ctx.mp
+    rf, npow, sizes = s, mp.power(n, -s) / n, []
+    for j, c in enumerate(eng._coef, start=1):
+        sizes.append(abs(c * rf * npow))
+        if (sizes[-1] < eng._stop_tol or j > eng._m_cap
+                or len(sizes) > 1 and sizes[-1] > 4 * sizes[-2]):
+            return sizes
+        rf = rf * (s + (2 * j - 1)) * (s + 2 * j)
+        npow = npow / (n * n)
+
+
 @pytest.mark.parametrize("prec", [96, 192])
 def test_raw_em_loop_equals_the_object_loop(prec):
     ctx = NumericContext(prec)
@@ -252,6 +266,20 @@ def test_raw_em_loop_equals_the_object_loop(prec):
     # n <= 3, and cutoffs too small for the Bernoulli stop
     calls += [(mp.mpc(0.5, 20), 1), (mp.mpc(0.5, 20), 3), (mp.mpf(3), 2),
               (mp.mpc(0.5, mp.mpf(400)), 4), (mp.mpf("1.5"), 22 * prec // 192)]
+    # where the exponents of a term's parts cannot decide the Bernoulli stop:
+    # |term| within a factor 4 of tol, and consecutive |term| ratios in [1/4, 4]
+    tol = eng._stop_tol
+    for s, n in ((mp.mpc(2, 3), {96: 14, 192: 25}[prec]), (mp.mpc(1.5, 0), {96: 13, 192: 24}[prec])):
+        sizes = bernoulli_sizes(eng, s, n)
+        assert any(tol / 4 <= v <= 4 * tol for v in sizes)
+        assert any(1 / mp.mpf(4) <= v / u <= 4 for u, v in zip(sizes, sizes[1:]))
+        calls.append((s, n))
+    # a complex s on the real axis; sigma just above 4, where N's cut is
+    # tested; sigma where the cut decides N, and where N is its floor of 4
+    edge = mp.mpc(4 + mp.mpf(2) ** -80, 7)
+    assert eng._pick_n(edge) == eng._n0 + 3
+    assert 4 < eng._pick_n(mp.mpc(40, 7)) < eng._n0 and eng._pick_n(mp.mpc(150, 7)) == 4
+    calls += [(s, eng._pick_n(s)) for s in (mp.mpc(3, 0), edge, mp.mpc(40, 7), mp.mpc(150, 7))]
     stops = set()
     for s, n in calls:
         for want_deriv in (False, True):
@@ -259,6 +287,47 @@ def test_raw_em_loop_equals_the_object_loop(prec):
             assert bits(eng._em_once(s, n, want_deriv)) == bits(want), (s, n, want_deriv)
             stops.add(stop)
     assert stops == {"tol", "m_cap", "4 x previous"}
+    # N^-s and log N come from the table's row N: an n one past its length
+    for s in (mp.mpc(0.5, 20), mp.mpc(1.25, -8)):
+        n = len(eng._logk)
+        for want_deriv in (False, True):
+            want = em_once_objects(eng, s, n, want_deriv)[:3]
+            assert bits(eng._em_once(s, n, want_deriv)) == bits(want), (s, n, want_deriv)
+        assert len(eng._logk) == n + 1
+
+
+def pick_n_objects(eng, s):
+    """The mpf expression that ZetaEngine._pick_n's libmp calls replaced."""
+    mp = eng.ctx.mp
+    n = eng._n0 + int(0.56 * abs(mp.im(s)))
+    sigma = mp.re(s)
+    if sigma > 4:
+        cut = int(mp.mpf(2) ** ((eng.ctx.precision_bits + 34.0) / sigma)) + 2
+        n = min(n, max(4, cut))
+    return n
+
+
+@pytest.mark.parametrize("prec", [96, 192])
+def test_pick_n_equals_the_object_expression(prec):
+    mp = NumericContext(prec).mp
+    eng = ZetaEngine(NumericContext(prec))
+    ims = [mp.mpf(0), mp.mpf("14.13"), mp.mpf(-400)]
+    floors = set()
+    for k in (1, 25, 100, 224):  # 0.56 |t| within 1e-30 of the integer k
+        t = k / mp.mpf(0.56)
+        for v in (t - mp.mpf("1e-30"), t, t + mp.mpf("1e-30")):
+            assert abs(0.56 * v - k) < mp.mpf("1e-30")
+            ims += [v, -v]
+            floors.add(int(0.56 * v) - k)
+    assert floors == {-1, 0}  # both sides of the integer
+    # sigma = (p + 34)/m, where 2^((p+34)/sigma) is 2^m, and sigma at 4
+    sigmas = [mp.mpf(prec + 34) / m for m in range(1, (prec + 34) // 4 + 1)]
+    sigmas += [mp.mpf("0.5"), mp.mpf(4), 4 - mp.mpf(2) ** -100, 4 + mp.mpf(2) ** -100]
+    for sigma in sigmas:
+        assert eng._pick_n(sigma) == pick_n_objects(eng, sigma)  # a real s
+        for im in ims:
+            s = mp.mpc(sigma, im)
+            assert eng._pick_n(s) == pick_n_objects(eng, s), s
 
 
 def test_engine_for_one_per_context():
