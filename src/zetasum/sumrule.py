@@ -259,6 +259,21 @@ def _pole_site(s, w, cos_vanished, mp, store) -> str:
     return f"{family} index={1 + min(range(len(store)), key=lambda i: abs(store[i].tau - tau))}"
 
 
+def _below(v, floor) -> bool:
+    """abs(v) < floor for an mpf or mpc v and an mpf floor > 0.  With 2^(e-1)
+    <= max(|Re v|, |Im v|) < 2^e, the rounded |v| lies in [2^(e-1), 2^(e+1)),
+    so the binary exponents decide unless e is floor's exponent or one below;
+    only there is |v| computed (mpc_abs, a square root).  A part that is infinite
+    or nan counts as large, as abs(v) < floor is false for it."""
+    parts = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_,)
+    e = max(part[2] + part[3] if part[1] else -math.inf if part == fzero else math.inf
+            for part in parts)
+    floor_e = floor._mpf_[2] + floor._mpf_[3]  # 2^(floor_e - 1) <= floor < 2^floor_e
+    if floor_e - 2 < e <= floor_e:  # the exponents cannot decide
+        return abs(v) < floor
+    return e < floor_e
+
+
 def _integrand(s, a, ln_x, ctx, engine, store=None):
     """x^u / (cos(pi s) zeta(4a u)), u = s(1 - s), with x^u = exp(u log x): cpow's
     expression, its log x taken once by the caller."""
@@ -268,8 +283,8 @@ def _integrand(s, a, ln_x, ctx, engine, store=None):
     w = 4 * a * u
     z = engine.zeta(w)
     floor = 1000 * ctx.target_tol
-    if abs(c) < floor or abs(z) < floor:
-        site = _pole_site(s, w, abs(c) < floor, mp, store)
+    if _below(c, floor) or _below(z, floor):
+        site = _pole_site(s, w, _below(c, floor), mp, store)
         raise SingularityError(f"integrand evaluated at a pole near {site}")
     return mp.exp(u * ln_x) / (c * z)
 

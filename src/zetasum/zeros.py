@@ -18,28 +18,39 @@ and none outside.  A process keeps its last eight scans, one per (engine,
 count), so a locate and an import of the same count scan once.
 
 Located and imported zeros take one refinement path, _certify: bisection of
-the sign-change bracket to width 1e-4 (it only reads signs), Newton on Z at
-full precision inside the bracket, then a certificate that Z changes sign
-across [tau - e, tau + e], e = 2^(10 - precision_bits).  A located zero's
-Newton starts at the root of the double-precision Z in that bracket
-(_float_root), which gives tau to about double precision, as in Brent's
-Newton with increasing precision (1976): the first digits come cheap, and
-the last passes and the certificate are at full precision.  Where the double
+the sign-change bracket to width 1e-4 (it only reads signs), Newton on Z
+inside the bracket, then a certificate that Z changes sign across
+[tau - e, tau + e], e = 2^(10 - precision_bits).  A located zero's Newton
+is Brent's Newton with increasing precision (1976): each pass pays only for
+the digits its step decides.  It starts at the root of the double-precision
+Z in that bracket (_float_root), which gives tau to about double precision.
+Where the working precision is at least 2 FIRST_STEP_BITS = 192 bits, the
+first pass runs at 96 bits: its step leaves tau some 1e-28 off, far above
+the 96-bit engine's stop tolerance 2^-112.  After a full pass at working
+precision whose step delta has tau 2^-prec <= delta^2 < e/4 (prec =
+ctx.mp.prec), the next pass is Z alone (ZetaEngine.hardy_z), divided by that
+full pass's Z': |Z''/2Z'| is below 1 at the zeros, so that step is below
+e/4, and the stale Z' moves it by about delta times itself, some 1e-85 at
+192 bits, where an ulp of tau is at least 5e-67, and at most about 1e-41 at
+96, far below the 30 digits a zeros file keeps there.  The lower bound
+leaves a step that would not move tau to the pass at tau.  Where the double
 Z shows no sign change across the bracket, or its root is not inside, Newton
-starts at the midpoint, as an imported zero's does.  Each full-precision
-pass (ZetaEngine.hardy_z_with_deriv) gives Z, Z' and zeta'(1/2 + i tau) at
-once, and tau's pass is Newton's last one wherever Newton's last step leaves
-tau unchanged (one more pass where it moved tau).  That pass gives the
-residual Z(tau), the cached zeta'(1/2 + i tau) and the certificate,
-_taylor_certifies: |Z(tau)| plus its error bound plus e^2 M/2, M >= |Z''|
-near tau (_z2_bound), below e |Z'(tau)| minus its error bound.  It accepts
-every stored tau of the tests (500 zeros at 192 bits, 30 at 96); where it
-does not hold, a full-precision bisection of the bracket down to e gives
-tau, and one pass at its midpoint.
-So a located zero costs its Newton passes (3 at 96 bits, 4 at 192 for the
-first zeros; 4 and 5 from the midpoint), and an imported one two: the
-import check at the tau read, which is Newton's first step, and the pass at
-the tau Newton moves to.
+starts at the midpoint, as an imported zero's does; every pass of an
+imported zero is a full pass at working precision.  Each full pass
+(ZetaEngine.hardy_z_with_deriv) gives Z, Z' and zeta'(1/2 + i tau) at once,
+and tau's pass, at working precision, is Newton's last one wherever Newton's
+last step leaves tau unchanged (one more pass where it moved tau).  That
+pass gives the residual Z(tau), the cached zeta'(1/2 + i tau) and the
+certificate, _taylor_certifies: |Z(tau)| plus its error bound plus e^2 M/2,
+M >= |Z''| near tau (_z2_bound), below e |Z'(tau)| minus its error bound.
+It accepts every stored tau of the tests (500 zeros at 192 bits, 30 at 96);
+where it does not hold, a full-precision bisection of the bracket down to e
+gives tau, and one pass at its midpoint.
+So a located zero costs its Newton passes: for the first zeros 3 at 96 bits
+(Z and Z', Z alone, Z and Z') and 4 at 192 (the same after a 96-bit pass of
+Z and Z'); 4 and 5 from the midpoint.  An imported one costs two: the import
+check at the tau read, which is Newton's first step, and the pass at the tau
+Newton moves to.
 The certificate is for the refined tau; _certify returns tau and zeta' as
 a zeros file holds them (rounded to the ctx.dps digits export_zeros writes,
 read back at working precision): it moves tau by half a unit in the last
@@ -55,7 +66,8 @@ yields.  The Newton start is not: it is a double-precision guess inside the
 bracket, and it sets only how many passes Newton makes.  The tau and zeta'
 a zeros file holds are the same bytes from it as from the midpoint, for
 every store the tests and the benchmark build.  A zero run reads every
-sign, theta and Z from one engine, engine_for(ctx).
+sign, theta and Z from one engine, engine_for(ctx), but for a located
+zero's first Newton pass at 192 bits and above.
 locate_zeros refines the first `count` brackets, and import_zeros requires
 the tau refined from row i to lie in bracket i, so a table with a zero
 missing fails at the first row past the gap.  A cache load runs no count
@@ -119,6 +131,10 @@ MAX_COUNT = 2000
 SIMPLICITY_FLOOR = 1e-15
 # bracket width at which Newton takes over from bisection
 NEWTON_WIDTH = "1e-4"
+# the precision of a located zero's first Newton pass, where the run's is at
+# least twice it: one step from the double-precision root leaves tau some
+# 1e-28 off, far above that engine's stop tolerance 2^-112
+FIRST_STEP_BITS = 96
 # regula falsi steps on the double-precision Z at most, for a located zero's
 # Newton start (_float_root); from their 1e-4 brackets, each of the first
 # 2000 zeros reaches a step that leaves the root unchanged within 10
@@ -346,14 +362,17 @@ def _taylor_certifies(engine: ZetaEngine, tau, z, zd) -> bool:
     return abs(z) + d + e * e * _z2_bound(tau) / 2 < e * (abs(zd) - d)
 
 
-def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
+def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None, first=None):
     """(tau, zeta'(1/2 + i tau)), as a zeros file holds them, for the zero in
     the sign-change bracket [lo, hi], where z_lo and z_hi have the signs of
-    Z(lo) and Z(hi).  start = (t, engine.hardy_z_with_deriv(t)) is a pass
-    already made, and Newton starts at the midpoint of the 1e-4 bracket;
-    without one, at _float_root's root in it, or at the midpoint where that
-    gives none.  The steps, the certificate and the rounding are in the
-    module docstring."""
+    Z(lo) and Z(hi).  start = (t, engine.hardy_z_with_deriv(t)) is an
+    imported zero's pass already made, and Newton starts at the midpoint of
+    the 1e-4 bracket, with every pass a full one.  Without it (a located
+    zero), Newton starts at _float_root's root in the bracket, or at the
+    midpoint where that gives none; its first pass is on the engine `first`
+    where one is given, and a pass after a full one on `engine` may be Z
+    alone.  The steps, the certificate and the rounding are in the module
+    docstring."""
     mp = engine.ctx.mp
     e = engine.ctx.target_tol
     last = start
@@ -368,8 +387,12 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
     lo, hi = _bisect(engine, lo, hi, z_lo, z_hi, mp.mpf(NEWTON_WIDTH))
     guess = _float_root(lo, hi) if start is None else None
     tau = (lo + hi) / 2 if guess is None else mp.mpf(guess)
+    stale = None  # Z' of the last full pass, where the next pass is Z alone
     for _ in range(80):
-        z, zd, _ = derivs(tau)
+        if stale is not None:
+            z, zd = engine.hardy_z(tau), stale
+        else:
+            z, zd, _ = derivs(tau) if first is None else first.hardy_z_with_deriv(tau)
         if zd == 0:
             break
         delta = z / zd
@@ -378,6 +401,12 @@ def _certify(engine: ZetaEngine, lo, hi, z_lo, z_hi, start=None):
         tau -= delta
         if abs(delta) < e / 4:
             break
+        # after a located zero's full pass at working precision, the next
+        # step, about delta^2 |Z''/2Z'| < e/4, needs only Z''s leading
+        # digits; a step that would leave tau unchanged is left to the pass at tau
+        full = start is None and stale is None and first is None
+        stale = zd if full and mp.ldexp(tau, -mp.prec) <= delta * delta < e / 4 else None
+        first = None
     z, zd, zp = derivs(tau)
     if not _taylor_certifies(engine, tau, z, zd):
         lo, hi = _bisect(engine, lo, hi, _signed_z(engine, lo), _signed_z(engine, hi), e)
@@ -422,10 +451,12 @@ def locate_zeros(count: int, ctx: NumericContext) -> ZeroStore:
         raise ValueError(f"zeros_count = {count} must be "
                          + ("positive" if count < 1 else f"at most {MAX_COUNT}"))
     engine = engine_for(ctx)
+    first = (engine_for(NumericContext(FIRST_STEP_BITS))
+             if ctx.precision_bits >= 2 * FIRST_STEP_BITS else None)
     brackets = _scan_brackets(engine, count)[0]
 
     def refine(i):
-        return _certify(engine, *brackets[i])
+        return _certify(engine, *brackets[i], first=first)
 
     return _store(_split_map(refine, count, ctx.mp))
 

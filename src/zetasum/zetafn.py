@@ -67,7 +67,8 @@ at working precision elsewhere (zeros._signed_z).  Its values also seed
 Newton for a located zero: zeros._float_root finds their root in the zero's
 1e-4 bracket, where only the number of full-precision passes depends on it.
 Its coefficients are rounded from the same exact Bernoulli fractions on
-first use.
+first use, and its main sum runs over module-level float tables of log k
+and sqrt k that only grow and hold values fixed by k (_cos_sum).
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ import contextlib
 import functools
 import marshal
 import math
+import operator
 import os
 import signal
 import threading
@@ -329,6 +331,8 @@ _FLOAT_STIRLING_TERMS = 12
 _FLOAT_Z_START = 10.0
 _UNIT_ROUNDOFF = 2.0 ** -53
 _LOG_PI = math.log(math.pi)
+# log k and sqrt k for k = 1, 2, ... as floats, extended on demand (_cos_sum)
+_FLOAT_LOGS, _FLOAT_ROOTS = [], []
 
 
 @functools.cache
@@ -344,6 +348,19 @@ def _float_coefs():
     return em, stirling
 
 
+def _cos_sum(theta: float, t: float, n: int) -> float:
+    """sum_{k<n} cos(theta - t log k) / sqrt(k), summed in C through map over
+    the held float tables of log k and sqrt k, which it extends to k < n.  The
+    operations and their order are the generator expression's, so the value is
+    bit for bit that of sum(math.cos(theta - t * math.log(k)) / math.sqrt(k)
+    for k in range(1, n))."""
+    ks = range(len(_FLOAT_LOGS) + 1, n)
+    _FLOAT_LOGS.extend(map(math.log, ks))
+    _FLOAT_ROOTS.extend(map(math.sqrt, ks))
+    angles = map(theta.__sub__, map(t.__mul__, _FLOAT_LOGS[:n - 1]))
+    return sum(map(operator.truediv, map(math.cos, angles), _FLOAT_ROOTS[:n - 1]))
+
+
 def _hardy_z_float(t):
     """(value, bound) with |Z(t) - value| <= bound, in double precision, for
     t >= _FLOAT_Z_START; below it the bound is infinite.  t may be an mpf.
@@ -354,7 +371,8 @@ def _hardy_z_float(t):
     zeta(s), s = 1/2 + i t, by Euler-Maclaurin with N = floor(t/3) + 12 and
     M = _FLOAT_EM_TERMS corrections; the remainder is at most
     |s + 2M + 1| / (2M + 3/2) times the first omitted correction (Backlund).
-    Z = sum_{k<N} k^(-1/2) cos(theta - t log k) + Re(e^(i theta) * tail).
+    Z = sum_{k<N} k^(-1/2) cos(theta - t log k) + Re(e^(i theta) * tail),
+    the sum over held tables of log k and sqrt k (_cos_sum).
 
     Rounding margin, with u = 2^-53 and every libm call (log, cos, sqrt,
     atan2, hypot) within one ulp: each angle theta - t log k is off by at
@@ -381,7 +399,7 @@ def _hardy_z_float(t):
     theta = series.imag - t / 2 * _LOG_PI
     theta_rem = abs(stirling[-1] * inv) * (2 * abs(z) / (abs(z) + z.real)) ** len(stirling)
     n = int(t / 3) + 12
-    main = sum(math.cos(theta - t * math.log(k)) / math.sqrt(k) for k in range(1, n))
+    main = _cos_sum(theta, t, n)
     # e^(i theta) N^-s (N / (s - 1) + 1/2 + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-2j))
     s = complex(0.5, t)
     head = n / (s - 1)

@@ -82,14 +82,15 @@ def held_tables():
 
 @pytest.fixture()
 def hardy_passes(monkeypatch):
-    """The (t, with_deriv) of every full-precision pass of Z, in call order;
-    every split evaluates in process, so each pass is seen."""
+    """The (t, with_deriv, precision_bits of the engine) of every pass of Z at
+    a working precision, in call order; every split evaluates in process, so
+    each pass is seen."""
     one_cpu(monkeypatch)
     passes = []
     hardy = ZetaEngine._hardy
 
     def counting(self, t, with_deriv):
-        passes.append((t, with_deriv))
+        passes.append((t, with_deriv, self.ctx.precision_bits))
         return hardy(self, t, with_deriv)
 
     monkeypatch.setattr(ZetaEngine, "_hardy", counting)

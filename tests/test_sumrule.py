@@ -129,6 +129,67 @@ def test_held_log_integrand_is_the_cpow_integrand(bits):
         assert _raw(sr._integrand(s, a, mp.log(x), ctx, engine)) == _raw(want), s
 
 
+def integrand_by_moduli(s, a, ln_x, ctx, engine, store=None):
+    """sumrule._integrand with its pole guard on abs(c) and abs(zeta(w)),
+    each an mpc_abs: the reference for the guard that reads exponents."""
+    mp = ctx.mp
+    u = s * (1 - s)
+    c = mp.cos(mp.pi * s)
+    w = 4 * a * u
+    z = engine.zeta(w)
+    floor = 1000 * ctx.target_tol
+    if abs(c) < floor or abs(z) < floor:
+        site = sr._pole_site(s, w, abs(c) < floor, mp, store)
+        raise sr.SingularityError(f"integrand evaluated at a pole near {site}")
+    return mp.exp(u * ln_x) / (c * z)
+
+
+class FixedZeta:
+    """An engine whose zeta is one given value everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def zeta(self, w):
+        return self.value
+
+
+def outcome(f, *args):
+    """The raw value of f(*args), or the text of the SingularityError it raises."""
+    try:
+        return _raw(f(*args))
+    except sr.SingularityError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("bits", [96, 192])
+def test_pole_guard_decides_as_the_moduli_do(bits):
+    # |cos(pi s)| and |zeta(w)| from 2^-3 to 2^3 times the floor 1000
+    # target_tol, in steps of 2^(1/8), at seven angles, and at the floor and
+    # next to it: the exponent test decides as abs() < floor does, and the
+    # integrand returns the same bits or raises the same text
+    ctx = NumericContext(bits)
+    mp = ctx.mp
+    floor = 1000 * ctx.target_tol
+    sizes = [floor * mp.mpf(2) ** (mp.mpf(k) / 8) for k in range(-24, 25)]
+    sizes += [floor, next_up(floor), 2 * floor - next_up(floor)]
+    turns = [mp.mpf(0), mp.mpf("1e-3"), mp.mpf("0.5"), mp.pi / 4, mp.mpf("1.2"), mp.pi / 2,
+             mp.mpf(3)]
+    values = [mp.mpf(0)] + [m * sign for m in sizes for sign in (1, -1)] + [
+        mp.mpc(m * mp.cos(phi), m * mp.sin(phi)) for m in sizes for phi in turns]
+    assert [sr._below(v, floor) for v in values] == [abs(v) < floor for v in values]
+    a, ln_x = mp.mpf("0.9"), mp.log(mp.mpf("0.75"))
+    away = mp.mpc("0.2", "0.3")
+    cases = [(away, FixedZeta(v)) for v in values]  # zeta(w) straddles the floor
+    cases += [(mp.mpf("0.5") - v / mp.pi, FixedZeta(mp.mpf(1))) for v in values]  # cos(pi s)
+    seen = set()
+    for s, engine in cases:
+        got = outcome(sr._integrand, s, a, ln_x, ctx, engine)
+        assert got == outcome(integrand_by_moduli, s, a, ln_x, ctx, engine), s
+        seen.add(got.split(" near ")[1].split()[0] if isinstance(got, str) else "value")
+    assert seen == {"value", "half_integer", "trivial_zero"}
+
+
 def test_integrand_singularity_names_site(store30_96, ctx96):
     # at every site of every family the error names that site.  96 bits, the
     # store's own precision: its taus are zeros to within its tolerance

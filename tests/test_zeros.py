@@ -205,23 +205,99 @@ def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monke
         assert engine.hardy_z(fallback.tau - e) * engine.hardy_z(fallback.tau + e) < 0
 
 
+# the (precision_bits, with_deriv) of each pass of a located zero, for the
+# first zeros: Z and Z', then Z alone, divided by that Z', then the pass at
+# tau; at 192 bits after a first pass at 96
+LOCATED_PASSES = {96: [(96, True), (96, False), (96, True)],
+                  192: [(96, True), (192, True), (192, False), (192, True)]}
+
+
 @pytest.mark.parametrize("bits,newton", [(96, 3), (192, 4)])
 def test_full_precision_passes_per_zero(bits, newton, hardy_passes, tmp_path):
     # a located zero takes its Newton passes alone, from the double-precision
     # root in its 1e-4 bracket: the last gives the Taylor certificate and the
-    # weight.  An imported one takes two: the check at the tau read, which is
-    # Newton's first step, and the pass at the tau Newton moved to
+    # weight.  An imported one takes two full passes: the check at the tau
+    # read, which is Newton's first step, and the pass at the tau Newton moved to
     ctx = NumericContext(bits)
     located = locate_zeros(8, ctx)
-    assert hardy_passes == [(t, True) for t, _ in hardy_passes]
-    assert len(hardy_passes) == newton * 8
+    assert len(LOCATED_PASSES[bits]) == newton
+    assert [(p, deriv) for _, deriv, p in hardy_passes] == LOCATED_PASSES[bits] * 8
     path = tmp_path / "zeros.txt"
     export_zeros(located, path, ctx)
     del hardy_passes[:]
     import_zeros(path, ctx)
-    assert [t for t, _ in hardy_passes[::2]] == [r.tau for r in located]
-    assert hardy_passes == [(t, True) for t, _ in hardy_passes]
-    assert len(hardy_passes) == 2 * 8
+    assert [t for t, _, _ in hardy_passes[::2]] == [r.tau for r in located]
+    assert [(p, deriv) for _, deriv, p in hardy_passes] == [(bits, True)] * 2 * 8
+
+
+def every_pass_full(engine, lo, hi, z_lo, z_hi):
+    """A located zero's (tau, zeta') with every Newton pass a full pass at the
+    engine's precision: the reference for _certify's cheaper passes."""
+    mp, e = engine.ctx.mp, engine.ctx.target_tol
+    lo, hi = zeros_mod._bisect(engine, lo, hi, z_lo, z_hi, mp.mpf(zeros_mod.NEWTON_WIDTH))
+    tau = mp.mpf(zeros_mod._float_root(lo, hi))
+    while True:
+        z, zd, zp = engine.hardy_z_with_deriv(tau)
+        delta = z / zd
+        if tau - delta == tau:
+            break
+        tau -= delta
+        if abs(delta) < e / 4:
+            z, zd, zp = engine.hardy_z_with_deriv(tau)
+            break
+    assert zeros_mod._taylor_certifies(engine, tau, z, zd)
+    re_zp, im_zp = zeros_mod._zp_fields(engine.ctx, zp)
+    return mp.mpf(engine.ctx.nstr(tau)), mp.mpc(mp.mpf(re_zp), mp.mpf(im_zp))
+
+
+@pytest.mark.parametrize("bits", [64, 96, 192])
+def test_cheaper_passes_keep_every_bit(bits, monkeypatch):
+    # the 96-bit first pass and the pass of Z alone change no bit of a
+    # located zero's tau or zeta' against full passes throughout
+    one_cpu(monkeypatch)
+    ctx = NumericContext(bits)
+    engine = zeros_mod.engine_for(ctx)
+    store = locate_zeros(8, ctx)
+    brackets = zeros_mod._scan_brackets(engine, 8)[0]
+    assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
+        tuple(map(_raw, every_pass_full(engine, *b))) for b in brackets[:8]]
+
+
+def test_a_pass_of_z_alone_that_does_not_settle_is_followed_by_full_passes(
+        store30_96, ctx96, hardy_passes, monkeypatch):
+    # Z alone is made off by e Z': its step, about e, is not below e/4, so
+    # Newton goes on with full passes from there, and each zero keeps its bits
+    hardy_z = ZetaEngine.hardy_z
+
+    def off(self, t):
+        return hardy_z(self, t) + self.ctx.target_tol * ZetaEngine.hardy_z_with_deriv(self, t)[1]
+
+    monkeypatch.setattr(ZetaEngine, "hardy_z", off)
+    store = locate_zeros(8, ctx96)
+    assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
+        (_raw(r.tau), _raw(r.zeta_prime)) for r in store30_96.prefix(8)]
+    # each Z alone (and the full pass `off` makes) is followed by two full passes
+    assert [deriv for _, deriv, _ in hardy_passes] == [True, False, True, True, True] * 8
+
+
+def test_an_import_makes_full_passes_at_working_precision_only(store40_192, ctx192,
+                                                               hardy_passes, monkeypatch,
+                                                               tmp_path):
+    # tau read to 15 digits: Newton's second step from it has tau 2^-prec <=
+    # delta^2 < e/4, where a located zero's next pass would be Z alone; an
+    # import's is a full pass, and no 96-bit engine is asked for
+    asked = []
+    engine_for = zeros_mod.engine_for
+    monkeypatch.setattr(zeros_mod, "engine_for", lambda ctx: asked.append(ctx) or engine_for(ctx))
+    mp, e = ctx192.mp, ctx192.target_tol
+    path = tmp_path / "zeros.txt"
+    path.write_text("".join(mp.nstr(r.tau, 17) + "\n" for r in store40_192.prefix(4)))
+    import_zeros(path, ctx192)
+    assert asked == [ctx192]
+    assert [(p, deriv) for _, deriv, p in hardy_passes] == [(192, True)] * len(hardy_passes)
+    steps = [a - b for (a, _, _), (b, _, _) in zip(hardy_passes, hardy_passes[1:])]
+    assert any(mp.ldexp(b, -mp.prec) <= step * step < e / 4
+               for step, (b, _, _) in zip(steps, hardy_passes[1:]))
 
 
 def test_taylor_certificate_decides_every_zero(store30_96, ctx96, monkeypatch):
@@ -301,6 +377,32 @@ def test_pass_within_the_certificate_error_bound(name, request):
             tt = mpmath.mpf(t)
             for got, want in ((z, mpmath.siegelz(tt)), (zd, mpmath.siegelz(tt, derivative=1))):
                 assert abs(mpmath.mpf(got) - want) <= d, (t, got, want)
+
+
+@pytest.mark.parametrize("bits,count", [(96, 30), (192, 16)])
+def test_certificate_pass_within_a_sixteenth_of_its_error_bound(bits, count, monkeypatch):
+    # at the pass that certifies each located zero, Z and Z' against an
+    # engine at 2p + 64 bits: both lie within d/16 of it, d the error bound
+    # _taylor_certifies charges.  Not an enclosure: the reference is the
+    # same algorithm with more bits
+    one_cpu(monkeypatch)
+    passes = []
+    taylor = zeros_mod._taylor_certifies
+
+    def recorded(engine, tau, z, zd):
+        passes.append((tau, z, zd))
+        return taylor(engine, tau, z, zd)
+
+    monkeypatch.setattr(zeros_mod, "_taylor_certifies", recorded)
+    locate_zeros(count, NumericContext(bits))
+    assert len(passes) == count
+    high = zeros_mod.engine_for(NumericContext(2 * bits + 64))
+    mp = high.ctx.mp
+    for tau, z, zd in passes:
+        d = mp.ldexp(mp.mpf(tau) + 4, -(bits + 12))
+        want_z, want_zd, _ = high.hardy_z_with_deriv(tau)
+        assert abs(mp.mpf(z) - want_z) <= d / 16, tau
+        assert abs(mp.mpf(zd) - want_zd) <= d / 16, tau
 
 
 def test_taylor_certificate_counts_the_evaluation_error(ctx96):
@@ -630,14 +732,16 @@ def same_signs(t):
     return abs(_hardy_z_float(t)[0]), math.inf
 
 
-@pytest.mark.parametrize("double_z,newton", [(None, 3), ("refused", 4), (same_signs, 4)],
+@pytest.mark.parametrize("double_z,newton", [(None, 16), ("refused", 30), (same_signs, 30)],
                          ids=["double-root", "refused", "same-signs"])
 def test_the_newton_start_decides_no_byte(store30_96, ctx96, hardy_passes, monkeypatch,
                                           fresh_scan, double_z, newton):
     # Newton starts at the double-precision root of the 1e-4 bracket, or at
     # its midpoint where the double Z shows no sign change there (every sign
     # refused, or every value of one sign): the taus and zeta' are the same
-    # bits, and only the number of full-precision passes differs
+    # bits, and only the number of full passes differs, two a zero from the
+    # root (with a pass of Z alone between), and from the midpoint four for
+    # six of the eight zeros and three, with Z alone, for two
     if double_z == "refused":
         refuse_every_float_sign(monkeypatch)
     elif double_z:
@@ -645,7 +749,7 @@ def test_the_newton_start_decides_no_byte(store30_96, ctx96, hardy_passes, monke
     store = locate_zeros(8, ctx96)
     assert [(_raw(r.tau), _raw(r.zeta_prime)) for r in store] == [
         (_raw(r.tau), _raw(r.zeta_prime)) for r in store30_96.prefix(8)]
-    assert sum(deriv for _, deriv in hardy_passes) == newton * 8
+    assert sum(deriv for _, deriv, _ in hardy_passes) == newton
 
 
 def test_a_double_root_outside_the_bracket_starts_newton_at_its_midpoint(store30_96, ctx96,
@@ -665,11 +769,12 @@ def test_a_double_root_outside_the_bracket_starts_newton_at_its_midpoint(store30
     engine = zeros_mod.engine_for(ctx96)
     tau, zp = zeros_mod._certify(engine, lo, hi, engine.hardy_z(lo), engine.hardy_z(hi))
     assert (_raw(tau), _raw(zp)) == (_raw(first.tau), _raw(first.zeta_prime))
-    assert [t for t, deriv in hardy_passes if deriv][0] == (lo + hi) / 2
+    assert [t for t, deriv, _ in hardy_passes if deriv][0] == (lo + hi) / 2
 
 
 def test_a_192_bit_zero_run_asks_for_its_own_engine_only(ctx192, tmp_path, monkeypatch):
-    # signs, theta and Z all come from engine_for(ctx): no second engine
+    # signs, theta and Z all come from engine_for(ctx), but for the first
+    # Newton pass of a located zero, at 96 bits; an import asks for no other
     asked = []
     engine_for = zeros_mod.engine_for
 
@@ -681,7 +786,7 @@ def test_a_192_bit_zero_run_asks_for_its_own_engine_only(ctx192, tmp_path, monke
     path = tmp_path / "zeros.txt"
     export_zeros(locate_zeros(4, ctx192), path, ctx192)
     import_zeros(path, ctx192)
-    assert asked == [ctx192, ctx192]
+    assert asked == [ctx192, NumericContext(96), ctx192]
 
 
 # -- refinement on two CPUs ----------------------------------------------------
@@ -738,12 +843,12 @@ def test_interrupt_in_refinement_kills_and_reaps_the_child(ctx96, monkeypatch, f
     certify = zeros_mod._certify
     calls = []
 
-    def interrupted(*args):
+    def interrupted(*args, **kwargs):
         if os.getpid() == parent:
             calls.append(args)
             if len(calls) == 2:  # zero #3, this process's second
                 raise KeyboardInterrupt
-        return certify(*args)
+        return certify(*args, **kwargs)
 
     monkeypatch.setattr(zeros_mod, "_certify", interrupted)
     with pytest.raises(KeyboardInterrupt):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -404,3 +405,20 @@ def test_float_z_within_its_bound(store30_96):
             fallbacks += abs(value) <= bound
     assert fallbacks >= 30
     assert zetafn._hardy_z_float(CTX.mp.mpf("9.99")) == (0.0, float("inf"))
+
+
+def test_cos_sum_is_the_generator_sum(monkeypatch):
+    # the double-precision Z's main sum over the held tables of log k and
+    # sqrt k, bit for bit the generator expression it replaced, over random
+    # (theta, t) with t in [10, 2600] and n = floor(t/3) + 12, from empty
+    # tables that grow on demand and are read at shorter lengths too
+    monkeypatch.setattr(zetafn, "_FLOAT_LOGS", [])
+    monkeypatch.setattr(zetafn, "_FLOAT_ROOTS", [])
+    rng, longest = random.Random(31), 0
+    for _ in range(2000):
+        t, theta = rng.uniform(10, 2600), rng.uniform(-1e4, 1e4)
+        n = int(t / 3) + 12
+        want = sum(math.cos(theta - t * math.log(k)) / math.sqrt(k) for k in range(1, n))
+        assert zetafn._cos_sum(theta, t, n) == want, (theta, t)
+        longest = max(longest, n - 1)
+    assert len(zetafn._FLOAT_LOGS) == len(zetafn._FLOAT_ROOTS) == longest
