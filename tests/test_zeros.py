@@ -207,12 +207,14 @@ def test_certify_falls_back_to_full_precision_bisection(store30_96, ctx96, monke
 
 # the (precision_bits, with_deriv) of each pass of a located zero, for the
 # first zeros: Z and Z', then Z alone, divided by that Z', then the pass at
-# tau; at 192 bits after a first pass at 96
-LOCATED_PASSES = {96: [(96, True), (96, False), (96, True)],
+# tau; at 192 bits after a first pass at 96.  At 64 bits the step after the
+# first pass would not move tau, so the pass at tau follows at once
+LOCATED_PASSES = {64: [(64, True), (64, True)],
+                  96: [(96, True), (96, False), (96, True)],
                   192: [(96, True), (192, True), (192, False), (192, True)]}
 
 
-@pytest.mark.parametrize("bits,newton", [(96, 3), (192, 4)])
+@pytest.mark.parametrize("bits,newton", [(64, 2), (96, 3), (192, 4)])
 def test_full_precision_passes_per_zero(bits, newton, hardy_passes, tmp_path):
     # a located zero takes its Newton passes alone, from the double-precision
     # root in its 1e-4 bracket: the last gives the Taylor certificate and the
