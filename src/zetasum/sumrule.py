@@ -67,8 +67,8 @@ from mpmath.libmp import (from_float, fzero, mpc_abs, mpc_div, mpc_div_mpf, mpc_
 
 from .arith import MangoldtTable, guillera_h
 from .numctx import NumericContext, cpow
-from .zetafn import (InternalConsistencyError, PrecisionError, ZetaEngine, _split_map,
-                     engine_for, trapezoid_mean)
+from .zetafn import (InternalConsistencyError, PrecisionError, ZetaEngine, _in_process,
+                     _split_map, engine_for, trapezoid_mean)
 from .zeros import SIMPLICITY_FLOOR, MultipleZeroError, ZeroStore
 
 __all__ = [
@@ -409,8 +409,9 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
     takes each later node u the last circle holds as the conjugate of its value
     at 1 - u; a first-level value must be that conjugate bit for bit, where
     held, or InternalConsistencyError names the site.  Summed in its own node
-    order, each residue is bit for bit a full circle's.  log x is taken once,
-    for every node's x^u."""
+    order, each residue is bit for bit a full circle's.  A circle never
+    forks (_in_process), so it holds every node it evaluates, called site by
+    site or inside a split.  log x is taken once, for every node's x^u."""
     a, x = params.bind(ctx)
     mp = ctx.mp
     engine, ln_x = engine or engine_for(ctx), mp.log(x)
@@ -436,9 +437,10 @@ def numeric_residue(site: PoleSite, params: SumRuleParams, ctx: NumericContext,
                                            f"is not the last circle's mirror at u = {u}")
         return v
 
-    return trapezoid_mean(g, ctx, 8, ctx.target_tol, r,
-                          f"residue quadrature did not settle at {site.family} index {site.index}",
-                          periodic=True, conjugate=mp.im(c) == 0, max_doublings=12)
+    failure = f"residue quadrature did not settle at {site.family} index {site.index}"
+    with _in_process():
+        return trapezoid_mean(g, ctx, 8, ctx.target_tol, r, failure,
+                              periodic=True, conjugate=mp.im(c) == 0, max_doublings=12)
 
 
 def _residue_map(sites, params: SumRuleParams, ctx: NumericContext, catalog, store) -> list:

@@ -19,13 +19,15 @@ g(1 - u) = conj g(u), as on the contour and on a circle centred on the real
 axis, it evaluates half of each later level and takes the rest as conjugates.
 
 _split_map maps a pure function over indices 0..n-1 on two CPUs.  Where the
-affinity mask (read at each call) holds more than one CPU and the process
-has one thread, a call forks one child, which evaluates the odd indices and
-sends their values back in one message over a pipe, as raw mpmath tuples
-(marshal); the caller evaluates the even ones, merges in index order and
-reaps the child.  So every value and exception is the in-process one; the
+affinity mask (read at each call) holds more than one CPU, the cgroup's CPU
+quota (cpu.max, read once per process) allows two CPUs' time and the
+process has one thread, a call forks one child, which evaluates the odd
+indices and sends their values back in one message over a pipe, as raw
+mpmath tuples (marshal); the caller evaluates the even ones, merges in index
+order and reaps the child.  So every value and exception is the in-process one; the
 function must be pure, since what it changes in the child is lost.  A split
-inside a split, and any split in the child, evaluates in process.
+inside a split, any split in the child and any inside _in_process (each
+residue circle) evaluate in process.
 trapezoid_mean maps its integrand over each level's nodes with one call,
 zeros refines each zero through it, the CLI's zeros command evaluates
 |zeta(rho)| through it and its scan its a-rows (each side evaluating its
@@ -43,10 +45,16 @@ rule only multiplies Im(e^(i theta) zeta) = 0, and no pass evaluates theta'
 (a complex digamma).  Each engine keeps a table of log k (and, for
 Re s = 1/2, |k^-s| = exp(-log(k)/2)), so a complex power costs one cos/sin
 and two multiplications; the tail's N^-s, N^(1-s) and log N come from the
-same table.  The table rounds as mpmath 1.3's mpc_pow does, and the whole
-pass runs on raw mpmath tuples through the functions mpmath's operators
-call (_em_once), so every value is bit for bit what separate passes over
-mp.power(k, -s) with mpf/mpc arithmetic give.  The Bernoulli stop reads
+same table.  Off the critical line and the real axis k^-s is taken
+completely multiplicative, as mpmath's zetasum_sieved takes it: only a prime
+k costs exp and cos/sin, and a composite k is q^-s (k/q)^-s, one complex
+product, with q its smallest prime factor, which the table keeps.  The table
+rounds as mpmath 1.3's mpc_pow does, and the whole pass runs on raw mpmath
+tuples through the functions mpmath's operators call (_em_once).  So on
+the critical line and the real axis every value is bit for bit what
+separate passes over mp.power(k, -s) with mpf/mpc arithmetic give; off
+them the products cost a few guard-bit ulps, and a test holds those passes
+to mpmath's zeta at twice the precision.  The Bernoulli stop reads
 |term| (a square root) only where the binary exponents of the term's parts
 cannot decide it; _pick_n and zeta's tests of s run on the tuples too.
 
@@ -133,9 +141,9 @@ def trapezoid_mean(g, ctx: NumericContext, n: int, tol, scale, failure: str,
     forked child evaluates every other node of the level, and whatever g
     changes in the child is lost.  Nodes are evaluated and summed in order, so
     the result is bit for bit the in-process one, and an exception in g is
-    the one the in-process loop raises.  Only the affinity mask counts CPUs:
-    a CPU quota (a cgroup's cpu.max) is not detected, and under one the two
-    processes share its time; pinning the process to one CPU (taskset -c 0)
+    the one the in-process loop raises.  A level forks only where the
+    affinity mask holds two CPUs and a cgroup's CPU quota (cpu.max) allows
+    two CPUs' time (_may_fork); pinning the process to one CPU (taskset -c 0)
     gives the in-process path."""
     mp = ctx.mp
 
@@ -179,17 +187,43 @@ def _check_conjugate(values, n: int, mp) -> None:
                 f"g(1 - u) is not conj g(u) at u = {mp.mpf(j) / n}, 1 - u = {mp.mpf(n - j) / n}")
 
 
-# True in a split's child, and in a parent while its child lives: a split
-# there evaluates in process, so no process has two children
+# True in a split's child, and in a parent while its child lives or inside
+# _in_process: a split there evaluates in process, so no process has two children
 _split_busy = False
+# the cgroup v2 CPU quota, "<quota> <period>" or "max <period>"; only read
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+@functools.cache
+def _quota_cpus() -> float:
+    """quota / period from _CPU_MAX, read once per process: the CPUs' worth of
+    time the cgroup allows, inf where the file is missing or reads max."""
+    try:
+        with open(_CPU_MAX) as f:
+            quota, period = f.read().split()
+        return int(quota) / int(period)
+    except (OSError, ValueError):
+        return math.inf
 
 
 def _may_fork() -> bool:
-    """A child gets a second CPU (the affinity is read at each call), and fork
-    copies only the calling thread, so the process must have one."""
+    """A child gets a second CPU (the affinity is read at each call) and the
+    time of one (the cgroup quota is at least two CPUs'), and fork copies
+    only the calling thread, so the process must have one."""
     affinity = getattr(os, "sched_getaffinity", None)
     return (not _split_busy and affinity is not None and len(affinity(0)) > 1
-            and threading.active_count() == 1)
+            and threading.active_count() == 1 and _quota_cpus() >= 2)
+
+
+@contextlib.contextmanager
+def _in_process():
+    """Every split inside the block evaluates in process."""
+    global _split_busy
+    busy, _split_busy = _split_busy, True
+    try:
+        yield
+    finally:
+        _split_busy = busy
 
 
 def _raw(v):
@@ -469,9 +503,10 @@ class ZetaEngine:
 
     def _log_table(self, n: int):
         """Rows (log k at prec+10 rounded down, log k at prec, exp(-log(k)/2)
-        at prec+4), raw _mpf_ tuples indexed by k, extended to k < n on
-        demand.  A longer table replaces the old one whole, so a shared engine
-        never shows a partial row."""
+        at prec+4, the smallest prime factor of k), the first three raw _mpf_
+        tuples, indexed by k and extended to k < n on demand.  A longer table
+        replaces the old one whole, so a shared engine never shows a partial
+        row."""
         table = self._logk
         if len(table) < n:
             prec = self.ctx.mp.prec
@@ -479,7 +514,8 @@ class ZetaEngine:
             for k in range(len(table), n):
                 log_pow = mpf_log(from_int(k), prec + 10, round_down)
                 rows.append((log_pow, mpf_log(from_int(k), prec, round_nearest),
-                             mpf_exp(mpf_neg(mpf_shift(log_pow, -1)), prec + 4, round_nearest)))
+                             mpf_exp(mpf_neg(mpf_shift(log_pow, -1)), prec + 4, round_nearest),
+                             next((q for q in range(2, math.isqrt(k) + 1) if k % q == 0), k)))
             table = self._logk = table + tuple(rows)
         return table
 
@@ -495,7 +531,10 @@ class ZetaEngine:
         objects gives.  k^-s, N^-s and N^(1-s) are mp.power(k, -s) and so on:
         off the real axis they repeat mpc_pow (log and product at prec+10
         rounded down, then mpc_exp) with log k from the table, and on
-        Re s = 1/2 also |k^-s|; log N is the table's too.
+        Re s = 1/2 also |k^-s|; log N is the table's too.  Off the real axis
+        and off Re s = 1/2 a composite k^-s is instead the product
+        q^-s (k/q)^-s of two powers already summed (mpc_mul, the mpc *),
+        q the smallest prime factor of k.
 
         The Bernoulli stop tests |term| < tol and |term| > 4 |last term|.
         With 2^(e-1) <= max(|Re term|, |Im term|) < 2^e, the rounded |term|
@@ -513,17 +552,22 @@ class ZetaEngine:
         table = self._log_table(n + 1)
         off_axis = cplx and neg_s[1] != fzero
         on_line = off_axis and s_raw[0] == _HALF
+        sieve = off_axis and not on_line
         total = (fone, fzero) if cplx else fone
         deriv = (fzero, fzero) if cplx else fzero
+        powers = [None, None]  # k^-s by k, for the composites off the line
         for k in range(2, n):
-            log_pow, log_k, half_mag = table[k]
-            if off_axis:
+            log_pow, log_k, half_mag, q = table[k]
+            if sieve and q < k:  # k^-s = q^-s (k/q)^-s
+                p = mpc_mul(powers[q], powers[k // q], prec, rnd)
+            elif off_axis:
                 mag = half_mag if on_line else mpf_exp(
                     mpf_mul(log_pow, neg_s[0], prec + 10, round_down), prec + 4, rnd)
                 c, sn = mpf_cos_sin(mpf_mul(log_pow, neg_s[1], prec + 10, round_down), prec + 4, rnd)
                 p = mpf_mul(mag, c, prec, rnd), mpf_mul(mag, sn, prec, rnd)
             else:
                 p = power(from_int(k), neg_s, prec, rnd)
+            powers.append(p)
             total = add(total, p, prec, rnd)
             if want_deriv:
                 deriv = sub(deriv, mul_x(p, log_k, prec, rnd), prec, rnd)

@@ -55,8 +55,9 @@ def store500_192(ctx192, cache_dir):
 
 
 # whether a quadrature, a zero refinement or a zero sum forks here: it needs
-# a second CPU in the affinity mask
-SPLITS = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
+# a second CPU in the affinity mask and a CPU quota of two CPUs' time or more
+SPLITS = (len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1
+          and zetafn._quota_cpus() >= 2)
 
 
 def one_cpu(monkeypatch):
@@ -116,16 +117,17 @@ def forks(monkeypatch):
 @pytest.fixture()
 def maps(monkeypatch):
     """The item count of each _split_map call (zetafn's, sumrule's and the
-    CLI's) that this process makes with a second CPU free and outside another
-    such call, in call order.  Each with two items or more forks one child; a
-    call inside any of them evaluates in process."""
+    CLI's) that this process makes where it may fork (zetafn._may_fork: a
+    second CPU free, outside another such call and outside _in_process), in
+    call order.  Each with two items or more forks one child; a call inside
+    any of them evaluates in process."""
     counts = []
     depth = 0
     split_map = zetafn._split_map
 
     def counting(f, count, mp):
         nonlocal depth
-        if not depth and len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) > 1:
+        if not depth and zetafn._may_fork():
             counts.append(count)
         depth += 1
         try:

@@ -5,9 +5,14 @@ values of zeta and zeta' at fixed points, and the stdout of every verify kind
 and of scan in each format, compared byte for byte with the files under
 tests/data/.  A change that alters any of them fails here,
 where a determinism check (two runs of one tree) would still pass.  The
-192-bit export and the zeta values were recorded with separate
-Euler-Maclaurin passes for zeta and zeta' over mp.power(k, -s), so they pin
-that the fused pass over the log k table gives the same bits.  500-zero
+192-bit export and the zeta values on the critical line and the real axis
+were recorded with separate Euler-Maclaurin passes for zeta and zeta' over
+mp.power(k, -s), so they pin that the fused pass over the log k table gives
+the same bits there.  Off the line a composite k^-s is a product of two
+held powers, which moves the last bits: those zeta values, and the residual
+of the residues report, were recorded with the products, and
+test_zetafn.py::test_off_line_passes_against_mpmath holds the off-line
+passes to mpmath's zeta at twice the precision.  500-zero
 verify and scan calls, whose zero sums split over two CPUs, must print the
 bytes they print in one process."""
 

@@ -258,12 +258,65 @@ def test_residues_and_circle_derivative_split_bit_for_bit(ctx96, store30_96, mon
 
     split, alone = split_and_in_process(monkeypatch, values)
     assert [_raw(v) for v in split] == [_raw(v) for v in alone]
-    # five periodic quadratures of three levels each, each level one fork;
-    # the circles centred on the real axis (trivial, half-integer and the
-    # derivative's at 0.01) evaluate half of each level after the first
-    halved, full = (level_sizes(8, 3, periodic=True, conjugate=c) for c in (True, False))
-    assert maps == (halved * 2 + full * 2 + halved if SPLITS else [])
-    assert len(forks) == 15 * SPLITS
+    # five periodic quadratures of three levels each; the four residue
+    # circles run in process, and each level of the derivative's circle at
+    # 0.01, centred on the real axis, forks once and evaluates half of each
+    # level after the first
+    assert maps == (level_sizes(8, 3, periodic=True, conjugate=True) if SPLITS else [])
+    assert len(forks) == 3 * SPLITS
+
+
+def test_site_by_site_zero_and_conjugate_fork_nothing(ctx96, store30_96, monkeypatch, forks,
+                                                      maps):
+    # called site by site where a split would fork, a zero's circle and its
+    # conjugate's run in process: the zero's circle holds every node it
+    # evaluates, so the conjugate's evaluates only its first level's 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(zetafn, "_quota_cpus", lambda: float("inf"))
+    assert zetafn._may_fork()
+    params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=1, n_trivial=1, n_halfint=1)
+    catalog = sr.pole_catalog(params, store30_96, ctx96)
+    integrand, evaluated = sr._integrand, []
+
+    def counting(*args):
+        evaluated[-1] += 1
+        return integrand(*args)
+
+    monkeypatch.setattr(sr, "_integrand", counting)
+    monkeypatch.setattr(sr, "_last_circle", [None, {}])
+    for site in catalog[-2:]:
+        evaluated.append(0)
+        sr.numeric_residue(site, params, ctx96, catalog, store=store30_96)
+    assert [site.family for site in catalog[-2:]] == ["critical_zero", "critical_zero_conjugate"]
+    assert evaluated == [32, 8]  # levels of 8, 8 and 16 nodes
+    assert forks == maps == []
+    assert zetafn._may_fork()
+
+
+@pytest.mark.parametrize("text,cpus", [("150000 100000\n", 1.5), ("200000 100000\n", 2.0),
+                                       ("max 100000\n", float("inf")), (None, float("inf"))],
+                         ids=["1.5", "2", "max", "missing"])
+def test_cpu_quota_below_two_cpus_evaluates_in_process(ctx96, tmp_path, monkeypatch, forks,
+                                                       text, cpus):
+    # cpu.max is read once per process: a quota below two CPUs' time keeps
+    # every split in process, and a file that changes later is not read again
+    path = tmp_path / "cpu.max"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(zetafn, "_CPU_MAX", str(path))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    mp = ctx96.mp
+    zetafn._quota_cpus.cache_clear()
+    try:
+        assert zetafn._quota_cpus() == cpus
+        path.write_text("100000 100000\n")
+        assert zetafn._quota_cpus() == cpus
+        assert zetafn._may_fork() == (cpus >= 2)
+        assert _split_map(lambda i: mp.mpf(i) / 3, 4, mp) == [mp.mpf(i) / 3 for i in range(4)]
+        assert len(forks) == (cpus >= 2)
+    finally:
+        zetafn._quota_cpus.cache_clear()
+    assert_no_child()
 
 
 @pytest.mark.parametrize("bits", [96, 192])
@@ -275,6 +328,7 @@ def test_residues_are_full_circles_that_share_nothing_bit_for_bit(request, monke
     # its first level and takes every later node from its zero's circle
     ctx = request.getfixturevalue(f"ctx{bits}")
     store = request.getfixturevalue(f"store{ {96: 30, 192: 40}[bits] }_{bits}")
+    forks.clear()  # a store built here, on the test's first use, forks too
     params = sr.SumRuleParams(a="0.5", x="0.5", n_zeros=2, n_trivial=2, n_halfint=1)
     catalog = sr.pole_catalog(params, store, ctx)
     mapped = sr._residue_map(catalog, params, ctx, catalog, store)

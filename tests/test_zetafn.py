@@ -161,17 +161,27 @@ def test_doubling_stability():
         assert ENG._em_once(s, n0, want_deriv=False)[:2] == (v1, None)
 
 
-def em_once_objects(eng, s, n, want_deriv):
+def smallest_prime_factor(k):
+    return min(q for q in range(2, k + 1) if k % q == 0)
+
+
+def em_once_objects(eng, s, n, want_deriv, products=True):
     """The object-level Euler-Maclaurin pass that ZetaEngine._em_once's raw
     loop replaced, with k^-s as mp.power(k, -s) and log k as mp.log(k):
     (zeta(s), zeta'(s) or None, first omitted Bernoulli term, the rule that
-    stopped it).  The raw loop must return its first three bit for bit."""
+    stopped it).  The raw loop must return its first three bit for bit.
+    With products, off the real axis and off the critical line a composite
+    k^-s is q^-s (k/q)^-s, q the smallest prime factor of k; without, every
+    k^-s is mp.power(k, -s), the pass before the products."""
     mp = eng.ctx.mp
     tol = eng._stop_tol
     total = mp.mpf(1)
     deriv = mp.mpf(0) if want_deriv else None
+    sieve = products and mp.im(s) != 0 and mp.re(s) != 0.5
+    powers = {}
     for k in range(2, n):
-        p = mp.power(k, -s)
+        q = smallest_prime_factor(k)
+        p = powers[k] = powers[q] * powers[k // q] if sieve and q < k else mp.power(k, -s)
         total += p
         if want_deriv:
             deriv -= mp.log(k) * p
@@ -267,6 +277,9 @@ def test_raw_em_loop_equals_the_object_loop(prec):
     # n <= 3, and cutoffs too small for the Bernoulli stop
     calls += [(mp.mpc(0.5, 20), 1), (mp.mpc(0.5, 20), 3), (mp.mpf(3), 2),
               (mp.mpc(0.5, mp.mpf(400)), 4), (mp.mpf("1.5"), 22 * prec // 192)]
+    # off the line, k < 13 covers the prime powers 4, 8, 9 and the products
+    # of distinct primes 6, 10: each a product of two held powers
+    calls.append((mp.mpc("0.75", "2.5"), 13))
     # where the exponents of a term's parts cannot decide the Bernoulli stop:
     # |term| within a factor 4 of tol, and consecutive |term| ratios in [1/4, 4]
     tol = eng._stop_tol
@@ -295,6 +308,53 @@ def test_raw_em_loop_equals_the_object_loop(prec):
             want = em_once_objects(eng, s, n, want_deriv)[:3]
             assert bits(eng._em_once(s, n, want_deriv)) == bits(want), (s, n, want_deriv)
         assert len(eng._logk) == n + 1
+
+
+def off_line_passes(mp):
+    """The s of off-line Euler-Maclaurin passes: the golden points (2, 3),
+    (0.7, -5) and (-1.2, 7.5); contour nodes w = 4a s(1 - s), s = i t, at the
+    benchmark's three a (0.5, 2 and 0.9); and nodes c + r e^(2 pi i u) of the
+    circles (r = 1/100, a = 1/2; angles pi/4, 3 pi/4 and 3 pi/2) around the
+    first trivial-zero pole, the half-integer pole 3/2 and the first
+    critical-zero pole, mapped to w.  Each
+    w left of 1/2 is reflected to 1 - w, the pass the engine sums there."""
+    points = [mp.mpc(2, 3), mp.mpc("0.7", -5), mp.mpc("-1.2", "7.5")]
+    for a in ("0.5", "2", "0.9"):
+        points += [4 * mp.mpf(a) * s * (1 - s) for s in (mp.mpc(0, t) for t in ("-3.7", "-0.45",
+                                                                              "1.2", "6.1"))]
+    a, rho = mp.mpf("0.5"), mp.mpc("0.5", TAU_1)
+    for c in ((1 + mp.sqrt((2 + a) / a)) / 2, mp.mpf("1.5"), (1 + mp.sqrt(1 - rho / a)) / 2):
+        for j in (1, 3, 6):
+            s = c + mp.expjpi(mp.mpf(j) / 4) / 100
+            points.append(4 * a * s * (1 - s))
+    return [w if mp.re(w) >= 0.5 else 1 - w for w in points]
+
+
+@pytest.mark.parametrize("prec", [96, 192])
+def test_off_line_passes_against_mpmath(prec):
+    # zeta and zeta' of each pass against mpmath.zeta at 2p + 64 bits.  The
+    # error must stay below 2^-(p+16) |zeta|, or within 1/256 of that of the
+    # same pass over mp.power(k, -s) at the same (s, N): the composite
+    # products may cost rounding, not digits.  Both passes' errors are the
+    # Bernoulli remainder's, up to about 2^-(p+26) |zeta|, in either direction.
+    ctx = NumericContext(prec)
+    mp = ctx.mp
+    eng = ZetaEngine(ctx)
+    changed = 0
+    with mpmath.workprec(2 * prec + 64):
+        to = lambda v: mpmath.mpc(mpmath.mpf(mp.re(v)), mpmath.mpf(mp.im(v)))
+        for s in off_line_passes(mp):
+            assert mp.im(s) != 0 and mp.re(s) >= 0.5
+            got = []
+            n = em_calls(eng, lambda: got.extend(eng.zeta(s, with_deriv=True)))[-1][1]
+            plain = em_once_objects(eng, s, n, True, products=False)[:2]
+            changed += got != list(plain)
+            want = (mpmath.zeta(to(s)), mpmath.zeta(to(s), derivative=1))
+            bound = mpmath.mpf(2) ** -(prec + 16) * abs(want[0])
+            for v, old, ref in zip(got, plain, want):
+                err, err_old = abs(to(v) - ref), abs(to(old) - ref)
+                assert err < bound or err <= err_old + bound / 256, (s, err / bound)
+    assert changed > len(off_line_passes(mp)) // 4  # the products change some passes' bits
 
 
 def pick_n_objects(eng, s):
